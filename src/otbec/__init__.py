@@ -45,6 +45,7 @@ from .protocol_colluding import (
 from .protocol_core import (
     AbortSignal,
     DecodeError,
+    OtCode,
     OtOutcome,
     ParamError,
     ProtocolParams,
@@ -115,6 +116,7 @@ __all__ = [
     "run_protocol2",
     "AbortSignal",
     "DecodeError",
+    "OtCode",
     "OtOutcome",
     "ParamError",
     "ProtocolParams",

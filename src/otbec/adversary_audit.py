@@ -231,6 +231,17 @@ def generate_runs(
     return runs
 
 
+def _shared_params(runs) -> ProtocolParams:
+    """The parameters every run in the batch was produced with; rejects mixed batches."""
+    if not runs:
+        raise ValueError("need at least one run")
+    params = runs[0].params
+    for run in runs:
+        if run.params != params:
+            raise ValueError("runs must share parameters")
+    return params
+
+
 def _message_parties(attacker: str, link: int) -> tuple:
     if attacker == "single-receiver":
         return (f"bob{link}",)
@@ -261,6 +272,7 @@ def guess_unchosen_message(
         raise ValueError("link must be 1 or 2")
     if rng is None:
         raise ValueError("the uniform-fill step needs an rng")
+    k = _shared_params(runs).key_len(link)
     successes = 0
     used = 0
     skipped = 0
@@ -285,7 +297,6 @@ def guess_unchosen_message(
         used += 1
     if used == 0:
         raise ValueError("no completed runs to attack")
-    k = runs[0].params.key_len(link)
     blind_hit = 2.0 ** (-mask)
     baseline = blind_hit + (1.0 - blind_hit) * 2.0 ** (-k)
     rate = successes / used
@@ -335,6 +346,7 @@ def guess_choice_bit(
         raise ValueError("link must be 1 or 2")
     if rng is None:
         raise ValueError("tie-breaking needs an rng")
+    _shared_params(runs)
     successes = 0
     used = 0
     skipped = 0
@@ -437,12 +449,7 @@ def condition_suite(runs, variant: str | None = None) -> list[ConditionRow]:
     declared features only.
     """
     runs = list(runs)
-    if not runs:
-        raise ValueError("condition suite needs at least one run")
-    params = runs[0].params
-    for run in runs:
-        if run.params != params:
-            raise ValueError("runs must share parameters")
+    params = _shared_params(runs)
     if variant is None:
         variant = params.variant
     if variant != params.variant:

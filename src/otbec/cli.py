@@ -30,7 +30,7 @@ from .exact_oracle import (
     oracle_vs_montecarlo,
 )
 from .protocol_colluding import VisibilityModel
-from .protocol_core import ParamError, snap_params
+from .protocol_core import OtCode, ParamError, snap_params
 from .protocol_noncolluding import _clopper_pearson
 from .rates import (
     ChannelSpec,
@@ -128,14 +128,18 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _resolve_seed(args) -> int:
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get("OTBEC_SEED")
-    if env is not None:
+        seed, source = int(args.seed), "--seed"
+    else:
+        env = os.environ.get("OTBEC_SEED")
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, source = int(env), "OTBEC_SEED"
         except ValueError as exc:
             raise ValueError(f"OTBEC_SEED must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    if seed < 0:
+        raise ValueError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _report_shell(command: str, config: dict, seed: int) -> dict:
@@ -199,6 +203,17 @@ def _rate_ci(successes: int, trials: int) -> dict:
     }
 
 
+def _abort_key(params, link: int, code: OtCode) -> str:
+    """abort_reasons key of one link that never published: the phase that lost it."""
+    if params.variant == "noncolluding":
+        return "single-phase"
+    if code is OtCode.NO_SECOND_PHASE:
+        return "no-second-phase"
+    if link == params.order or code is OtCode.UPSTREAM_ABORT:
+        return "phase-1"
+    return "phase-2"
+
+
 def _simulate_stats(runs) -> dict:
     trials = len(runs)
     per_link: dict = {}
@@ -209,11 +224,10 @@ def _simulate_stats(runs) -> dict:
     for run in runs:
         if run.record["aborted"]:
             any_abort += 1
-        for reason in run.record["aborted"].values():
-            key = "phase-2" if "phase-2" in reason else (
-                "phase-1" if "phase-1" in reason else (
-                    "no-second-phase" if "second link" in reason else "single-phase"))
-            reason_counts[key] = reason_counts.get(key, 0) + 1
+        for link, out in zip((1, 2), run.outcomes):
+            if out.status in ("aborted", "no-second-phase"):
+                key = _abort_key(run.params, link, out.code)
+                reason_counts[key] = reason_counts.get(key, 0) + 1
     for i in (1, 2):
         counts = {"completed": 0, "aborted": 0, "decode-error": 0, "no-second-phase": 0}
         link_matches = 0
@@ -323,8 +337,7 @@ def cmd_oracle(args) -> int:
             "description": joint.description,
         }
         if args.compare_mc:
-            row["mc"] = oracle_vs_montecarlo(
-                variant, tiny, view, secret, trials=args.compare_mc, master_seed=seed)
+            row["mc"] = oracle_vs_montecarlo(joint, trials=args.compare_mc, master_seed=seed)
         rows.append(row)
     config = {
         "tiny": dataclasses.asdict(tiny),
@@ -549,8 +562,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         return args.func(args)
     except BudgetError as exc:
-        print(f"error: enumeration budget exceeded: {exc} "
-              f"(state estimate {exc.estimate})", file=sys.stderr)
+        print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)
         return 3
     except ParamError as exc:
         print(f"error: {exc.constraint} violated: {exc.message}", file=sys.stderr)

@@ -21,10 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ERASED, erasure_partition, restrict, transmit_bec, trial_rng
+from .channel import ERASED, restrict, transmit_bec, trial_rng
 from .entropy import JointDistribution, mutual_information
-from .hashing import sample_linear_hash
-from .protocol_core import AbortSignal, encrypt, sample_subset, select_subsets
+from .protocol_core import AbortSignal, Transcript, announce_sets, draw_sprime, send_link
 
 __all__ = [
     "EnumerationBudget",
@@ -92,13 +91,19 @@ class TinyParams:
 
 @dataclass(frozen=True)
 class ExactJoint:
-    """Exact joint law of (secret, view features) plus enumeration metadata."""
+    """Exact joint law of (secret, view features) plus enumeration metadata.
+
+    spec (variant, secret_spec, view_spec) and tiny name what was enumerated;
+    both are None for a hand-built joint.
+    """
 
     joint: JointDistribution
     arithmetic: str
     abort_mass: float | Fraction
     states: int
     description: str
+    spec: tuple | None
+    tiny: TinyParams | None
 
     def to_json(self) -> dict:
         return {
@@ -241,22 +246,15 @@ def _accumulate(items) -> tuple[dict, int]:
     return agg, states
 
 
-def _enum_sets_link1(tiny: TinyParams, rational: bool):
+def _enum_sets_link(tiny: TinyParams, p, rational: bool):
     return _accumulate(
-        ((z, pair), w)
-        for z, pair, _, w in _link_structures(tiny.n, tiny.p1, tiny.set_size, rational)
+        ((z, pair), w) for z, pair, _, w in _link_structures(tiny.n, p, tiny.set_size, rational)
     )
 
 
 def _enum_sets_both(tiny: TinyParams, rational: bool):
-    agg1, st1 = _accumulate(
-        ((z, pair), w)
-        for z, pair, _, w in _link_structures(tiny.n, tiny.p1, tiny.set_size, rational)
-    )
-    agg2, st2 = _accumulate(
-        ((z, pair), w)
-        for z, pair, _, w in _link_structures(tiny.n, tiny.p2, tiny.set_size, rational)
-    )
+    agg1, st1 = _enum_sets_link(tiny, tiny.p1, rational)
+    agg2, st2 = _enum_sets_link(tiny, tiny.p2, rational)
     agg: dict = {}
     for (z1, v1), w1 in agg1.items():
         for (z2, v2), w2 in agg2.items():
@@ -453,7 +451,7 @@ def enumerate_protocol(
     _check_budget(tiny, view_spec, budget)
     rational = _is_rational(tiny.p1) and _is_rational(tiny.p2)
     if view_spec == "announced-sets-1":
-        agg, states = _enum_sets_link1(tiny, rational)
+        agg, states = _enum_sets_link(tiny, tiny.p1, rational)
     elif view_spec == "announced-sets-both":
         agg, states = _enum_sets_both(tiny, rational)
     elif view_spec == "own-receiver-1":
@@ -472,6 +470,8 @@ def enumerate_protocol(
         abort_mass=abort_mass,
         states=states,
         description=f"{variant}: {secret_spec} vs {view_spec} at n={tiny.n}",
+        spec=combo,
+        tiny=tiny,
     )
 
 
@@ -512,97 +512,70 @@ def _obs_symbol(values) -> tuple:
     return tuple("e" if int(v) == ERASED else int(v) for v in values)
 
 
+def _message_pair(k: int, rng: np.random.Generator) -> tuple:
+    return tuple(rng.integers(0, 2, size=k, dtype=np.int64).astype(np.uint8) for _ in range(2))
+
+
 def _sample_once(tiny: TinyParams, view_spec: str, rng: np.random.Generator):
-    """Draw one (secret, view) sample with the production sampling primitives."""
-    n, s, k = tiny.n, tiny.set_size, tiny.key_bits
-    x = rng.integers(0, 2, size=n, dtype=np.int64).astype(np.uint8)
+    """Draw one (secret, view) sample by running the executors' link helpers."""
+    s = tiny.set_size
+    # the views never include commitments, so any positive verification length
+    # gives the same joint; the transcript is discarded
+    verify_bits, transcript = 1, Transcript()
+    x = rng.integers(0, 2, size=tiny.n, dtype=np.int64).astype(np.uint8)
 
-    def announced(p, size):
-        y = transmit_bec(x, float(p), rng)
+    def announced(bits, p, size):
+        y = transmit_bec(bits, float(p), rng)
         z = int(rng.integers(0, 2))
-        e, ebar = erasure_partition(y)
         try:
-            pair = select_subsets(e, ebar, z, size, rng)
+            pair, e = announce_sets(y, z, size, rng, transcript, 1)
         except AbortSignal:
-            return z, ("abort",), y, None
-        return z, (_tuple_set(pair[0]), _tuple_set(pair[1])), y, pair
+            return z, ("abort",), y, None, None
+        return z, (_tuple_set(pair[0]), _tuple_set(pair[1])), y, pair, e
 
-    if view_spec == "announced-sets-1":
-        z, view, _, _ = announced(tiny.p1, s)
-        return z, view
-    if view_spec == "announced-sets-both":
-        z1, v1, _, _ = announced(tiny.p1, s)
-        z2, v2, _, _ = announced(tiny.p2, s)
+    def unchosen_view(bits, pair, z, messages):
+        hashes, _, cipher = send_link(bits, pair, messages, verify_bits, rng, transcript, 1)
+        return _kappa_symbol(hashes["kappa"][1 - z]), _tuple_set(cipher[1 - z])
+
+    if view_spec in ("announced-sets-1", "announced-sets-both"):
+        z1, v1, _, _, _ = announced(x, tiny.p1, s)
+        if view_spec == "announced-sets-1":
+            return z1, v1
+        z2, v2, _, _, _ = announced(x, tiny.p2, s)
         return (z1, z2), (v1, v2)
     if view_spec in ("own-receiver-1", "pooled-receivers-1"):
-        pooled = view_spec == "pooled-receivers-1"
-        z, view, _, pair = announced(tiny.p1, s)
-        y2 = transmit_bec(x, float(tiny.p2), rng) if pooled else None
-        m = _tuple_set(rng.integers(0, 2, size=k, dtype=np.int64))
+        z, view, _, pair, _ = announced(x, tiny.p1, s)
+        y2 = transmit_bec(x, float(tiny.p2), rng) if view_spec == "pooled-receivers-1" else None
+        messages = _message_pair(tiny.key_bits, rng)
         if pair is None:
-            return m, ("abort",)
-        unch = pair[1 - z]
-        kappa = sample_linear_hash(s, k, rng)
-        c = encrypt(np.array(m, dtype=np.uint8), kappa, restrict(x, unch).astype(np.uint8))
-        full = (z, view, _kappa_symbol(kappa), _tuple_set(c))
-        if pooled:
-            full = full + (_obs_symbol(restrict(y2, unch)),)
-        return m, full
-    if view_spec == "pooled-receivers-2-phase2":
-        m1, q = tiny.phase1_size, tiny.sprime_size
-        z1, _, y1, pair1 = announced(tiny.p1, m1)
-        m = _tuple_set(rng.integers(0, 2, size=k, dtype=np.int64))
-        if pair1 is None:
-            return m, ("abort-phase-1",)
-        unchosen = pair1[1 - z1]
-        e1 = erasure_partition(y1)[0]
-        leftover = np.setdiff1d(e1, unchosen, assume_unique=True)
-        if leftover.size < q:
-            return m, ("no-sprime",)
-        sp = sample_subset(leftover, q, rng)
-        x_sp = restrict(x, sp).astype(np.uint8)
-        w2 = transmit_bec(x_sp, float(tiny.p2), rng)
-        z2 = int(rng.integers(0, 2))
-        e2, ebar2 = erasure_partition(w2)
-        try:
-            pair2 = select_subsets(e2, ebar2, z2, s, rng)
-        except AbortSignal:
-            return m, ("abort-phase-2",)
-        kappa = sample_linear_hash(s, k, rng)
-        unch2 = pair2[1 - z2]
-        c = encrypt(np.array(m, dtype=np.uint8), kappa, restrict(x_sp, unch2).astype(np.uint8))
-        view = (
-            z2, _tuple_set(sp), (_tuple_set(pair2[0]), _tuple_set(pair2[1])),
-            _kappa_symbol(kappa), _tuple_set(c), ("e",) * s,
-        )
-        return m, view
-    if view_spec == "first-receiver-phase1":
-        m1, q = tiny.phase1_size, tiny.sprime_size
-        z1, pairview, y1, pair1 = announced(tiny.p1, m1)
-        if pair1 is None:
-            return (), ("abort-phase-1",)
-        unchosen = pair1[1 - z1]
-        e1 = erasure_partition(y1)[0]
-        leftover = np.setdiff1d(e1, unchosen, assume_unique=True)
-        if leftover.size < q:
-            return (), (z1, pairview, "no-sprime")
-        sp = sample_subset(leftover, q, rng)
-        secret = _tuple_set(restrict(x, sp))
-        view = (z1, pairview, _tuple_set(sp), _obs_symbol(y1))
-        return secret, view
-    raise ValueError(f"unknown view spec {view_spec!r}")
+            return _tuple_set(messages[1 - z]), view
+        view = (z, view, *unchosen_view(x, pair, z, messages))
+        if y2 is not None:
+            view += (_obs_symbol(restrict(y2, pair[1 - z])),)
+        return _tuple_set(messages[1 - z]), view
+    # both two-phase specs share phase 1 and the S' draw
+    z1, pairview, y1, pair1, e1 = announced(x, tiny.p1, tiny.phase1_size)
+    phase2 = view_spec == "pooled-receivers-2-phase2"
+    messages = _message_pair(tiny.key_bits, rng) if phase2 else None
+    secret = _tuple_set(messages[0]) if phase2 else ()
+    if pair1 is None:
+        return secret, ("abort-phase-1",)
+    try:
+        sp = draw_sprime(e1, pair1[1 - z1], tiny.sprime_size, rng, transcript, 1)
+    except AbortSignal:
+        return secret, ("no-sprime",) if phase2 else (z1, pairview, "no-sprime")
+    if not phase2:
+        return _tuple_set(restrict(x, sp)), (z1, pairview, _tuple_set(sp), _obs_symbol(y1))
+    x_sp = restrict(x, sp).astype(np.uint8)
+    z2, view2, _, pair2, _ = announced(x_sp, tiny.p2, s)
+    if pair2 is None:
+        return _tuple_set(messages[1 - z2]), ("abort-phase-2",)
+    view = (z2, _tuple_set(sp), view2, *unchosen_view(x_sp, pair2, z2, messages), ("e",) * s)
+    return _tuple_set(messages[1 - z2]), view
 
 
-def oracle_vs_montecarlo(
-    variant: str,
-    tiny: TinyParams,
-    view_spec: str,
-    secret_spec: str,
-    trials: int,
-    master_seed: int = 0,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> dict:
-    """Compare exact enumeration against production-primitive sampling.
+def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -> dict:
+    """Compare an enumerated joint against sampling through the executors' link helpers.
 
     Returns the maximum absolute deviation between exact probabilities and
     empirical frequencies over all (secret, view) cells, with the uniform
@@ -612,12 +585,14 @@ def oracle_vs_montecarlo(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    exact = enumerate_protocol(variant, tiny, view_spec, secret_spec, budget)
+    if exact.spec is None:
+        raise ValueError("the joint has no enumerated spec to sample")
+    view_spec = exact.spec[2]
     probs = {pair: float(w) for pair, w in exact.joint.items()}
     counts: dict = {}
     for t in range(trials):
         rng = trial_rng(master_seed, t)
-        key = _sample_once(tiny, view_spec, rng)
+        key = _sample_once(exact.tiny, view_spec, rng)
         counts[key] = counts.get(key, 0) + 1
     keys = set(probs) | set(counts)
     max_dev = max(abs(probs.get(kk, 0.0) - counts.get(kk, 0) / trials) for kk in keys)

@@ -12,25 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ERASED, compose_index_sets, erasure_partition, restrict, transmit_bec
-from .hashing import apply, sample_linear_hash
+from .channel import ERASED, compose_index_sets, restrict, transmit_bec
 from .protocol_core import (
     AbortSignal,
     AliceView,
     BobView,
-    DecodeError,
-    OtOutcome,
+    OtCode,
     ParamError,
     ProtocolParams,
     ProtocolRun,
     Transcript,
-    decode_chosen,
-    encrypt,
-    sample_subset,
-    select_subsets,
+    announce_sets,
+    check_messages,
+    draw_sprime,
+    receive_link,
+    send_link,
     validate_params,
 )
-from .protocol_noncolluding import _check_messages
 
 __all__ = [
     "VisibilityModel",
@@ -74,17 +72,18 @@ def run_protocol2(
 
     messages is ((m10, m11), (m20, m21)), z the two choice bits. The phase-1
     receiver is params.order. Randomness order: input block, phase-1
-    observations (addressee first), phase-1 subset draws, phase-1 hash draws,
-    phase-2 observations (addressee first), phase-2 subset draws, phase-2 hash
-    draws. A phase-1 abort ends the whole run (phase 2 has no input); a phase-2
-    abort only loses the second link. When the phase-1 receiver's erasure
+    observations (addressee first), phase-1 subset draws, the S' draw, phase-1
+    hash draws, phase-2 observations (addressee first), phase-2 subset draws,
+    phase-2 hash draws. A phase-1 abort ends the whole run (phase 2 has no
+    input); a phase-2 abort, or a leftover erasure set too small to draw S',
+    only loses the second link. When the phase-1 receiver's erasure
     probability is at most 1/2 no leftover set exists and the second link
     reports no-second-phase.
     """
     validate_params(params)
     if params.variant != "colluding":
         raise ParamError("variant", "run_protocol2 executes the colluding variant only")
-    messages = _check_messages(params, messages)
+    messages = check_messages(params, messages)
     z = (int(z[0]), int(z[1]))
     first = params.order
     second = 3 - first
@@ -98,58 +97,31 @@ def run_protocol2(
         if visibility.phase1 == "broadcast-both" else None
     )
 
-    m1 = params.phase1_size(first)
-    sets: dict[int, tuple] = {}
-    hashes: dict[int, dict] = {}
-    commitments: dict[int, tuple] = {}
-    ciphertexts: dict[int, tuple] = {}
-    aborted: dict[int, str] = {}
-    sprime = None
-    x_sprime = None
-    w_second = None
-    w_first = None
+    sets, hashes, commitments, ciphertexts = {}, {}, {}, {}
+    aborts: dict[int, AbortSignal] = {}
+    sprime = x_sprime = w_second = w_first = None
 
-    e, ebar = erasure_partition(y_first)
     try:
-        s0, s1 = select_subsets(e, ebar, z[first - 1], m1, rng)
+        sets[first], e = announce_sets(y_first, z[first - 1], params.phase1_size(first), rng,
+                                       transcript, first)
     except AbortSignal as sig:
-        aborted[first] = sig.reason
-        aborted[second] = f"phase-1 abort upstream: {sig.reason}"
-        transcript.append(f"bob{first}", first, "phase-marker", f"abort link {first}: {sig.reason}")
-    if first not in aborted:
-        sets[first] = (s0, s1)
-        transcript.append(f"bob{first}", first, "index-sets", {"S0": s0, "S1": s1})
+        aborts[first] = sig
+        aborts[second] = AbortSignal(OtCode.UPSTREAM_ABORT, f"phase-1 abort upstream: {sig.reason}")
+    else:
         target = params.sprime_size()
-        if target > 0:
-            unchosen = sets[first][1 - z[first - 1]]
-            leftover = np.setdiff1d(e, unchosen, assume_unique=True)
-            if leftover.size < target:
-                # cannot happen when the partition hosted the sets, kept as a guard
-                aborted[second] = f"leftover erasure set too small: {leftover.size} < {target}"
-            else:
-                sprime = sample_subset(leftover, target, rng)
-                transcript.append(f"bob{first}", first, "index-sets", {"Sprime": sprime})
-
-        mask1 = m1
-        h_pair = tuple(sample_linear_hash(mask1, params.verify_bits(first), rng) for _ in range(2))
-        kappa_pair = tuple(sample_linear_hash(mask1, params.key_len(first), rng) for _ in range(2))
-        keys = tuple(restrict(x, sets[first][j]).astype(np.uint8) for j in (0, 1))
-        commit = tuple(apply(h_pair[j], keys[j]) for j in (0, 1))
-        cipher = tuple(encrypt(messages[first - 1][j], kappa_pair[j], keys[j]) for j in (0, 1))
-        hashes[first] = {"h": h_pair, "kappa": kappa_pair}
-        commitments[first] = commit
-        ciphertexts[first] = cipher
-        transcript.append(
-            "alice", first, "hash-descriptions",
-            {"h0": h_pair[0], "h1": h_pair[1], "kappa0": kappa_pair[0], "kappa1": kappa_pair[1],
-             "t0": commit[0], "t1": commit[1]},
-        )
-        transcript.append("alice", first, "ciphertexts", {"c0": cipher[0], "c1": cipher[1]})
-
-        if sprime is None:
-            if second not in aborted:
-                aborted[second] = "no leftover erasure set, second link cannot run"
+        if target == 0:
+            aborts[second] = AbortSignal(OtCode.NO_SECOND_PHASE,
+                                         "no leftover erasure set, second link cannot run")
         else:
+            try:
+                sprime = draw_sprime(e, sets[first][1 - z[first - 1]], target, rng,
+                                     transcript, first)
+            except AbortSignal as sig:
+                aborts[second] = sig
+        hashes[first], commitments[first], ciphertexts[first] = send_link(
+            x, sets[first], messages[first - 1], params.verify_bits(first), rng, transcript, first)
+
+        if sprime is not None:
             transcript.append("alice", second, "phase-marker", "phase-2")
             x_sprime = restrict(x, sprime).astype(np.uint8)
             w_second = transmit_bec(x_sprime, float(params.p(second)), rng)
@@ -157,52 +129,24 @@ def run_protocol2(
                 transmit_bec(x_sprime, float(params.p(first)), rng)
                 if visibility.phase2 == "broadcast-both" else None
             )
-            e2, ebar2 = erasure_partition(w_second)
-            mask2 = params.mask_size(second)
             try:
-                t0, t1 = select_subsets(e2, ebar2, z[second - 1], mask2, rng)
+                # indices local to S'
+                sets[second], _ = announce_sets(w_second, z[second - 1], params.mask_size(second),
+                                                rng, transcript, second)
             except AbortSignal as sig:
-                aborted[second] = sig.reason
-                transcript.append(f"bob{second}", second, "phase-marker", f"abort link {second}: {sig.reason}")
+                aborts[second] = sig
             else:
-                sets[second] = (t0, t1)  # indices local to S'
-                transcript.append(f"bob{second}", second, "index-sets", {"S0": t0, "S1": t1})
-                h2 = tuple(sample_linear_hash(mask2, params.verify_bits(second), rng) for _ in range(2))
-                kappa2 = tuple(sample_linear_hash(mask2, params.key_len(second), rng) for _ in range(2))
-                keys2 = tuple(restrict(x_sprime, sets[second][j]).astype(np.uint8) for j in (0, 1))
-                commit2 = tuple(apply(h2[j], keys2[j]) for j in (0, 1))
-                cipher2 = tuple(encrypt(messages[second - 1][j], kappa2[j], keys2[j]) for j in (0, 1))
-                hashes[second] = {"h": h2, "kappa": kappa2}
-                commitments[second] = commit2
-                ciphertexts[second] = cipher2
-                transcript.append(
-                    "alice", second, "hash-descriptions",
-                    {"h0": h2[0], "h1": h2[1], "kappa0": kappa2[0], "kappa1": kappa2[1],
-                     "t0": commit2[0], "t1": commit2[1]},
-                )
-                transcript.append("alice", second, "ciphertexts", {"c0": cipher2[0], "c1": cipher2[1]})
+                hashes[second], commitments[second], ciphertexts[second] = send_link(
+                    x_sprime, sets[second], messages[second - 1], params.verify_bits(second), rng,
+                    transcript, second)
 
-    outcome_by_link: dict[int, OtOutcome] = {}
-    for link, y_obs in ((first, y_first), (second, w_second)):
-        if link in aborted:
-            reason = aborted[link]
-            status = "no-second-phase" if link == second and "second link cannot run" in reason else "aborted"
-            outcome_by_link[link] = OtOutcome(status, None, {"reason": reason})
-            continue
-        zi = z[link - 1]
-        try:
-            decoded = decode_chosen(
-                y_obs, sets[link][zi], hashes[link]["kappa"][zi],
-                hashes[link]["h"][zi], commitments[link][zi], ciphertexts[link][zi],
-            )
-        except DecodeError as err:
-            outcome_by_link[link] = OtOutcome("decode-error", None, {"reason": err.reason})
-            continue
-        outcome_by_link[link] = OtOutcome(
-            "completed", decoded,
-            {"correct": bool(np.array_equal(decoded, messages[link - 1][zi]))},
-        )
-    outcomes = (outcome_by_link[1], outcome_by_link[2])
+    observed = {first: y_first, second: w_second}
+    outcomes = tuple(
+        aborts[i].outcome() if i in aborts else receive_link(
+            observed[i], sets[i], z[i - 1], hashes[i], commitments[i], ciphertexts[i],
+            messages[i - 1])
+        for i in (1, 2)
+    )
 
     alice_view = AliceView(
         messages=messages,
@@ -224,7 +168,7 @@ def run_protocol2(
         "sprime": sprime, "x_sprime": x_sprime,
         "y_phase2": {first: w_first, second: w_second},
         "sets": sets, "hashes": hashes, "commitments": commitments,
-        "ciphertexts": ciphertexts, "aborted": aborted,
+        "ciphertexts": ciphertexts, "aborted": {i: sig.reason for i, sig in aborts.items()},
         "visibility": visibility,
     }
     return ProtocolRun(params, outcomes, alice_view, (views[1], views[2]), transcript, record)

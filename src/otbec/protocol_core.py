@@ -1,19 +1,21 @@
-"""Shared protocol substrate: parameters, transcripts, views, encryption, subset selection."""
+"""Shared protocol substrate: parameters, transcripts, views, outcome codes, the link step."""
 
 from __future__ import annotations
 
 import math
 import struct
 from dataclasses import dataclass, field
+from enum import Enum
 from fractions import Fraction
 
 import numpy as np
 
-from .channel import ERASED, as_bits, restrict
-from .hashing import LinearHash, apply, pack_bits, serialize_hash
+from .channel import ERASED, as_bits, erasure_partition, restrict
+from .hashing import LinearHash, apply, pack_bits, sample_linear_hash, serialize_hash
 
 __all__ = [
     "ParamError",
+    "OtCode",
     "AbortSignal",
     "DecodeError",
     "ProtocolParams",
@@ -29,6 +31,11 @@ __all__ = [
     "select_subsets",
     "encrypt",
     "decode_chosen",
+    "check_messages",
+    "announce_sets",
+    "draw_sprime",
+    "send_link",
+    "receive_link",
 ]
 
 
@@ -41,20 +48,43 @@ class ParamError(ValueError):
         self.message = message
 
 
-class AbortSignal(Exception):
+class OtCode(Enum):
+    """Structured outcome of one OT link; callers branch on it, never on reason text."""
+
+    COMPLETED = "completed"
+    SET_SHORTFALL = "set-shortfall"  # the erasure partition cannot host the index sets
+    UPSTREAM_ABORT = "upstream-abort"  # the phase-1 link aborted, so phase 2 has no input
+    LEFTOVER_SHORTFALL = "leftover-shortfall"  # too few leftover erasures to draw S'
+    NO_SECOND_PHASE = "no-second-phase"  # the parameters leave no leftover set at all
+    ERASED_CHOSEN = "erased-chosen"  # a chosen-set position was erased
+    HASH_MISMATCH = "hash-mismatch"  # the verification hash disagrees with the commitment
+
+    @property
+    def status(self) -> str:
+        """The coarse outcome status reports count this code under."""
+        if self in (OtCode.ERASED_CHOSEN, OtCode.HASH_MISMATCH):
+            return "decode-error"
+        return self.value if self in (OtCode.COMPLETED, OtCode.NO_SECOND_PHASE) else "aborted"
+
+
+class _LinkStop(Exception):
+    """A link that ends without a decoded message: its code and human reason."""
+
+    def __init__(self, code: OtCode, reason: str):
+        super().__init__(reason)
+        self.code = code
+        self.reason = reason
+
+    def outcome(self) -> OtOutcome:
+        return OtOutcome(self.code, None, {"reason": self.reason})
+
+
+class AbortSignal(_LinkStop):
     """Protocol abort (set-size shortfall); not an error, surfaces in the outcome."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
-
-class DecodeError(Exception):
+class DecodeError(_LinkStop):
     """Decoding failure (erased chosen position or verification mismatch)."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
 
 
 def _near_int(x, tol: float = 1e-9):
@@ -345,17 +375,23 @@ class BobView:
 
 @dataclass
 class OtOutcome:
-    """Result of one OT link: status, decoded message if completed, diagnostics."""
+    """Result of one OT link: outcome code, decoded message if completed, diagnostics.
 
-    status: str
+    diagnostics holds the human-readable "reason" next to an abort or decode
+    code, and "correct" for a completed link.
+    """
+
+    code: OtCode
     decoded: np.ndarray | None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.status not in ("completed", "aborted", "decode-error", "no-second-phase"):
-            raise ValueError(f"unknown outcome status {self.status!r}")
-        if (self.decoded is not None) != (self.status == "completed"):
-            raise ValueError("decoded message present iff status is completed")
+        if (self.decoded is not None) != (self.code is OtCode.COMPLETED):
+            raise ValueError("decoded message present iff the link completed")
+
+    @property
+    def status(self) -> str:
+        return self.code.status
 
 
 @dataclass
@@ -382,7 +418,7 @@ def sample_subset(pool: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     """Uniform size-subset of pool via a seeded partial Fisher-Yates shuffle, returned sorted."""
     pool = np.asarray(pool, dtype=np.int64)
     if size > pool.size:
-        raise AbortSignal(f"cannot draw {size} indices from a pool of {pool.size}")
+        raise AbortSignal(OtCode.SET_SHORTFALL, f"cannot draw {size} indices from a pool of {pool.size}")
     a = pool.copy()
     for j in range(size):
         t = j + int(rng.integers(0, a.size - j))
@@ -402,6 +438,7 @@ def select_subsets(
         raise ValueError("choice bit must be 0 or 1")
     if ebar.size < size or e.size < size:
         raise AbortSignal(
+            OtCode.SET_SHORTFALL,
             f"cannot host index sets of size {size}: |Ebar| = {ebar.size}, |E| = {e.size}"
         )
     s_chosen = sample_subset(ebar, size, rng)
@@ -433,8 +470,99 @@ def decode_chosen(
     """
     picked = restrict(y, s_z)
     if (picked == ERASED).any():
-        raise DecodeError("erased position in the chosen index set")
+        raise DecodeError(OtCode.ERASED_CHOSEN, "erased position in the chosen index set")
     x_hat = picked.astype(np.uint8)
     if not np.array_equal(apply(h_z, x_hat), as_bits(h_commitment)):
-        raise DecodeError("verification hash mismatch")
+        raise DecodeError(OtCode.HASH_MISMATCH, "verification hash mismatch")
     return (as_bits(ciphertext) ^ apply(kappa_z, x_hat)).astype(np.uint8)
+
+
+# --- the string-OT link step --------------------------------------------------
+# announce_sets, send_link and receive_link are the three steps of one link;
+# each draws one fixed block of randomness, so every composition replays.
+
+
+def check_messages(params: ProtocolParams, messages) -> tuple:
+    """Coerce ((m10, m11), (m20, m21)) to bit vectors of lengths k1 and k2."""
+    out = []
+    for i in (1, 2):
+        pair = messages[i - 1]
+        if len(pair) != 2:
+            raise ValueError(f"link {i} needs a message pair")
+        k = params.key_len(i)
+        coerced = tuple(as_bits(m) for m in pair)
+        for m in coerced:
+            if m.size != k:
+                raise ValueError(f"link {i} messages must have length k{i} = {k}, got {m.size}")
+        out.append(coerced)
+    return tuple(out)
+
+
+def announce_sets(
+    y: np.ndarray, z: int, size: int, rng: np.random.Generator, transcript: Transcript, link: int
+) -> tuple[tuple, np.ndarray]:
+    """Receiver step: draw and announce the label pair; returns it with the erased positions.
+
+    On a shortfall the abort is announced instead and the AbortSignal propagates.
+    """
+    e, ebar = erasure_partition(y)
+    try:
+        pair = select_subsets(e, ebar, z, size, rng)
+    except AbortSignal as sig:
+        transcript.append(f"bob{link}", link, "phase-marker", f"abort link {link}: {sig.reason}")
+        raise
+    transcript.append(f"bob{link}", link, "index-sets", {"S0": pair[0], "S1": pair[1]})
+    return pair, e
+
+
+def draw_sprime(e: np.ndarray, unchosen: np.ndarray, size: int, rng: np.random.Generator,
+                transcript: Transcript, link: int) -> np.ndarray:
+    """Phase-1 receiver step: draw S' from its erasures outside the unchosen set.
+
+    The erasure count can host the phase-1 sets yet fall short of the
+    unchosen set plus S'; that raises AbortSignal(LEFTOVER_SHORTFALL).
+    """
+    leftover = np.setdiff1d(e, unchosen, assume_unique=True)
+    if leftover.size < size:
+        raise AbortSignal(OtCode.LEFTOVER_SHORTFALL,
+                          f"leftover erasure set too small: {leftover.size} < {size}")
+    sprime = sample_subset(leftover, size, rng)
+    transcript.append(f"bob{link}", link, "index-sets", {"Sprime": sprime})
+    return sprime
+
+
+def send_link(
+    x: np.ndarray, pair: tuple, messages: tuple, verify_bits: int, rng: np.random.Generator,
+    transcript: Transcript, link: int,
+) -> tuple[dict, tuple, tuple]:
+    """Sender step: draw the h and kappa pairs, commit to and pad both messages, publish.
+
+    Returns ({"h": h pair, "kappa": kappa pair}, commitments, ciphertexts).
+    """
+    mask = pair[0].size
+    h_pair = tuple(sample_linear_hash(mask, verify_bits, rng) for _ in range(2))
+    kappa_pair = tuple(sample_linear_hash(mask, messages[0].size, rng) for _ in range(2))
+    keys = tuple(restrict(x, pair[j]).astype(np.uint8) for j in (0, 1))
+    commit = tuple(apply(h_pair[j], keys[j]) for j in (0, 1))
+    cipher = tuple(encrypt(messages[j], kappa_pair[j], keys[j]) for j in (0, 1))
+    transcript.append(
+        "alice", link, "hash-descriptions",
+        {"h0": h_pair[0], "h1": h_pair[1], "kappa0": kappa_pair[0], "kappa1": kappa_pair[1],
+         "t0": commit[0], "t1": commit[1]},
+    )
+    transcript.append("alice", link, "ciphertexts", {"c0": cipher[0], "c1": cipher[1]})
+    return {"h": h_pair, "kappa": kappa_pair}, commit, cipher
+
+
+def receive_link(
+    y: np.ndarray, pair: tuple, z: int, hashes: dict, commitments: tuple, ciphertexts: tuple,
+    messages: tuple,
+) -> OtOutcome:
+    """Receiver step: decode the chosen message; `correct` compares it with the sent one."""
+    try:
+        decoded = decode_chosen(y, pair[z], hashes["kappa"][z], hashes["h"][z],
+                                commitments[z], ciphertexts[z])
+    except DecodeError as err:
+        return err.outcome()
+    return OtOutcome(OtCode.COMPLETED, decoded,
+                     {"correct": bool(np.array_equal(decoded, messages[z]))})

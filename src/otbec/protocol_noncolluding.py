@@ -11,22 +11,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import beta, binom
 
-from .channel import as_bits, broadcast, BroadcastParams, erasure_partition, restrict
-from .hashing import apply, sample_linear_hash
+from .channel import broadcast, BroadcastParams
 from .protocol_core import (
     AbortSignal,
     AliceView,
     BobView,
-    DecodeError,
-    OtOutcome,
     ParamError,
     ProtocolParams,
     ProtocolRun,
     Transcript,
     _near_int,
-    decode_chosen,
-    encrypt,
-    select_subsets,
+    announce_sets,
+    check_messages,
+    receive_link,
+    send_link,
     validate_params,
 )
 
@@ -36,21 +34,6 @@ __all__ = [
     "abort_probability",
     "exact_abort_probability",
 ]
-
-
-def _check_messages(params: ProtocolParams, messages) -> tuple:
-    out = []
-    for i in (1, 2):
-        pair = messages[i - 1]
-        if len(pair) != 2:
-            raise ValueError(f"link {i} needs a message pair")
-        k = params.key_len(i)
-        coerced = tuple(as_bits(m) for m in pair)
-        for m in coerced:
-            if m.size != k:
-                raise ValueError(f"link {i} messages must have length k{i} = {k}, got {m.size}")
-        out.append(coerced)
-    return tuple(out)
 
 
 def run_protocol1(
@@ -71,7 +54,7 @@ def run_protocol1(
     validate_params(params)
     if params.variant != "noncolluding":
         raise ParamError("variant", "run_protocol1 executes the noncolluding variant only")
-    messages = _check_messages(params, messages)
+    messages = check_messages(params, messages)
     z = (int(z[0]), int(z[1]))
     transcript = Transcript()
 
@@ -79,56 +62,25 @@ def run_protocol1(
     y1, y2 = broadcast(x, BroadcastParams(float(params.p1), float(params.p2)), rng)
     observations = {1: y1, 2: y2}
 
-    sets: dict[int, tuple] = {}
-    aborted: dict[int, str] = {}
+    sets, aborts = {}, {}
     for i in (1, 2):
-        e, ebar = erasure_partition(observations[i])
         try:
-            s0, s1 = select_subsets(e, ebar, z[i - 1], params.mask_size(i), rng)
+            sets[i], _ = announce_sets(observations[i], z[i - 1], params.mask_size(i), rng,
+                                       transcript, i)
         except AbortSignal as sig:
-            aborted[i] = sig.reason
-            transcript.append(f"bob{i}", i, "phase-marker", f"abort link {i}: {sig.reason}")
-            continue
-        sets[i] = (s0, s1)
-        transcript.append(f"bob{i}", i, "index-sets", {"S0": s0, "S1": s1})
+            aborts[i] = sig
 
-    hashes: dict[int, dict] = {}
-    commitments: dict[int, tuple] = {}
-    ciphertexts: dict[int, tuple] = {}
-    for i in (1, 2):
-        if i in aborted:
-            continue
-        mask = params.mask_size(i)
-        h_pair = tuple(sample_linear_hash(mask, params.verify_bits(i), rng) for _ in range(2))
-        kappa_pair = tuple(sample_linear_hash(mask, params.key_len(i), rng) for _ in range(2))
-        keys = tuple(restrict(x, sets[i][j]).astype(np.uint8) for j in (0, 1))
-        commit = tuple(apply(h_pair[j], keys[j]) for j in (0, 1))
-        cipher = tuple(encrypt(messages[i - 1][j], kappa_pair[j], keys[j]) for j in (0, 1))
-        hashes[i] = {"h": h_pair, "kappa": kappa_pair}
-        commitments[i] = commit
-        ciphertexts[i] = cipher
-        transcript.append(
-            "alice", i, "hash-descriptions",
-            {"h0": h_pair[0], "h1": h_pair[1], "kappa0": kappa_pair[0], "kappa1": kappa_pair[1],
-             "t0": commit[0], "t1": commit[1]},
-        )
-        transcript.append("alice", i, "ciphertexts", {"c0": cipher[0], "c1": cipher[1]})
+    hashes, commitments, ciphertexts = {}, {}, {}
+    for i in sets:
+        hashes[i], commitments[i], ciphertexts[i] = send_link(
+            x, sets[i], messages[i - 1], params.verify_bits(i), rng, transcript, i)
 
-    outcomes = []
-    for i in (1, 2):
-        if i in aborted:
-            outcomes.append(OtOutcome("aborted", None, {"reason": aborted[i]}))
-            continue
-        zi = z[i - 1]
-        try:
-            decoded = decode_chosen(
-                observations[i], sets[i][zi], hashes[i]["kappa"][zi],
-                hashes[i]["h"][zi], commitments[i][zi], ciphertexts[i][zi],
-            )
-        except DecodeError as err:
-            outcomes.append(OtOutcome("decode-error", None, {"reason": err.reason}))
-            continue
-        outcomes.append(OtOutcome("completed", decoded, {"correct": bool(np.array_equal(decoded, messages[i - 1][zi]))}))
+    outcomes = tuple(
+        aborts[i].outcome() if i in aborts else receive_link(
+            observations[i], sets[i], z[i - 1], hashes[i], commitments[i], ciphertexts[i],
+            messages[i - 1])
+        for i in (1, 2)
+    )
 
     alice_view = AliceView(
         messages=messages,
@@ -149,9 +101,9 @@ def run_protocol1(
     record = {
         "x": x, "y1": y1, "y2": y2, "z": z, "messages": messages,
         "sets": sets, "hashes": hashes, "commitments": commitments,
-        "ciphertexts": ciphertexts, "aborted": aborted,
+        "ciphertexts": ciphertexts, "aborted": {i: sig.reason for i, sig in aborts.items()},
     }
-    return ProtocolRun(params, tuple(outcomes), alice_view, bob_views, transcript, record)
+    return ProtocolRun(params, outcomes, alice_view, bob_views, transcript, record)
 
 
 def _clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:

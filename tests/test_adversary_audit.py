@@ -142,6 +142,14 @@ def test_attack_input_validation(p1_runs):
         guess_choice_bit(p1_runs, attacker="alice", link=1)  # tie-breaking needs an rng
 
 
+def test_attacks_reject_mixed_parameters(p1_runs, p2_runs):
+    mixed = list(p1_runs[:20]) + list(p2_runs[:20])
+    with pytest.raises(ValueError, match="share parameters"):
+        guess_unchosen_message(mixed, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="share parameters"):
+        guess_choice_bit(mixed, rng=np.random.default_rng(0))
+
+
 def test_pooled_view_fields_and_provenance(p1_runs):
     run = p1_runs[0]
     view = assemble_pooled_view(run, ("alice", "bob2"))

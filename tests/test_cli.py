@@ -70,6 +70,8 @@ def test_oracle_budget_exits_3(tmp_path, capsys):
                           "--out", str(tmp_path / "o.json"))
     assert code == 3
     assert "enumeration budget exceeded" in stderr
+    # announced-sets-1 at n=9, set size 3: 2^9 * 2 * C(9,3)^2 weighted states
+    assert stderr.count("7225344") == 1
 
 
 def test_unwritable_out_exits_4(tmp_path, capsys):
@@ -78,6 +80,30 @@ def test_unwritable_out_exits_4(tmp_path, capsys):
                           "--trials", "5", "--out", str(target))
     assert code == 4
     assert "i/o failure" in stderr
+
+
+def test_two_phase_abort_reasons_count_each_link_under_its_phase(tmp_path, capsys):
+    out = tmp_path / "p2.json"
+    code, _, _ = run(capsys, "simulate", "--variant", "p2", "--n", "40", "--p1", "0.9",
+                     "--p2", "0.9", "--r1", "1/20", "--r2", "1/20", "--lambda", "1/40",
+                     "--lambda-prime", "1/40", "--trials", "400", "--out", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    reasons = results["abort_reasons"]
+    aborted = {link: results["per_link"][link]["counts"]["aborted"] for link in ("1", "2")}
+    # a phase-1 shortfall loses both links; phase 2 can lose the second link alone
+    assert set(reasons) == {"phase-1", "phase-2"}
+    assert reasons["phase-1"] == 2 * aborted["1"]
+    assert reasons["phase-1"] + reasons["phase-2"] == aborted["1"] + aborted["2"]
+
+    code, _, _ = run(capsys, "simulate", "--variant", "p2", "--n", "64", "--r1", "1/16",
+                     "--r2", "1/16", "--lambda", "1/32", "--lambda-prime", "1/64",
+                     "--trials", "50", "--out", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    missing = results["per_link"]["2"]["counts"]["no-second-phase"]
+    assert missing > 0
+    assert results["abort_reasons"].get("no-second-phase") == missing
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):
@@ -177,6 +203,24 @@ def test_seed_flag_beats_env(tmp_path, capsys, monkeypatch):
     out = tmp_path / "o.json"
     run(capsys, "oracle", "--seed", "5", "--out", str(out))
     assert json.loads(out.read_text())["seed"] == 5
+
+
+@pytest.mark.parametrize("subcommand, extra", [
+    ("simulate", ["--trials", "5"]),
+    ("audit", ["--trials", "5"]),
+    ("oracle", []),
+    ("region", ["--p1", "0.5", "--p2", "0.5"]),
+])
+def test_negative_seed_exits_2(subcommand, extra, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "r.json"
+    code, _, stderr = run(capsys, subcommand, *extra, "--seed", "-5", "--out", str(out))
+    assert code == 2
+    assert "--seed must be a non-negative integer, got -5" in stderr
+    monkeypatch.setenv("OTBEC_SEED", "-5")
+    code, _, stderr = run(capsys, subcommand, *extra, "--out", str(out))
+    assert code == 2
+    assert "OTBEC_SEED must be a non-negative integer, got -5" in stderr
+    assert not out.exists()
 
 
 def test_config_file_mirrors_flags(tmp_path, capsys):

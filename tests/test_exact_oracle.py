@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from otbec import exact_oracle
 from otbec.entropy import FiniteDistribution, JointDistribution
 from otbec.exact_oracle import (
     DEFAULT_BUDGET,
@@ -129,16 +130,16 @@ def test_exact_mi_on_handmade_joints():
         FiniteDistribution([0, 1], [HALF, HALF]),
         FiniteDistribution(["u", "v"], [Fraction(1, 4), Fraction(3, 4)]),
     )
-    j = ExactJoint(product, "rational", Fraction(0), 4, "handmade product")
+    j = ExactJoint(product, "rational", Fraction(0), 4, "handmade product", None, None)
     assert exact_mi(j) == 0
     corr = JointDistribution({(0, 0): HALF, (1, 1): HALF})
-    j2 = ExactJoint(corr, "rational", Fraction(0), 2, "handmade correlated bit")
+    j2 = ExactJoint(corr, "rational", Fraction(0), 2, "handmade correlated bit", None, None)
     assert exact_mi(j2) == pytest.approx(1.0)
 
 
 def test_montecarlo_matches_exact_within_band():
-    res = oracle_vs_montecarlo("noncolluding", tiny(), "announced-sets-1", "z1",
-                               trials=4000, master_seed=11)
+    exact = enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "z1")
+    res = oracle_vs_montecarlo(exact, trials=4000, master_seed=11)
     assert res["within_band"]
     assert res["max_deviation"] <= res["band"]
     assert res["band"] == pytest.approx(math.sqrt(math.log(2 / 0.01) / (2 * 4000)))
@@ -146,15 +147,37 @@ def test_montecarlo_matches_exact_within_band():
 
 def test_montecarlo_deterministic_subcase_has_zero_view_deviation():
     # p1 = 0 forces the abort view on every trial; only the secret coin varies
-    res = oracle_vs_montecarlo("noncolluding", tiny(p1=Fraction(0), p2=HALF),
-                               "announced-sets-1", "z1", trials=300, master_seed=2)
+    exact = enumerate_protocol("noncolluding", tiny(p1=Fraction(0), p2=HALF),
+                               "announced-sets-1", "z1")
+    res = oracle_vs_montecarlo(exact, trials=300, master_seed=2)
     assert res["view_deviation"] == 0.0
     assert res["within_band"]
 
 
 def test_montecarlo_rejects_zero_trials():
+    exact = enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "z1")
     with pytest.raises(ValueError):
-        oracle_vs_montecarlo("noncolluding", tiny(), "announced-sets-1", "z1", trials=0)
+        oracle_vs_montecarlo(exact, trials=0)
+
+
+@pytest.mark.parametrize("spec", [
+    ("noncolluding", "m1-unchosen", "pooled-receivers-1"),
+    ("colluding", "m2-unchosen", "pooled-receivers-2-phase2"),
+])
+def test_montecarlo_samples_through_the_executors_send_step(spec, monkeypatch):
+    calls = []
+    send = exact_oracle.send_link
+
+    def counted(*args):
+        calls.append(args)
+        return send(*args)
+
+    monkeypatch.setattr(exact_oracle, "send_link", counted)
+    variant, secret, view = spec
+    exact = enumerate_protocol(variant, tiny(), view, secret)
+    res = oracle_vs_montecarlo(exact, trials=3000, master_seed=11)
+    assert calls
+    assert res["within_band"], res
 
 
 def test_joint_serialization_carries_exact_weights():

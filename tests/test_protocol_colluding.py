@@ -14,7 +14,7 @@ from otbec.protocol_colluding import (
     collusion_mask_accounting,
     run_protocol2,
 )
-from otbec.protocol_core import ParamError, encrypt, snap_params
+from otbec.protocol_core import OtCode, ParamError, encrypt, snap_params
 
 
 def test_visibility_model_validation():
@@ -101,6 +101,7 @@ def test_no_second_phase_when_no_leftover_erasures():
         if run.outcomes[0].status == "aborted":
             continue
         assert run.outcomes[1].status == "no-second-phase"
+        assert run.outcomes[1].code is OtCode.NO_SECOND_PHASE
 
 
 def test_phase1_abort_ends_both_links():
@@ -116,7 +117,26 @@ def test_phase1_abort_ends_both_links():
             saw_abort = True
             assert run.outcomes[1].status == "aborted"
             assert "upstream" in run.outcomes[1].diagnostics["reason"]
+            assert run.outcomes[0].code is OtCode.SET_SHORTFALL
+            assert run.outcomes[1].code is OtCode.UPSTREAM_ABORT
     assert saw_abort
+
+
+def test_leftover_shortfall_loses_only_the_second_link():
+    # audit defaults for p2: the erasures can host the phase-1 sets yet leave
+    # fewer than |S'| positions outside the unchosen set
+    params, _ = snap_params(
+        64, 0.75, 0.75, Fraction(1, 8), Fraction(1, 8), 0.05, Fraction(1, 16),
+        variant="colluding",
+    )
+    runs = generate_runs(params, 300, master_seed=101)
+    short = [run for run in runs if run.outcomes[1].code is OtCode.LEFTOVER_SHORTFALL]
+    assert short
+    for run in short:
+        assert run.outcomes[0].status == "completed"
+        assert run.outcomes[1].status == "aborted"
+        assert run.record["sprime"] is None
+        assert run.outcomes[1].diagnostics["reason"].startswith("leftover erasure set too small")
 
 
 def test_broadcast_visibility_populates_other_receiver(p2_params):

@@ -12,6 +12,7 @@ from otbec.hashing import apply, sample_linear_hash
 from otbec.protocol_core import (
     AbortSignal,
     DecodeError,
+    OtCode,
     ParamError,
     Transcript,
     decode_chosen,
@@ -121,6 +122,7 @@ def test_select_subsets_abort_depends_only_on_sizes(rng):
         with pytest.raises(AbortSignal) as sig:
             select_subsets(e, ebar, z, 2, rng)
         assert "|E| = 1" in str(sig.value)
+        assert sig.value.code is OtCode.SET_SHORTFALL
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -147,8 +149,9 @@ def test_decode_rejects_erased_set_position(rng):
     commitment = apply(h, x[s].astype(np.uint8))
     y = x.copy()
     y[2] = ERASED
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError) as err:
         decode_chosen(y, s, kappa, h, commitment, cipher)
+    assert err.value.code is OtCode.ERASED_CHOSEN
 
 
 def test_decode_rejects_wrong_commitment(rng):
@@ -159,8 +162,9 @@ def test_decode_rejects_wrong_commitment(rng):
     key = x[s].astype(np.uint8)
     cipher = encrypt([1], kappa, key)
     bad = (apply(h, key) ^ 1).astype(np.uint8)
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError) as err:
         decode_chosen(x, s, kappa, h, bad, cipher)
+    assert err.value.code is OtCode.HASH_MISMATCH
 
 
 def test_encrypt_checks_message_length(rng):
