@@ -460,10 +460,13 @@ def condition_suite(runs, variant: str | None = None) -> list[ConditionRow]:
     counted = 0
     errors = 0
     aborted_links = 0
-    # correctness over published links
+    # correctness over published links; the abort rate over links the
+    # parameters run, so no-second-phase links count in neither
     for run in runs:
         for i, outcome in zip((1, 2), run.outcomes):
-            if outcome.status in ("aborted", "no-second-phase"):
+            if outcome.status == "no-second-phase":
+                continue
+            if outcome.status == "aborted":
                 aborted_links += 1
                 continue
             counted += 1

@@ -34,10 +34,11 @@ def as_bits(bits) -> np.ndarray:
     """Validate a {0,1} sequence (or '0'/'1' string) and return it as a uint8 vector."""
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
-    a = np.asarray(bits, dtype=np.int64)
+    is_uint8 = isinstance(bits, np.ndarray) and bits.dtype == np.uint8
+    a = bits if is_uint8 else np.asarray(bits, dtype=np.int64)
     if a.ndim != 1:
         raise ValueError("bit vector must be one-dimensional")
-    if a.size and not np.isin(a, (0, 1)).all():
+    if a.size and (a.max() > 1 or (not is_uint8 and a.min() < 0)):
         raise ValueError("bit vector entries must be 0 or 1")
     return a.astype(np.uint8)
 
@@ -52,7 +53,7 @@ def as_observation(symbols) -> np.ndarray:
     a = np.asarray(symbols, dtype=np.int64)
     if a.ndim != 1:
         raise ValueError("observation vector must be one-dimensional")
-    if a.size and not np.isin(a, (0, 1, ERASED)).all():
+    if a.size and (a.min() < ERASED or a.max() > 1):
         raise ValueError("observation entries must be 0, 1 or the erasure symbol")
     return a.astype(np.int8)
 
@@ -64,7 +65,10 @@ def obs_to_string(y: np.ndarray) -> str:
 
 def as_index_set(indices, n: int | None = None) -> np.ndarray:
     """Validate a strictly increasing duplicate-free index set, optionally bounded by n."""
-    a = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
+    if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
+        a = np.sort(indices.astype(np.int64, copy=False))
+    else:
+        a = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
     if a.size:
         if a[0] < 0:
             raise ValueError("indices must be nonnegative")

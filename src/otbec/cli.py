@@ -222,7 +222,8 @@ def _simulate_stats(runs) -> dict:
     any_abort = 0
     reason_counts: dict = {}
     for run in runs:
-        if run.record["aborted"]:
+        # a link the parameters never run (no-second-phase) did not abort
+        if any(out.status == "aborted" for out in run.outcomes):
             any_abort += 1
         for link, out in zip((1, 2), run.outcomes):
             if out.status in ("aborted", "no-second-phase"):

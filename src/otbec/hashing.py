@@ -37,7 +37,7 @@ class LinearHash:
         m = np.asarray(self.matrix, dtype=np.uint8)
         if m.ndim != 2:
             raise ValueError("hash matrix must be two-dimensional")
-        if m.size and not np.isin(m, (0, 1)).all():
+        if m.size and m.max() > 1:
             raise ValueError("hash matrix entries must be bits")
         object.__setattr__(self, "matrix", m)
 

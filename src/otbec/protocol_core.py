@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -107,6 +108,26 @@ def _floor(x) -> int:
     return math.floor(float(x) + 1e-12)
 
 
+def _once(method):
+    """Cache a ProtocolParams method's value per (object, arguments).
+
+    The fields are frozen, so a cached value never goes stale; a call that
+    raises caches nothing and raises again on the next call. The cache lives
+    outside the fields, so asdict, equality and hashing do not see it.
+    """
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        memo = self.__dict__.setdefault("_memo", {})
+        key = (name, *args)
+        if key not in memo:
+            memo[key] = method(self, *args)
+        return memo[key]
+
+    return cached
+
+
 @dataclass(frozen=True)
 class ProtocolParams:
     """Parameters shared by both protocol variants.
@@ -143,6 +164,7 @@ class ProtocolParams:
     def s(self, i: int):
         return self.s1 if i == 1 else self.s2
 
+    @_once
     def mask_size(self, i: int) -> int:
         """Label-set size r_i * n of the plain protocol (and the abort threshold of both)."""
         v = _near_int(self.r(i) * self.n)
@@ -150,6 +172,7 @@ class ProtocolParams:
             raise ParamError("set size integrality", f"r{i}*n = {float(self.r(i)) * self.n} is not an integer")
         return v
 
+    @_once
     def key_len(self, i: int) -> int:
         """Message length k_i = n(r_i - lambda')."""
         v = _near_int((self.r(i) - self.lam_prime) * self.n)
@@ -157,6 +180,7 @@ class ProtocolParams:
             raise ParamError("integrality", f"n(r{i} - lambda') = {(float(self.r(i)) - float(self.lam_prime)) * self.n} is not an integer")
         return v
 
+    @_once
     def verify_bits(self, i: int) -> int:
         """Verification hash output length s_i * n."""
         v = _near_int(self.s(i) * self.n)
@@ -164,6 +188,7 @@ class ProtocolParams:
             raise ParamError("verification hash length", f"s{i}*n = {float(self.s(i)) * self.n} is not an integer")
         return v
 
+    @_once
     def phase1_size(self, i: int) -> int:
         """Colluding phase-1 label-set size ceil(r_i / (p_other - lambda') * n)."""
         other = self.p(3 - i)
@@ -174,6 +199,7 @@ class ProtocolParams:
             return _ceil(Fraction(self.r(i)) / Fraction(denom) * self.n)
         return _ceil(float(self.r(i)) / float(denom) * self.n)
 
+    @_once
     def sprime_size(self) -> int:
         """Leftover-erasure set size for the phase-1 receiver; 0 when p_i <= 1/2."""
         i = self.order
@@ -184,7 +210,13 @@ class ProtocolParams:
 
 
 def validate_params(params: ProtocolParams) -> ProtocolParams:
-    """Check every parameter invariant; raise ParamError naming the violated constraint."""
+    """Check every parameter invariant; raise ParamError naming the violated constraint.
+
+    The checks run once per params object: the fields are frozen, so a pass
+    stays valid, while a failure is not recorded and fails again.
+    """
+    if params.__dict__.get("_valid"):
+        return params
     p = params
     if not (isinstance(p.n, int) and p.n >= 1):
         raise ParamError("block length", f"n must be a positive integer, got {p.n}")
@@ -222,6 +254,7 @@ def validate_params(params: ProtocolParams) -> ProtocolParams:
             inner = float(p.p(i)) - float(p.lam) - float(p.r(i)) / (float(p.p(3 - i)) - float(p.lam_prime))
             if inner <= 0:
                 raise ParamError("leftover set size", f"p{i} - lambda - r{i}/(p{3 - i} - lambda') = {inner} must be positive")
+    params.__dict__["_valid"] = True
     return params
 
 
@@ -419,11 +452,14 @@ def sample_subset(pool: np.ndarray, size: int, rng: np.random.Generator) -> np.n
     pool = np.asarray(pool, dtype=np.int64)
     if size > pool.size:
         raise AbortSignal(OtCode.SET_SHORTFALL, f"cannot draw {size} indices from a pool of {pool.size}")
-    a = pool.copy()
-    for j in range(size):
-        t = j + int(rng.integers(0, a.size - j))
+    # one draw of all swap offsets; it consumes the stream exactly as one
+    # rng.integers(0, pool.size - j) call per swap j would
+    offsets = rng.integers(0, pool.size - np.arange(size)).tolist()
+    a = pool.tolist()
+    for j, offset in enumerate(offsets):
+        t = j + offset
         a[j], a[t] = a[t], a[j]
-    return np.sort(a[:size])
+    return np.sort(np.array(a[:size], dtype=np.int64))
 
 
 def select_subsets(
@@ -521,8 +557,11 @@ def draw_sprime(e: np.ndarray, unchosen: np.ndarray, size: int, rng: np.random.G
 
     The erasure count can host the phase-1 sets yet fall short of the
     unchosen set plus S'; that raises AbortSignal(LEFTOVER_SHORTFALL).
+    e is sorted and the unchosen set was drawn from it.
     """
-    leftover = np.setdiff1d(e, unchosen, assume_unique=True)
+    keep = np.ones(e.size, dtype=bool)
+    keep[np.searchsorted(e, unchosen)] = False
+    leftover = e[keep]
     if leftover.size < size:
         raise AbortSignal(OtCode.LEFTOVER_SHORTFALL,
                           f"leftover erasure set too small: {leftover.size} < {size}")

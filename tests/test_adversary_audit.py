@@ -1,6 +1,7 @@
 """Adversary audits: concrete attacks, condition suite, reproducibility."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from otbec.adversary_audit import (
     guess_choice_bit,
     guess_unchosen_message,
 )
+from otbec.protocol_core import snap_params
 
 P1_ROWS = {
     "chosen-message correctness",
@@ -179,6 +181,20 @@ def test_condition_suite_rows_protocol2(p2_runs):
     by_name = {r.condition: r for r in rows}
     assert by_name["chosen-message correctness"].verdict == "holds"
     assert by_name["unchosen message pair vs pooled receivers"].verdict == "no detected leakage"
+
+
+def test_condition_suite_abort_rate_skips_links_never_run():
+    # p <= 1/2 leaves no leftover set, so link 2 of every run is no-second-phase
+    params, _ = snap_params(
+        64, 0.5, 0.5, Fraction(1, 16), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64),
+        variant="colluding",
+    )
+    runs = generate_runs(params, 40, master_seed=5)
+    assert all(run.outcomes[1].status == "no-second-phase" for run in runs)
+    first_aborts = sum(run.outcomes[0].status == "aborted" for run in runs)
+    row = {r.condition: r for r in condition_suite(runs)}["abort rate"]
+    assert row.trials == len(runs)
+    assert row.estimate == first_aborts / len(runs)
 
 
 def test_condition_suite_estimates_nonnegative(p1_runs, p2_runs):

@@ -38,6 +38,24 @@ def test_as_bits_rejects_nonbits():
         as_bits([[0, 1]])
 
 
+def test_as_bits_range_check_per_dtype():
+    for bad in (np.array([0, 2], dtype=np.uint8), np.array([255], dtype=np.uint8),
+                np.array([-1, 0], dtype=np.int64), np.array([1, 2], dtype=np.int64)):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            as_bits(bad)
+    with pytest.raises(ValueError, match="one-dimensional"):
+        as_bits(np.zeros((2, 2), dtype=np.uint8))
+    src = np.array([1, 0, 1], dtype=np.uint8)
+    out = as_bits(src)
+    assert np.array_equal(out, src) and out is not src  # callers own the result
+
+
+def test_as_observation_range_check():
+    for bad in ([2], [-2], np.array([0, -2], dtype=np.int8)):
+        with pytest.raises(ValueError, match="erasure symbol"):
+            as_observation(bad)
+
+
 def test_as_observation_string_roundtrip():
     y = as_observation("1e0e")
     assert list(y) == [1, ERASED, 0, ERASED]
@@ -54,6 +72,19 @@ def test_as_index_set_validation():
         as_index_set([-1])
     with pytest.raises(ValueError):
         as_index_set([4], n=4)
+
+
+def test_as_index_set_ndarray_and_set_inputs():
+    # integer ndarrays are sorted by numpy; sets and lists take the generic path
+    assert list(as_index_set(np.array([3, 1, 2], dtype=np.int32))) == [1, 2, 3]
+    assert as_index_set(np.array([3, 1], dtype=np.uint8)).dtype == np.int64
+    assert list(as_index_set({5, 0, 2}, n=6)) == [0, 2, 5]
+    with pytest.raises(ValueError, match="duplicates"):
+        as_index_set(np.array([2, 1, 2]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        as_index_set(np.array([1, -1]))
+    with pytest.raises(ValueError, match="out of range"):
+        as_index_set(np.array([0, 4]), n=4)
 
 
 def test_broadcast_params_range():

@@ -104,6 +104,9 @@ def test_two_phase_abort_reasons_count_each_link_under_its_phase(tmp_path, capsy
     missing = results["per_link"]["2"]["counts"]["no-second-phase"]
     assert missing > 0
     assert results["abort_reasons"].get("no-second-phase") == missing
+    # a link the parameters never run is not an abort
+    assert [results["per_link"][link]["abort"]["estimate"] for link in ("1", "2")] == [0.0, 0.0]
+    assert results["abort_rate"]["estimate"] == 0.0
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):

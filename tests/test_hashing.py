@@ -41,6 +41,13 @@ def test_linear_hash_validates_matrix():
         LinearHash(np.array([[0, 2]]))
 
 
+def test_linear_hash_range_check_per_dtype():
+    with pytest.raises(ValueError, match="bits"):
+        LinearHash(np.array([[1, 2]], dtype=np.uint8))
+    with pytest.raises(ValueError, match="bits"):
+        LinearHash(np.array([[0, -1]], dtype=np.int64))
+
+
 def test_sample_is_seed_deterministic():
     a = sample_linear_hash(4, 3, np.random.default_rng(5))
     b = sample_linear_hash(4, 3, np.random.default_rng(5))

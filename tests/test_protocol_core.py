@@ -16,6 +16,7 @@ from otbec.protocol_core import (
     ParamError,
     Transcript,
     decode_chosen,
+    draw_sprime,
     encrypt,
     sample_subset,
     select_subsets,
@@ -76,6 +77,32 @@ def test_validate_rejects_bad_order():
         validate_params(bad)
 
 
+def test_failed_validation_is_never_cached():
+    params, _ = snap_params(64, 0.5, 0.5, Fraction(1, 8), Fraction(1, 8), 0.05, Fraction(1, 16))
+    bad = dataclasses.replace(params, lam_prime=Fraction(1, 4))
+    for _ in range(2):
+        with pytest.raises(ParamError) as err:
+            validate_params(bad)
+        assert err.value.constraint == "lambda-prime range"
+    nonintegral = dataclasses.replace(params, r1=Fraction(1, 7))
+    for _ in range(2):
+        with pytest.raises(ParamError):
+            nonintegral.mask_size(1)
+        with pytest.raises(ParamError):
+            validate_params(nonintegral)
+
+
+def test_validated_params_keep_fields_equality_and_hash():
+    params, _ = snap_params(64, 0.5, 0.5, Fraction(1, 8), Fraction(1, 8), 0.05, Fraction(1, 16))
+    fresh = dataclasses.replace(params)
+    assert validate_params(params) is params
+    assert validate_params(params) is params
+    assert (params.mask_size(1), params.key_len(2), params.verify_bits(1)) == (8, 4, 4)
+    assert dataclasses.asdict(params) == dataclasses.asdict(fresh)
+    assert params == fresh and hash(params) == hash(fresh)
+    assert repr(params) == repr(fresh)
+
+
 def test_phase_sizes_for_colluding_variant():
     params, _ = snap_params(
         48, 0.75, 0.75, Fraction(3, 32), Fraction(3, 32), Fraction(1, 16), Fraction(1, 32),
@@ -102,6 +129,40 @@ def test_sample_subset_draws_within_pool(rng):
     assert len(seen) == 6  # all 4-choose-2 subsets occur
     with pytest.raises(AbortSignal):
         sample_subset(pool, 5, rng)
+
+
+def _per_swap_fisher_yates(pool, size, rng):
+    """Reference sampler: one rng.integers call per swap, the stream sample_subset keeps."""
+    a = np.asarray(pool, dtype=np.int64).copy()
+    for j in range(size):
+        t = j + int(rng.integers(0, a.size - j))
+        a[j], a[t] = a[t], a[j]
+    return np.sort(a[:size])
+
+
+def test_sample_subset_matches_per_swap_stream():
+    for pool_size in (1, 2, 5, 38, 129):
+        pool = np.arange(pool_size, dtype=np.int64) * 3 + 7
+        for size in sorted({0, 1, pool_size // 2, pool_size - 1, pool_size}):
+            for seed in range(6):
+                ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_subset(pool, size, ours)
+                want = _per_swap_fisher_yates(pool, size, ref)
+                assert got.dtype == np.int64 and np.array_equal(got, want), (pool_size, size, seed)
+                assert ours.random() == ref.random()  # the stream after the draw agrees too
+
+
+def test_draw_sprime_draws_outside_the_unchosen_set(rng):
+    e = np.array([1, 4, 6, 9, 12, 13, 20], dtype=np.int64)
+    unchosen = np.array([4, 12, 20], dtype=np.int64)
+    t = Transcript()
+    for size in range(5):
+        s = draw_sprime(e, unchosen, size, rng, t, 1)
+        assert set(s.tolist()) <= {1, 6, 9, 13} and len(s) == size
+    with pytest.raises(AbortSignal) as sig:
+        draw_sprime(e, unchosen, 5, rng, t, 1)
+    assert sig.value.code is OtCode.LEFTOVER_SHORTFALL
+    assert "4 < 5" in sig.value.reason
 
 
 def test_select_subsets_label_indexing(rng):
