@@ -1,6 +1,6 @@
 """Walk through one run of each protocol variant and print what every party saw.
 
-Small block length so the whole transcript fits on a screen. The receiver
+Small block length so the whole run fits on a screen. The receiver
 learns the message behind its choice bit, decodes it from the ciphertext pair,
 and the decoded bits match the chosen message exactly.
 """
@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from otbec.adversary_audit import assemble_pooled_view
 from otbec.channel import erasure_count
 from otbec.protocol_core import snap_params
 from otbec.protocol_colluding import VisibilityModel, run_protocol2
@@ -32,8 +33,8 @@ def show(run, chosen):
             print(f"    decoded {''.join(map(str, outcome.decoded))}"
                   f" == chosen {''.join(map(str, want))}:"
                   f" {outcome.diagnostics['correct']}")
-    kinds = [msg.kind for msg in run.transcript.messages]
-    print(f"  transcript carried {len(kinds)} public messages: {sorted(set(kinds))}")
+    public = sorted(assemble_pooled_view(run, ()).fields["public"])
+    print(f"  the public channel carried: {public}")
 
 
 def main():

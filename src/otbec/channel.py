@@ -30,15 +30,29 @@ ERASED = -1
 _MASK64 = (1 << 64) - 1
 
 
+def _entries_in(a: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether every entry of a is an integer in [lo, hi], checked before any cast.
+
+    Integer arrays take one range test; other dtypes are compared with the
+    allowed values, so 0.7 is refused, not truncated, while 1.0 passes.
+    """
+    if not a.size:
+        return True
+    if a.dtype == np.uint8 and lo == 0:
+        return bool(a.max() <= hi)
+    if a.dtype.kind in "iu":
+        return bool(a.min() >= lo and a.max() <= hi)
+    return bool(np.isin(a, np.arange(lo, hi + 1)).all())
+
+
 def as_bits(bits) -> np.ndarray:
     """Validate a {0,1} sequence (or '0'/'1' string) and return it as a uint8 vector."""
     if isinstance(bits, str):
         bits = [int(c) for c in bits]
-    is_uint8 = isinstance(bits, np.ndarray) and bits.dtype == np.uint8
-    a = bits if is_uint8 else np.asarray(bits, dtype=np.int64)
+    a = np.asarray(bits)
     if a.ndim != 1:
         raise ValueError("bit vector must be one-dimensional")
-    if a.size and (a.max() > 1 or (not is_uint8 and a.min() < 0)):
+    if not _entries_in(a, 0, 1):
         raise ValueError("bit vector entries must be 0 or 1")
     return a.astype(np.uint8)
 
@@ -50,10 +64,10 @@ def as_observation(symbols) -> np.ndarray:
     """
     if isinstance(symbols, str):
         symbols = [ERASED if c == "e" else int(c) for c in symbols]
-    a = np.asarray(symbols, dtype=np.int64)
+    a = np.asarray(symbols)
     if a.ndim != 1:
         raise ValueError("observation vector must be one-dimensional")
-    if a.size and (a.min() < ERASED or a.max() > 1):
+    if not _entries_in(a, ERASED, 1):
         raise ValueError("observation entries must be 0, 1 or the erasure symbol")
     return a.astype(np.int8)
 

@@ -51,8 +51,6 @@ SCHEMA_VERSION = "1"
 
 _VARIANTS = {"p1": "noncolluding", "p2": "colluding"}
 
-_PROB_KEYS = ("p1", "p2", "r1", "r2", "lam", "lam_prime", "s1", "s2")
-
 _ORACLE_SPECS = {
     "choice-vs-sets": ("noncolluding", "z1", "announced-sets-1"),
     "choice-pair-vs-sets": ("noncolluding", "z-pair", "announced-sets-both"),
@@ -78,14 +76,15 @@ _REGION_NAMES = (
 
 
 def parse_prob(text):
-    """Probability from a decimal or an exact fraction string like '3/10'.
+    """Probability in [0, 1] from a number, a decimal or an exact fraction string like '3/10'.
 
     Fractions stay exact, routing downstream arithmetic to rational mode.
     """
     if isinstance(text, (int, float)) and not isinstance(text, bool):
-        return float(text)
-    text = str(text).strip()
-    value = Fraction(text) if "/" in text else float(text)
+        value = float(text)
+    else:
+        text = str(text).strip()
+        value = Fraction(text) if "/" in text else float(text)
     if not 0 <= value <= 1:
         raise ValueError(f"probability {text} not in [0, 1]")
     return value
@@ -216,9 +215,9 @@ def _abort_key(params, link: int, code: OtCode) -> str:
 
 def _simulate_stats(runs) -> dict:
     trials = len(runs)
-    per_link: dict = {}
-    matches = 0
-    decided = 0
+    statuses = ("completed", "aborted", "decode-error", "no-second-phase")
+    counts = {i: dict.fromkeys(statuses, 0) for i in (1, 2)}
+    matches = {1: 0, 2: 0}
     any_abort = 0
     reason_counts: dict = {}
     for run in runs:
@@ -226,36 +225,28 @@ def _simulate_stats(runs) -> dict:
         if any(out.status == "aborted" for out in run.outcomes):
             any_abort += 1
         for link, out in zip((1, 2), run.outcomes):
-            if out.status in ("aborted", "no-second-phase"):
+            counts[link][out.status] += 1
+            # receive_link compared the decoded message with the chosen one
+            if out.status == "completed" and out.diagnostics["correct"]:
+                matches[link] += 1
+            elif out.status in ("aborted", "no-second-phase"):
                 key = _abort_key(run.params, link, out.code)
                 reason_counts[key] = reason_counts.get(key, 0) + 1
-    for i in (1, 2):
-        counts = {"completed": 0, "aborted": 0, "decode-error": 0, "no-second-phase": 0}
-        link_matches = 0
-        aborted = 0
-        for run in runs:
-            out = run.outcomes[i - 1]
-            counts[out.status] += 1
-            if out.status == "aborted":
-                aborted += 1
-            elif out.status == "completed":
-                want = run.record["messages"][i - 1][run.record["z"][i - 1]]
-                if out.decoded is not None and np.array_equal(out.decoded, want):
-                    link_matches += 1
-        link_decided = counts["completed"] + counts["decode-error"]
-        matches += link_matches
-        decided += link_decided
-        per_link[str(i)] = {
-            "counts": counts,
-            "correctness_rate": link_matches / link_decided if link_decided else None,
-            "abort": _rate_ci(aborted, trials),
-        }
+    decided = {i: counts[i]["completed"] + counts[i]["decode-error"] for i in (1, 2)}
+    all_decided = decided[1] + decided[2]
     return {
         "trials": trials,
-        "correctness_rate": matches / decided if decided else None,
+        "correctness_rate": (matches[1] + matches[2]) / all_decided if all_decided else None,
         "abort_rate": _rate_ci(any_abort, trials),
         "abort_reasons": reason_counts,
-        "per_link": per_link,
+        "per_link": {
+            str(i): {
+                "counts": counts[i],
+                "correctness_rate": matches[i] / decided[i] if decided[i] else None,
+                "abort": _rate_ci(counts[i]["aborted"], trials),
+            }
+            for i in (1, 2)
+        },
     }
 
 
@@ -530,22 +521,59 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, registry
 
 
+# the JSON values besides strings that each flag type takes, and what to call
+# them; every value then goes through the flag's type
+_CONFIG_TYPES = {
+    int: ((int,), "an integer"),
+    parse_prob: ((int, float), "a probability"),
+    None: ((), "a string"),
+}
+
+
+def _config_value(action: argparse.Action, raw_key: str, value):
+    """A config value checked and converted as its flag would be; a refusal names the key."""
+    def refused(wanted: str) -> ValueError:
+        return ValueError(f"config key {raw_key!r} must be {wanted}, got {json.dumps(value)}")
+
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:  # a switch such as --all
+        if not isinstance(value, bool):
+            raise refused("true or false")
+        return value
+    repeatable = isinstance(action, argparse._AppendAction)
+    if repeatable and not isinstance(value, list):
+        raise refused("a list")
+    kinds, name = _CONFIG_TYPES[action.type]
+    items = []
+    for item in value if repeatable else [value]:
+        if isinstance(item, bool) or not isinstance(item, (str, *kinds)):
+            raise refused(name)
+        if action.type is not None:
+            try:
+                item = action.type(item)
+            except ValueError as exc:
+                raise refused(name) from exc
+        if action.choices is not None and item not in action.choices:
+            raise refused("one of " + ", ".join(map(str, action.choices)))
+        items.append(item)
+    return items if repeatable else items[0]
+
+
 def _config_overrides(path: str, sub: argparse.ArgumentParser) -> dict:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    known = {action.dest for action in sub._actions}
+    actions = {action.dest: action for action in sub._actions}
     overrides = {}
     for raw_key, value in payload.items():
         key = raw_key.replace("-", "_")
         if key == "lambda":
             key = "lam"
-        if key not in known:
+        if key not in actions:
             raise ValueError(f"unknown config key {raw_key!r}")
-        if key in _PROB_KEYS and value is not None:
-            value = parse_prob(value)
-        overrides[key] = value
+        overrides[key] = _config_value(actions[key], raw_key, value)
     return overrides
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .channel import ERASED, restrict, transmit_bec, trial_rng
 from .entropy import JointDistribution, mutual_information
-from .protocol_core import AbortSignal, Transcript, announce_sets, draw_sprime, send_link
+from .protocol_core import AbortSignal, announce_sets, draw_sprime, send_link
 
 __all__ = [
     "EnumerationBudget",
@@ -520,21 +520,21 @@ def _sample_once(tiny: TinyParams, view_spec: str, rng: np.random.Generator):
     """Draw one (secret, view) sample by running the executors' link helpers."""
     s = tiny.set_size
     # the views never include commitments, so any positive verification length
-    # gives the same joint; the transcript is discarded
-    verify_bits, transcript = 1, Transcript()
+    # gives the same joint
+    verify_bits = 1
     x = rng.integers(0, 2, size=tiny.n, dtype=np.int64).astype(np.uint8)
 
     def announced(bits, p, size):
         y = transmit_bec(bits, float(p), rng)
         z = int(rng.integers(0, 2))
         try:
-            pair, e = announce_sets(y, z, size, rng, transcript, 1)
+            pair, e = announce_sets(y, z, size, rng)
         except AbortSignal:
             return z, ("abort",), y, None, None
         return z, (_tuple_set(pair[0]), _tuple_set(pair[1])), y, pair, e
 
     def unchosen_view(bits, pair, z, messages):
-        hashes, _, cipher = send_link(bits, pair, messages, verify_bits, rng, transcript, 1)
+        hashes, _, cipher = send_link(bits, pair, messages, verify_bits, rng)
         return _kappa_symbol(hashes["kappa"][1 - z]), _tuple_set(cipher[1 - z])
 
     if view_spec in ("announced-sets-1", "announced-sets-both"):
@@ -561,7 +561,7 @@ def _sample_once(tiny: TinyParams, view_spec: str, rng: np.random.Generator):
     if pair1 is None:
         return secret, ("abort-phase-1",)
     try:
-        sp = draw_sprime(e1, pair1[1 - z1], tiny.sprime_size, rng, transcript, 1)
+        sp = draw_sprime(e1, pair1[1 - z1], tiny.sprime_size, rng)
     except AbortSignal:
         return secret, ("no-sprime",) if phase2 else (z1, pairview, "no-sprime")
     if not phase2:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .channel import as_bits
+from .channel import _entries_in, as_bits
 
 __all__ = [
     "LinearHash",
@@ -17,10 +16,6 @@ __all__ = [
     "apply",
     "collision_probability",
     "joint_collision_probability",
-    "serialize_hash",
-    "deserialize_hash",
-    "pack_bits",
-    "unpack_bits",
 ]
 
 # Exact mode enumerates the whole family; 2^(m*k) matrices must stay enumerable.
@@ -34,12 +29,12 @@ class LinearHash:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.uint8)
+        m = np.asarray(self.matrix)
         if m.ndim != 2:
             raise ValueError("hash matrix must be two-dimensional")
-        if m.size and m.max() > 1:
+        if not _entries_in(m, 0, 1):
             raise ValueError("hash matrix entries must be bits")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", m.astype(np.uint8, copy=False))
 
     @property
     def rows(self) -> int:
@@ -183,35 +178,3 @@ def joint_collision_probability(
     p1 = Fraction(1) if identical1 else _exact_max_collision(m1, k1)
     p2 = Fraction(1) if identical2 else _exact_max_collision(m2, k2)
     return p1 * p2
-
-
-def pack_bits(bits) -> bytes:
-    """Pack a bit vector into bytes, most significant bit first, with a length header."""
-    bits = as_bits(bits)
-    return struct.pack(">I", bits.size) + np.packbits(bits).tobytes()
-
-
-def unpack_bits(data: bytes) -> np.ndarray:
-    """Inverse of pack_bits."""
-    (nbits,) = struct.unpack(">I", data[:4])
-    raw = np.frombuffer(data[4:], dtype=np.uint8)
-    return np.unpackbits(raw, count=nbits).astype(np.uint8)
-
-
-def serialize_hash(h: LinearHash) -> bytes:
-    """Serialize as a (rows, cols) header plus row-major MSB-first bit packing."""
-    header = struct.pack(">II", h.rows, h.cols)
-    if h.matrix.size == 0:
-        return header
-    return header + np.packbits(h.matrix.reshape(-1)).tobytes()
-
-
-def deserialize_hash(data: bytes) -> LinearHash:
-    """Inverse of serialize_hash."""
-    rows, cols = struct.unpack(">II", data[:8])
-    nbits = rows * cols
-    if nbits == 0:
-        return LinearHash(np.zeros((rows, cols), dtype=np.uint8))
-    raw = np.frombuffer(data[8:], dtype=np.uint8)
-    bits = np.unpackbits(raw, count=nbits)
-    return LinearHash(bits.reshape(rows, cols))

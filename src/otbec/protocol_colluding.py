@@ -15,13 +15,10 @@ import numpy as np
 from .channel import ERASED, compose_index_sets, restrict, transmit_bec
 from .protocol_core import (
     AbortSignal,
-    AliceView,
-    BobView,
     OtCode,
     ParamError,
     ProtocolParams,
     ProtocolRun,
-    Transcript,
     announce_sets,
     check_messages,
     draw_sprime,
@@ -85,10 +82,11 @@ def run_protocol2(
         raise ParamError("variant", "run_protocol2 executes the colluding variant only")
     messages = check_messages(params, messages)
     z = (int(z[0]), int(z[1]))
+    # phase 2 may never run, so its receiver's bit is checked here, not by select_subsets
+    if any(bit not in (0, 1) for bit in z):
+        raise ValueError("choice bit must be 0 or 1")
     first = params.order
     second = 3 - first
-    transcript = Transcript()
-    transcript.append("alice", first, "phase-marker", "phase-1")
 
     x = rng.integers(0, 2, size=params.n, dtype=np.int64).astype(np.uint8)
     y_first = transmit_bec(x, float(params.p(first)), rng)
@@ -102,8 +100,7 @@ def run_protocol2(
     sprime = x_sprime = w_second = w_first = None
 
     try:
-        sets[first], e = announce_sets(y_first, z[first - 1], params.phase1_size(first), rng,
-                                       transcript, first)
+        sets[first], e = announce_sets(y_first, z[first - 1], params.phase1_size(first), rng)
     except AbortSignal as sig:
         aborts[first] = sig
         aborts[second] = AbortSignal(OtCode.UPSTREAM_ABORT, f"phase-1 abort upstream: {sig.reason}")
@@ -114,15 +111,13 @@ def run_protocol2(
                                          "no leftover erasure set, second link cannot run")
         else:
             try:
-                sprime = draw_sprime(e, sets[first][1 - z[first - 1]], target, rng,
-                                     transcript, first)
+                sprime = draw_sprime(e, sets[first][1 - z[first - 1]], target, rng)
             except AbortSignal as sig:
                 aborts[second] = sig
         hashes[first], commitments[first], ciphertexts[first] = send_link(
-            x, sets[first], messages[first - 1], params.verify_bits(first), rng, transcript, first)
+            x, sets[first], messages[first - 1], params.verify_bits(first), rng)
 
         if sprime is not None:
-            transcript.append("alice", second, "phase-marker", "phase-2")
             x_sprime = restrict(x, sprime).astype(np.uint8)
             w_second = transmit_bec(x_sprime, float(params.p(second)), rng)
             w_first = (
@@ -131,14 +126,12 @@ def run_protocol2(
             )
             try:
                 # indices local to S'
-                sets[second], _ = announce_sets(w_second, z[second - 1], params.mask_size(second),
-                                                rng, transcript, second)
+                sets[second], _ = announce_sets(w_second, z[second - 1], params.mask_size(second), rng)
             except AbortSignal as sig:
                 aborts[second] = sig
             else:
                 hashes[second], commitments[second], ciphertexts[second] = send_link(
-                    x_sprime, sets[second], messages[second - 1], params.verify_bits(second), rng,
-                    transcript, second)
+                    x_sprime, sets[second], messages[second - 1], params.verify_bits(second), rng)
 
     observed = {first: y_first, second: w_second}
     outcomes = tuple(
@@ -148,20 +141,6 @@ def run_protocol2(
         for i in (1, 2)
     )
 
-    alice_view = AliceView(
-        messages=messages,
-        randomness={"hashes": hashes, "commitments": commitments, "ciphertexts": ciphertexts},
-        x=x,
-        transcript=transcript,
-    )
-    obs_first = {"y_phase1": y_first, "y_phase2": w_first}
-    obs_second = {"y_phase1": y_second_phase1, "y_phase2": w_second}
-    views = {
-        first: BobView(first, z[first - 1], {"sets": sets.get(first), "sprime": sprime},
-                       obs_first, transcript),
-        second: BobView(second, z[second - 1], {"sets": sets.get(second)},
-                        obs_second, transcript),
-    }
     record = {
         "x": x, "z": z, "messages": messages, "order": first,
         "y_phase1": {first: y_first, second: y_second_phase1},
@@ -171,7 +150,7 @@ def run_protocol2(
         "ciphertexts": ciphertexts, "aborted": {i: sig.reason for i, sig in aborts.items()},
         "visibility": visibility,
     }
-    return ProtocolRun(params, outcomes, alice_view, (views[1], views[2]), transcript, record)
+    return ProtocolRun(params, outcomes, record)
 
 
 def _known_positions(y: np.ndarray | None, positions: np.ndarray) -> int:

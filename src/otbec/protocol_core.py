@@ -1,10 +1,9 @@
-"""Shared protocol substrate: parameters, transcripts, views, outcome codes, the link step."""
+"""Shared protocol substrate: parameters, outcome codes, the run record, the link step."""
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -12,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ERASED, as_bits, erasure_partition, restrict
-from .hashing import LinearHash, apply, pack_bits, sample_linear_hash, serialize_hash
+from .hashing import LinearHash, apply, sample_linear_hash
 
 __all__ = [
     "ParamError",
@@ -22,10 +21,6 @@ __all__ = [
     "ProtocolParams",
     "validate_params",
     "snap_params",
-    "Transcript",
-    "TranscriptMessage",
-    "AliceView",
-    "BobView",
     "OtOutcome",
     "ProtocolRun",
     "sample_subset",
@@ -308,102 +303,7 @@ def snap_params(
     return validate_params(params), adjustments
 
 
-# --- transcript ---------------------------------------------------------------
-
-PAYLOAD_KINDS = ("index-sets", "hash-descriptions", "ciphertexts", "phase-marker")
-
-
-@dataclass
-class TranscriptMessage:
-    """One public-channel message; payload values keep their structured form.
-
-    payload_bytes() is the canonical encoding used in serialized transcripts:
-    entries in sorted name order, hash matrices as (rows, cols)-headed row-major
-    MSB-first packings, bit vectors with a bit-length header, index sets as
-    big-endian uint32 sequences.
-    """
-
-    sender: str
-    link: int
-    kind: str
-    payload: object
-
-    def payload_bytes(self) -> bytes:
-        if self.kind == "phase-marker":
-            return str(self.payload).encode()
-        parts = []
-        for name in sorted(self.payload):
-            value = self.payload[name]
-            parts.append(name.encode() + b"=")
-            if isinstance(value, LinearHash):
-                parts.append(serialize_hash(value))
-            elif isinstance(value, np.ndarray) and value.dtype == np.uint8:
-                parts.append(pack_bits(value))
-            else:
-                idx = np.asarray(value, dtype=np.int64)
-                parts.append(struct.pack(">I", idx.size))
-                parts.append(b"".join(struct.pack(">I", int(v)) for v in idx))
-            parts.append(b";")
-        return b"".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            "sender": self.sender,
-            "link": self.link,
-            "kind": self.kind,
-            "payload": self.payload_bytes().hex(),
-        }
-
-
-class Transcript:
-    """Append-only record of all public-channel messages, readable by every party."""
-
-    def __init__(self) -> None:
-        self.messages: list[TranscriptMessage] = []
-
-    def append(self, sender: str, link: int, kind: str, payload) -> TranscriptMessage:
-        if kind not in PAYLOAD_KINDS:
-            raise ValueError(f"unknown payload kind {kind!r}")
-        msg = TranscriptMessage(sender, link, kind, payload)
-        self.messages.append(msg)
-        return msg
-
-    def __iter__(self):
-        return iter(self.messages)
-
-    def __len__(self) -> int:
-        return len(self.messages)
-
-    def to_json(self) -> list[dict]:
-        return [m.to_json() for m in self.messages]
-
-
-# --- views and outcomes -------------------------------------------------------
-
-
-@dataclass
-class AliceView:
-    """Everything the sender holds: messages, randomness record, input block, transcript."""
-
-    messages: tuple
-    randomness: dict
-    x: np.ndarray
-    transcript: Transcript
-
-
-@dataclass
-class BobView:
-    """Everything one receiver holds: choice, subset draws, channel observations, transcript."""
-
-    index: int
-    z: int
-    randomness: dict
-    observations: dict
-    transcript: Transcript
-
-    def __post_init__(self) -> None:
-        if self.z not in (0, 1):
-            raise ValueError("choice bit must be 0 or 1")
+# --- outcomes and runs -------------------------------------------------------
 
 
 @dataclass
@@ -432,15 +332,14 @@ class ProtocolRun:
     """Full result of one protocol execution over both links.
 
     `record` is the omniscient trace (inputs, observations, subset draws, hash
-    draws, ciphertexts) used by audits and tests; honest parties only ever see
-    their own view plus the transcript.
+    draws, ciphertexts) and the only copy of the run's data. A party's view
+    (its own inputs and channel outputs plus the public messages) is built
+    from it by `adversary_audit.assemble_pooled_view`; the empty coalition
+    gives the wiretapper's view, the public messages alone.
     """
 
     params: ProtocolParams
     outcomes: tuple
-    alice_view: AliceView
-    bob_views: tuple
-    transcript: Transcript
     record: dict
 
 
@@ -535,24 +434,19 @@ def check_messages(params: ProtocolParams, messages) -> tuple:
 
 
 def announce_sets(
-    y: np.ndarray, z: int, size: int, rng: np.random.Generator, transcript: Transcript, link: int
+    y: np.ndarray, z: int, size: int, rng: np.random.Generator
 ) -> tuple[tuple, np.ndarray]:
-    """Receiver step: draw and announce the label pair; returns it with the erased positions.
+    """Receiver step: draw the label pair to announce; returns it with the erased positions.
 
-    On a shortfall the abort is announced instead and the AbortSignal propagates.
+    On a shortfall the AbortSignal propagates; the run records the abort, which is public.
     """
     e, ebar = erasure_partition(y)
-    try:
-        pair = select_subsets(e, ebar, z, size, rng)
-    except AbortSignal as sig:
-        transcript.append(f"bob{link}", link, "phase-marker", f"abort link {link}: {sig.reason}")
-        raise
-    transcript.append(f"bob{link}", link, "index-sets", {"S0": pair[0], "S1": pair[1]})
-    return pair, e
+    return select_subsets(e, ebar, z, size, rng), e
 
 
-def draw_sprime(e: np.ndarray, unchosen: np.ndarray, size: int, rng: np.random.Generator,
-                transcript: Transcript, link: int) -> np.ndarray:
+def draw_sprime(
+    e: np.ndarray, unchosen: np.ndarray, size: int, rng: np.random.Generator
+) -> np.ndarray:
     """Phase-1 receiver step: draw S' from its erasures outside the unchosen set.
 
     The erasure count can host the phase-1 sets yet fall short of the
@@ -565,16 +459,13 @@ def draw_sprime(e: np.ndarray, unchosen: np.ndarray, size: int, rng: np.random.G
     if leftover.size < size:
         raise AbortSignal(OtCode.LEFTOVER_SHORTFALL,
                           f"leftover erasure set too small: {leftover.size} < {size}")
-    sprime = sample_subset(leftover, size, rng)
-    transcript.append(f"bob{link}", link, "index-sets", {"Sprime": sprime})
-    return sprime
+    return sample_subset(leftover, size, rng)
 
 
 def send_link(
-    x: np.ndarray, pair: tuple, messages: tuple, verify_bits: int, rng: np.random.Generator,
-    transcript: Transcript, link: int,
+    x: np.ndarray, pair: tuple, messages: tuple, verify_bits: int, rng: np.random.Generator
 ) -> tuple[dict, tuple, tuple]:
-    """Sender step: draw the h and kappa pairs, commit to and pad both messages, publish.
+    """Sender step: draw the h and kappa pairs, commit to and pad both messages.
 
     Returns ({"h": h pair, "kappa": kappa pair}, commitments, ciphertexts).
     """
@@ -584,12 +475,6 @@ def send_link(
     keys = tuple(restrict(x, pair[j]).astype(np.uint8) for j in (0, 1))
     commit = tuple(apply(h_pair[j], keys[j]) for j in (0, 1))
     cipher = tuple(encrypt(messages[j], kappa_pair[j], keys[j]) for j in (0, 1))
-    transcript.append(
-        "alice", link, "hash-descriptions",
-        {"h0": h_pair[0], "h1": h_pair[1], "kappa0": kappa_pair[0], "kappa1": kappa_pair[1],
-         "t0": commit[0], "t1": commit[1]},
-    )
-    transcript.append("alice", link, "ciphertexts", {"c0": cipher[0], "c1": cipher[1]})
     return {"h": h_pair, "kappa": kappa_pair}, commit, cipher
 
 

@@ -14,12 +14,9 @@ from scipy.stats import beta, binom
 from .channel import broadcast, BroadcastParams
 from .protocol_core import (
     AbortSignal,
-    AliceView,
-    BobView,
     ParamError,
     ProtocolParams,
     ProtocolRun,
-    Transcript,
     _near_int,
     announce_sets,
     check_messages,
@@ -56,7 +53,6 @@ def run_protocol1(
         raise ParamError("variant", "run_protocol1 executes the noncolluding variant only")
     messages = check_messages(params, messages)
     z = (int(z[0]), int(z[1]))
-    transcript = Transcript()
 
     x = rng.integers(0, 2, size=params.n, dtype=np.int64).astype(np.uint8)
     y1, y2 = broadcast(x, BroadcastParams(float(params.p1), float(params.p2)), rng)
@@ -65,15 +61,14 @@ def run_protocol1(
     sets, aborts = {}, {}
     for i in (1, 2):
         try:
-            sets[i], _ = announce_sets(observations[i], z[i - 1], params.mask_size(i), rng,
-                                       transcript, i)
+            sets[i], _ = announce_sets(observations[i], z[i - 1], params.mask_size(i), rng)
         except AbortSignal as sig:
             aborts[i] = sig
 
     hashes, commitments, ciphertexts = {}, {}, {}
     for i in sets:
         hashes[i], commitments[i], ciphertexts[i] = send_link(
-            x, sets[i], messages[i - 1], params.verify_bits(i), rng, transcript, i)
+            x, sets[i], messages[i - 1], params.verify_bits(i), rng)
 
     outcomes = tuple(
         aborts[i].outcome() if i in aborts else receive_link(
@@ -82,28 +77,12 @@ def run_protocol1(
         for i in (1, 2)
     )
 
-    alice_view = AliceView(
-        messages=messages,
-        randomness={"hashes": hashes, "commitments": commitments, "ciphertexts": ciphertexts},
-        x=x,
-        transcript=transcript,
-    )
-    bob_views = tuple(
-        BobView(
-            index=i,
-            z=z[i - 1],
-            randomness={"sets": sets.get(i)},
-            observations={"y": observations[i]},
-            transcript=transcript,
-        )
-        for i in (1, 2)
-    )
     record = {
         "x": x, "y1": y1, "y2": y2, "z": z, "messages": messages,
         "sets": sets, "hashes": hashes, "commitments": commitments,
         "ciphertexts": ciphertexts, "aborted": {i: sig.reason for i, sig in aborts.items()},
     }
-    return ProtocolRun(params, outcomes, alice_view, bob_views, transcript, record)
+    return ProtocolRun(params, outcomes, record)
 
 
 def _clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:

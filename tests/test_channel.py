@@ -45,15 +45,21 @@ def test_as_bits_range_check_per_dtype():
             as_bits(bad)
     with pytest.raises(ValueError, match="one-dimensional"):
         as_bits(np.zeros((2, 2), dtype=np.uint8))
+    # the range test runs before the cast, so fractions are refused, not truncated
+    for bad in ([0.7, 1.2], np.array([0.5]), [1.0, float("nan")]):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            as_bits(bad)
+    assert as_bits([0.0, 1.0]).tolist() == [0, 1]
     src = np.array([1, 0, 1], dtype=np.uint8)
     out = as_bits(src)
     assert np.array_equal(out, src) and out is not src  # callers own the result
 
 
 def test_as_observation_range_check():
-    for bad in ([2], [-2], np.array([0, -2], dtype=np.int8)):
+    for bad in ([2], [-2], np.array([0, -2], dtype=np.int8), [0.5], [-0.5]):
         with pytest.raises(ValueError, match="erasure symbol"):
             as_observation(bad)
+    assert as_observation([1.0, -1.0]).tolist() == [1, ERASED]
 
 
 def test_as_observation_string_roundtrip():

@@ -23,7 +23,7 @@ def test_parse_prob_forms():
     assert parse_prob("0.25") == 0.25
     assert parse_prob("3/8") == Fraction(3, 8)
     assert isinstance(parse_prob("3/8"), Fraction)
-    for bad in ("1.5", "-0.1", "9/8"):
+    for bad in ("1.5", "-0.1", "9/8", 1.5, -0.1):
         with pytest.raises(ValueError):
             parse_prob(bad)
 
@@ -249,3 +249,38 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     code, _, stderr = run(capsys, "simulate", "--config", str(conf))
     assert code == 2
     assert "unknown config key 'bogus'" in stderr
+
+
+@pytest.mark.parametrize("subcommand, payload, message", [
+    ("simulate", {"trials": 2.5}, "config key 'trials' must be an integer, got 2.5"),
+    ("simulate", {"trials": True}, "config key 'trials' must be an integer, got true"),
+    ("simulate", {"trials": None}, "config key 'trials' must be an integer, got null"),
+    ("simulate", {"variant": "p3"}, "config key 'variant' must be one of p1, p2, got \"p3\""),
+    ("simulate", {"order": 3}, "config key 'order' must be one of 1, 2, got 3"),
+    ("simulate", {"p1": 1.5}, "config key 'p1' must be a probability, got 1.5"),
+    ("simulate", {"out": 5}, "config key 'out' must be a string, got 5"),
+    ("oracle", {"set_size": 1.5}, "config key 'set_size' must be an integer, got 1.5"),
+    ("oracle", {"spec": "choice-vs-sets"}, "config key 'spec' must be a list"),
+    ("oracle", {"spec": ["nope"]}, "config key 'spec' must be one of"),
+    ("region", {"all": 1}, "config key 'all' must be true or false, got 1"),
+])
+def test_config_values_get_the_flag_checks(tmp_path, capsys, subcommand, payload, message):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps(payload))
+    out = tmp_path / "report.json"
+    code, _, stderr = run(capsys, subcommand, "--config", str(conf), "--out", str(out))
+    assert code == 2
+    assert f"error: {message}" in stderr
+    assert not out.exists()
+
+
+def test_config_strings_go_through_the_flag_type(tmp_path, capsys):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n": "64", "order": "2", "trials": "3", "s1": None,
+                                "r1": "1/8", "r2": "1/8", "lam_prime": "1/16"}))
+    out = tmp_path / "sim.json"
+    code, _, _ = run(capsys, "simulate", "--config", str(conf), "--out", str(out))
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["params"]["n"] == 64 and report["config"]["params"]["order"] == 2
+    assert report["results"]["trials"] == 3

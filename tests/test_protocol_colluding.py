@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from otbec.adversary_audit import generate_runs
+from otbec.adversary_audit import assemble_pooled_view, generate_runs
 from otbec.channel import ERASED, compose_index_sets, erasure_partition, trial_rng
 from otbec.hashing import apply
 from otbec.protocol_colluding import (
@@ -122,6 +122,26 @@ def test_phase1_abort_ends_both_links():
     assert saw_abort
 
 
+def test_choice_bits_are_checked_when_phase_two_never_runs():
+    # a phase-1 abort means no subsets are drawn for the second receiver,
+    # so its choice bit is checked at entry
+    params, _ = snap_params(
+        40, 0.9, 0.9, Fraction(1, 20), Fraction(1, 20), Fraction(1, 40), Fraction(1, 40),
+        variant="colluding",
+    )
+    messages = tuple(
+        tuple(np.zeros(params.key_len(i), dtype=np.uint8) for _ in range(2)) for i in (1, 2)
+    )
+    trial = next(
+        t for t in range(100)
+        if run_protocol2(params, messages, (0, 0), trial_rng(5, t)).outcomes[0].code
+        is OtCode.SET_SHORTFALL
+    )
+    for z in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="choice bit must be 0 or 1"):
+            run_protocol2(params, messages, z, trial_rng(5, trial))
+
+
 def test_leftover_shortfall_loses_only_the_second_link():
     # audit defaults for p2: the erasures can host the phase-1 sets yet leave
     # fewer than |S'| positions outside the unchosen set
@@ -143,11 +163,11 @@ def test_broadcast_visibility_populates_other_receiver(p2_params):
     vis = VisibilityModel("broadcast-both", "broadcast-both")
     runs = generate_runs(p2_params, 30, master_seed=41, visibility=vis)
     run = next(r for r in runs if r.record["sprime"] is not None)
-    assert run.bob_views[1].observations["y_phase1"] is not None
-    assert run.bob_views[0].observations["y_phase2"] is not None
+    assert assemble_pooled_view(run, ("bob2",)).fields["observations2"]["y_phase1"] is not None
+    assert assemble_pooled_view(run, ("bob1",)).fields["observations1"]["y_phase2"] is not None
     default_runs = generate_runs(p2_params, 30, master_seed=41)
     drun = next(r for r in default_runs if r.record["sprime"] is not None)
-    assert drun.bob_views[1].observations["y_phase1"] is None
+    assert assemble_pooled_view(drun, ("bob2",)).fields["observations2"]["y_phase1"] is None
 
 
 def test_mask_accounting_counts_cross_visibility(p2_params, p2_runs):

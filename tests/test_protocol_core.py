@@ -14,7 +14,6 @@ from otbec.protocol_core import (
     DecodeError,
     OtCode,
     ParamError,
-    Transcript,
     decode_chosen,
     draw_sprime,
     encrypt,
@@ -155,12 +154,11 @@ def test_sample_subset_matches_per_swap_stream():
 def test_draw_sprime_draws_outside_the_unchosen_set(rng):
     e = np.array([1, 4, 6, 9, 12, 13, 20], dtype=np.int64)
     unchosen = np.array([4, 12, 20], dtype=np.int64)
-    t = Transcript()
     for size in range(5):
-        s = draw_sprime(e, unchosen, size, rng, t, 1)
+        s = draw_sprime(e, unchosen, size, rng)
         assert set(s.tolist()) <= {1, 6, 9, 13} and len(s) == size
     with pytest.raises(AbortSignal) as sig:
-        draw_sprime(e, unchosen, 5, rng, t, 1)
+        draw_sprime(e, unchosen, 5, rng)
     assert sig.value.code is OtCode.LEFTOVER_SHORTFALL
     assert "4 < 5" in sig.value.reason
 
@@ -232,15 +230,6 @@ def test_encrypt_checks_message_length(rng):
     kappa = sample_linear_hash(2, 2, rng)
     with pytest.raises(ValueError):
         encrypt([1], kappa, np.array([0, 1], dtype=np.uint8))
-
-
-def test_transcript_is_append_only_and_public():
-    t = Transcript()
-    t.append("alice", 1, "phase-marker", "phase-1")
-    t.append("bob1", 1, "index-sets", {"S0": [1]})
-    assert len(t.messages) == 2
-    assert t.messages[0].sender == "alice"
-    assert t.messages[1].payload == {"S0": [1]}
 
 
 def test_param_error_carries_parts():
