@@ -1,4 +1,4 @@
-"""Golden replay: pinned digests of two seeded reports' results blocks.
+"""Golden replay: pinned digests of three seeded reports' results blocks.
 
 Criterion 10 replays the current code twice, so it cannot see a change that
 moves the random stream. These digests were recorded once and catch that: a
@@ -6,8 +6,11 @@ change that alters a draw (or the order of draws) changes these results. The
 campaign's results are abort counts and correctness, so its digest guards the
 input block and erasure draws; the audit's attacks and condition table read
 the index sets, hashes and ciphertexts, so its digest guards every later draw
-too. The digest is the SHA-256 of the "results" block as compact sorted-key
-JSON.
+too. The oracle entry runs all six specs at p1 = 1/3, p2 = 3/4 with two-bit
+keys, so its digest guards every enumerator, the exact mutual-information
+floats and abort masses over denominators other than powers of two, and the
+Monte Carlo cross-check's draws. The digest is the SHA-256 of the "results"
+block as compact sorted-key JSON.
 
 Recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1. The stream comes
 from numpy's PCG64 and its bounded-integer sampling, and the audit results
@@ -22,6 +25,9 @@ import pytest
 
 from otbec.cli import main
 
+ORACLE_SPECS = ("choice-vs-sets", "choice-pair-vs-sets", "unchosen-vs-own", "unchosen-vs-pooled",
+                "phase2-unchosen-vs-pooled", "phase1-cross-knowledge")
+
 GOLDEN = {
     "simulate-p1-n256": (
         ["simulate", "--variant", "p1", "--n", "256", "--p1", "0.5", "--p2", "0.5",
@@ -33,6 +39,13 @@ GOLDEN = {
         ["audit", "--variant", "p2", "--p1", "0.75", "--p2", "0.75", "--trials", "300",
          "--seed", "101"],
         "18d7233c86187d3de1f26c2897ab8d67280b82097707e20561ac2cd5adc49461",
+    ),
+    "oracle-all-specs": (
+        ["oracle", "--n", "4", "--p1", "1/3", "--p2", "3/4", "--set-size", "1",
+         "--key-bits", "2",
+         *(arg for spec in ORACLE_SPECS for arg in ("--spec", spec)),
+         "--compare-mc", "300", "--seed", "101"],
+        "80575712ef3b71ebb43491382faa36d20e3adc809da0ff49de98f9daf0e76ce3",
     ),
 }
 
