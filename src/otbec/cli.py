@@ -84,7 +84,10 @@ def parse_prob(text):
         value = float(text)
     else:
         text = str(text).strip()
-        value = Fraction(text) if "/" in text else float(text)
+        try:
+            value = Fraction(text) if "/" in text else float(text)
+        except ZeroDivisionError:
+            raise ValueError(f"probability {text} has a zero denominator") from None
     if not 0 <= value <= 1:
         raise ValueError(f"probability {text} not in [0, 1]")
     return value
@@ -565,15 +568,16 @@ def _config_overrides(path: str, sub: argparse.ArgumentParser) -> dict:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
-    actions = {action.dest: action for action in sub._actions}
+    # a key names a flag without its dashes (lambda-prime) or the flag's dest (lam_prime)
+    by_flag = {option[2:]: action for action in sub._actions
+               for option in action.option_strings if option.startswith("--")}
+    by_dest = {action.dest: action for action in sub._actions}
     overrides = {}
     for raw_key, value in payload.items():
-        key = raw_key.replace("-", "_")
-        if key == "lambda":
-            key = "lam"
-        if key not in actions:
+        action = by_flag.get(raw_key) or by_dest.get(raw_key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"unknown config key {raw_key!r}")
-        overrides[key] = _config_value(actions[key], raw_key, value)
+        overrides[action.dest] = _config_value(action, raw_key, value)
     return overrides
 
 

@@ -148,18 +148,6 @@ class JointDistribution:
             acc[y] = acc.get(y, 0) + p
         return FiniteDistribution.from_mapping(acc)
 
-    def conditional_x_given(self, y) -> FiniteDistribution:
-        acc: dict = {}
-        for (x, yy), p in self._items:
-            if yy == y and p > 0:
-                acc[x] = acc.get(x, 0) + p
-        total = sum(acc.values())
-        if total == 0:
-            raise ValueError(f"conditioning event {y!r} has zero probability")
-        if isinstance(total, Fraction) or any(isinstance(v, Fraction) for v in acc.values()):
-            return FiniteDistribution.from_mapping({x: Fraction(v) / Fraction(total) for x, v in acc.items()})
-        return FiniteDistribution.from_mapping({x: v / total for x, v in acc.items()})
-
     def as_distribution(self) -> FiniteDistribution:
         return FiniteDistribution([q for q, _ in self._items], [p for _, p in self._items])
 
@@ -262,21 +250,39 @@ def mutual_information(j: JointDistribution):
     instead of accumulating rounding noise. Residual float rounding below
     1e-12 is clamped to zero so the plug-in estimate stays nonnegative.
     """
-    px = j.marginal_x().as_mapping()
-    py = j.marginal_y().as_mapping()
-    if j.built_as_product or all(p == px[x] * py[y] for (x, y), p in j.items()):
-        return 0 if _all_rational(j) else 0.0
-    total = 0.0
-    for (x, y), p in j.items():
-        if p > 0:
-            total += float(p) * math.log2(float(p) / (float(px[x]) * float(py[y])))
-    if -1e-12 < total < 0.0:
+    if j.built_as_product:
+        return _zero(j.items())
+    return _mutual_information(j.items(), 1)
+
+
+def _zero(cells):
+    """Exact 0 when every weight is exact (int or Fraction), else 0.0."""
+    return 0 if all(isinstance(c, (Fraction, int)) for _, c in cells) else 0.0
+
+
+def _mutual_information(cells, total):
+    """Mutual information in bits of the joint whose ((x, y), c) cells have probability c / total.
+
+    cells is iterated several times. With integer weights and total, the
+    product test c * total == a * b is exact integer arithmetic, and each
+    float(c / total) is the correctly rounded value of the rational, so the
+    result equals the one on the normalised Fraction joint bit for bit.
+    """
+    px: dict = {}
+    py: dict = {}
+    for (x, y), c in cells:
+        px[x] = px.get(x, 0) + c
+        py[y] = py.get(y, 0) + c
+    if all(c * total == px[x] * py[y] for (x, y), c in cells):
+        return _zero(cells)
+    mi = 0.0
+    for (x, y), c in cells:
+        if c > 0:
+            p = float(c / total)
+            mi += p * math.log2(p / (float(px[x] / total) * float(py[y] / total)))
+    if -1e-12 < mi < 0.0:
         return 0.0
-    return total
-
-
-def _all_rational(j: JointDistribution) -> bool:
-    return all(isinstance(p, (Fraction, int)) for _, p in j.items())
+    return mi
 
 
 def privacy_amp_bound(l: float, c: float) -> float:

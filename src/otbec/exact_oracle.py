@@ -10,6 +10,14 @@ sets) are marginalized out analytically, which keeps state counts inside the
 budget without changing the joint. Enumeration partitions over erasure
 patterns and merges by dictionary accumulation, so partial results combine
 associatively.
+
+Every weight is a product of erasure-pattern laws a^e (b-a)^(m-e) / b^m for
+p = a/b, fair coins and uniform draws from pools whose sizes the enumerator
+can list before it starts. So each enumerator fixes one integer denominator
+up front (powers of b1, b2 and 2 times the lcm of the pool sizes it can meet)
+and accumulates numerators: integers under rational arithmetic, so no
+Fraction arithmetic runs per state. Float p takes the same code with b = 1
+and float pattern numerators p^e (1-p)^(m-e).
 """
 
 from __future__ import annotations
@@ -17,12 +25,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from .channel import ERASED, restrict, transmit_bec, trial_rng
-from .entropy import JointDistribution, mutual_information
+from .entropy import MASS_TOL, JointDistribution, _mutual_information
 from .protocol_core import AbortSignal, announce_sets, draw_sprime, send_link
 
 __all__ = [
@@ -93,17 +102,46 @@ class TinyParams:
 class ExactJoint:
     """Exact joint law of (secret, view features) plus enumeration metadata.
 
-    spec (variant, secret_spec, view_spec) and tiny name what was enumerated;
-    both are None for a hand-built joint.
+    weights maps each (secret, view) cell to its numerator over the common
+    integer denominator: an int under "rational" arithmetic, a float under
+    "float" arithmetic. joint and abort_mass turn them into probabilities on
+    demand. spec (variant, secret_spec, view_spec) and tiny name what was
+    enumerated; both are None for a hand-built joint.
     """
 
-    joint: JointDistribution
+    weights: dict
+    denominator: int
     arithmetic: str
-    abort_mass: float | Fraction
     states: int
     description: str
     spec: tuple | None
     tiny: TinyParams | None
+
+    def _probability(self, numerator):
+        if self.arithmetic == "rational":
+            return Fraction(numerator, self.denominator)
+        return numerator / self.denominator
+
+    @cached_property
+    def _split(self) -> tuple[dict, int | float]:
+        """(completed cells with their numerators, summed numerator of the abort cells)."""
+        completed: dict = {}
+        aborted = 0
+        for key, w in self.weights.items():
+            if _has_abort(key[1]):
+                aborted += w
+            else:
+                completed[key] = w
+        return completed, aborted
+
+    @property
+    def joint(self) -> JointDistribution:
+        return JointDistribution({key: self._probability(w) for key, w in self.weights.items()})
+
+    @property
+    def abort_mass(self) -> float | Fraction:
+        """Probability that the protocol aborts (any view carrying an abort marker)."""
+        return self._probability(self._split[1])
 
     def to_json(self) -> dict:
         return {
@@ -132,15 +170,20 @@ def _is_rational(p) -> bool:
     return isinstance(p, (int, Fraction))
 
 
-def _pattern_weight(p, erased: int, total: int):
-    if _is_rational(p):
+def _pattern_law(p, m: int, rational: bool) -> tuple[list, int]:
+    """Numerators by erasure count e of an m-position pattern, and their denominator b^m."""
+    if rational:
         q = Fraction(p)
-        return q**erased * (1 - q) ** (total - erased)
-    return float(p) ** erased * (1.0 - float(p)) ** (total - erased)
+        a, c, b = q.numerator, q.denominator - q.numerator, q.denominator
+    else:
+        a, c, b = float(p), 1.0 - float(p), 1
+    return [a**e * c ** (m - e) for e in range(m + 1)], b**m
 
 
-def _half(rational: bool):
-    return Fraction(1, 2) if rational else 0.5
+def _pair_lcm(n: int, size: int) -> int:
+    """lcm of |chosen pool| * |other pool| over the erasure counts that announce a pair."""
+    return math.lcm(*(math.comb(n - e, size) * math.comb(e, size)
+                      for e in range(size, n - size + 1)))
 
 
 def _bit_positions(pattern: int, n: int) -> tuple[list, list]:
@@ -165,7 +208,9 @@ def _has_abort(view) -> bool:
     if isinstance(view, str):
         return view in _ABORT_MARKERS
     if isinstance(view, tuple):
-        return any(_has_abort(v) for v in view)
+        for v in view:
+            if _has_abort(v):
+                return True
     return False
 
 
@@ -218,23 +263,30 @@ def _check_budget(tiny: TinyParams, view_spec: str, budget: EnumerationBudget) -
 
 
 def _link_structures(n: int, p, size: int, rational: bool):
-    """Yield (z, announced pair or abort marker, erased positions, weight) for one link."""
-    half = _half(rational)
-    for pattern in range(1 << n):
-        e, ebar = _bit_positions(pattern, n)
-        w_pat = _pattern_weight(p, len(e), n)
-        for z in (0, 1):
-            wz = w_pat * half
-            if len(ebar) < size or len(e) < size:
-                yield z, ("abort",), e, wz
-                continue
-            chosen_pool = list(itertools.combinations(ebar, size))
-            other_pool = list(itertools.combinations(e, size))
-            w_sub = wz / (len(chosen_pool) * len(other_pool))
-            for sc in chosen_pool:
-                for so in other_pool:
-                    pair = (sc, so) if z == 0 else (so, sc)
-                    yield z, pair, e, w_sub
+    """(denominator, iterator of (z, announced pair or abort marker, numerator)) for one link.
+
+    The denominator is b^n for the pattern, 2 for z and the pair-pool lcm.
+    """
+    pattern_num, pattern_den = _pattern_law(p, n, rational)
+    pool = _pair_lcm(n, size)
+
+    def items():
+        for pattern in range(1 << n):
+            e, ebar = _bit_positions(pattern, n)
+            w_pat = pattern_num[len(e)]
+            for z in (0, 1):
+                if len(ebar) < size or len(e) < size:
+                    yield z, ("abort",), w_pat * pool
+                    continue
+                chosen_pool = list(itertools.combinations(ebar, size))
+                other_pool = list(itertools.combinations(e, size))
+                w_sub = w_pat * (pool // (len(chosen_pool) * len(other_pool)))
+                for sc in chosen_pool:
+                    for so in other_pool:
+                        pair = (sc, so) if z == 0 else (so, sc)
+                        yield z, pair, w_sub
+
+    return pattern_den * 2 * pool, items()
 
 
 def _accumulate(items) -> tuple[dict, int]:
@@ -247,20 +299,20 @@ def _accumulate(items) -> tuple[dict, int]:
 
 
 def _enum_sets_link(tiny: TinyParams, p, rational: bool):
-    return _accumulate(
-        ((z, pair), w) for z, pair, _, w in _link_structures(tiny.n, p, tiny.set_size, rational)
-    )
+    denominator, structures = _link_structures(tiny.n, p, tiny.set_size, rational)
+    agg, states = _accumulate(((z, pair), w) for z, pair, w in structures)
+    return agg, states, denominator
 
 
 def _enum_sets_both(tiny: TinyParams, rational: bool):
-    agg1, st1 = _enum_sets_link(tiny, tiny.p1, rational)
-    agg2, st2 = _enum_sets_link(tiny, tiny.p2, rational)
+    agg1, st1, d1 = _enum_sets_link(tiny, tiny.p1, rational)
+    agg2, st2, d2 = _enum_sets_link(tiny, tiny.p2, rational)
     agg: dict = {}
     for (z1, v1), w1 in agg1.items():
         for (z2, v2), w2 in agg2.items():
             key = ((z1, z2), (v1, v2))
             agg[key] = agg.get(key, 0) + w1 * w2
-    return agg, st1 + st2 + len(agg1) * len(agg2)
+    return agg, st1 + st2 + len(agg1) * len(agg2), d1 * d2
 
 
 def _enum_message_link1(tiny: TinyParams, rational: bool, pooled: bool):
@@ -271,42 +323,42 @@ def _enum_message_link1(tiny: TinyParams, rational: bool, pooled: bool):
     erasure-limited look at the unchosen key material ("e" marks an erasure).
     """
     n, s, k = tiny.n, tiny.set_size, tiny.key_bits
-    half = _half(rational)
-    half_s = half**s
-    half_k = half**k
-    half_mat = half ** (s * k)
+    link_den, structures = _link_structures(n, tiny.p1, s, rational)
+    # the second receiver's look at the unchosen set: a p2 pattern over s positions
+    y_num, y_den = _pattern_law(tiny.p2, s, rational) if pooled else ([1], 1)
+    # input bits at the unchosen set, matrix entries and message are uniform;
+    # an aborted link draws only the message
+    uniform_bits = s + s * k + k
+    abort_scale = y_den << (s + s * k)
 
     def items():
-        for z, pair, _, w in _link_structures(n, tiny.p1, s, rational):
+        for z, pair, w in structures:
             if pair == ("abort",):
                 for m in range(1 << k):
-                    yield (_int_to_bits(m, k), ("abort",)), w * half_k
+                    yield (_int_to_bits(m, k), ("abort",)), w * abort_scale
                 continue
             for x in range(1 << s):  # input bits at the unchosen set, in set order
-                w_x = w * half_s
                 if pooled:
                     y_variants = []
                     for ypat in range(1 << s):
-                        erased = bin(ypat).count("1")
-                        w_y = _pattern_weight(tiny.p2, erased, s)
                         sym = tuple(
                             "e" if (ypat >> t) & 1 else (x >> t) & 1 for t in range(s)
                         )
-                        y_variants.append((sym, w_y))
+                        y_variants.append((sym, w * y_num[bin(ypat).count("1")]))
                 else:
-                    y_variants = [(None, 1)]
+                    y_variants = [(None, w)]
                 for sym, w_y in y_variants:
                     for rows in itertools.product(range(1 << s), repeat=k):
                         kx = _kappa_images(rows, x)
-                        w_mat = w_x * w_y * half_mat
                         for m in range(1 << k):
                             mbits = _int_to_bits(m, k)
                             view = (z, pair, ("kappa", rows), _xor_bits(mbits, kx))
                             if pooled:
                                 view = view + (sym,)
-                            yield (mbits, view), w_mat * half_k
+                            yield (mbits, view), w_y
 
-    return _accumulate(items())
+    agg, states = _accumulate(items())
+    return agg, states, (link_den * y_den) << uniform_bits
 
 
 def _enum_phase2_message(tiny: TinyParams, rational: bool):
@@ -320,45 +372,53 @@ def _enum_phase2_message(tiny: TinyParams, rational: bool):
     """
     n, m1, q = tiny.n, tiny.phase1_size, tiny.sprime_size
     s, k = tiny.set_size, tiny.key_bits
-    half = _half(rational)
-    half_k = half**k
+    pat1_num, pat1_den = _pattern_law(tiny.p1, n, rational)
+    pat2_num, pat2_den = _pattern_law(tiny.p2, q, rational)
+    # pool-size lcms: phase-1 unchosen set, S' inside the leftover, phase-2 pair
+    unch_pool = math.lcm(*(math.comb(e, m1) for e in range(m1, n - m1 + 1)))
+    sp_pool = math.lcm(*(math.comb(e - m1, q) for e in range(m1 + q, n - m1 + 1)))
+    pair2_pool = _pair_lcm(q, s)
+    # uniform draws: z1, input bits at S', z2, matrix entries, message
+    uniform_bits = 1 + q + 1 + s * k + k
+    # each early end keeps the weight of every draw it skips, bar the message
+    phase2_scale = pair2_pool << (s * k)
+    sprime_scale = (sp_pool * pat2_den * phase2_scale) << (q + 1)
 
     def items():
         for pattern in range(1 << n):
             e, ebar = _bit_positions(pattern, n)
-            w_pat = _pattern_weight(tiny.p1, len(e), n)
+            w_pat = pat1_num[len(e)]
             for z1 in (0, 1):
-                w_z1 = w_pat * half
                 if len(ebar) < m1 or len(e) < m1:
+                    w_abort = w_pat * unch_pool * sprime_scale
                     for m in range(1 << k):
-                        yield (_int_to_bits(m, k), ("abort-phase-1",)), w_z1 * half_k
+                        yield (_int_to_bits(m, k), ("abort-phase-1",)), w_abort
                     continue
                 other_pool = list(itertools.combinations(e, m1))
-                w_unch = w_z1 / len(other_pool)
+                w_unch = w_pat * (unch_pool // len(other_pool))
                 for so in other_pool:  # the phase-1 unchosen set, from the erased side
                     leftover = [i for i in e if i not in so]
                     if len(leftover) < q:
                         for m in range(1 << k):
-                            yield (_int_to_bits(m, k), ("no-sprime",)), w_unch * half_k
+                            yield (_int_to_bits(m, k), ("no-sprime",)), w_unch * sprime_scale
                         continue
                     sprime_pool = list(itertools.combinations(leftover, q))
-                    w_sp = w_unch / len(sprime_pool)
+                    w_sp = w_unch * (sp_pool // len(sprime_pool))
                     for sp in sprime_pool:
                         assert all(i in e for i in sp)
                         for x in range(1 << q):  # input bits at the retransmitted set
-                            w_x = w_sp * half**q
                             for e2pat in range(1 << q):
                                 e2, ebar2 = _bit_positions(e2pat, q)
-                                w_e2 = w_x * _pattern_weight(tiny.p2, len(e2), q)
+                                w_e2 = w_sp * pat2_num[len(e2)]
                                 for z2 in (0, 1):
-                                    w_z2 = w_e2 * half
                                     if len(ebar2) < s or len(e2) < s:
+                                        w_abort = w_e2 * phase2_scale
                                         for m in range(1 << k):
-                                            yield (_int_to_bits(m, k), ("abort-phase-2",)), w_z2 * half_k
+                                            yield (_int_to_bits(m, k), ("abort-phase-2",)), w_abort
                                         continue
                                     c2 = list(itertools.combinations(ebar2, s))
                                     o2 = list(itertools.combinations(e2, s))
-                                    w_sub2 = w_z2 / (len(c2) * len(o2))
+                                    w_sub2 = w_e2 * (pair2_pool // (len(c2) * len(o2)))
                                     for tc in c2:
                                         for to in o2:
                                             pair2 = (tc, to) if z2 == 0 else (to, tc)
@@ -368,16 +428,16 @@ def _enum_phase2_message(tiny: TinyParams, rational: bool):
                                             )
                                             for rows in itertools.product(range(1 << s), repeat=k):
                                                 kx = _kappa_images(rows, x_unch)
-                                                w_mat = w_sub2 * half ** (s * k)
                                                 for m in range(1 << k):
                                                     mbits = _int_to_bits(m, k)
                                                     view = (
                                                         z2, sp, pair2, ("kappa", rows),
                                                         _xor_bits(mbits, kx), ("e",) * s,
                                                     )
-                                                    yield (mbits, view), w_mat * half_k
+                                                    yield (mbits, view), w_sub2
 
-    return _accumulate(items())
+    agg, states = _accumulate(items())
+    return agg, states, (pat1_den * unch_pool * sp_pool * pat2_den * pair2_pool) << uniform_bits
 
 
 def _enum_phase1_cross(tiny: TinyParams, rational: bool):
@@ -391,34 +451,37 @@ def _enum_phase1_cross(tiny: TinyParams, rational: bool):
     enumeration checks branch by branch; the joint therefore factors exactly.
     """
     n, m1, q = tiny.n, tiny.phase1_size, tiny.sprime_size
-    half = _half(rational)
+    pat_num, pat_den = _pattern_law(tiny.p1, n, rational)
+    pair_pool = _pair_lcm(n, m1)
+    # S' and the free input bits (non-erased plus S') are one uniform draw
+    # from C(e - m1, q) * 2^(n - e + q) outcomes
+    sp_pool = math.lcm(*(math.comb(e - m1, q) << (n - e + q)
+                         for e in range(m1 + q, n - m1 + 1)))
 
     def items():
         for pattern in range(1 << n):
             e, ebar = _bit_positions(pattern, n)
             ebar_set = set(ebar)
-            w_pat = _pattern_weight(tiny.p1, len(e), n)
+            w_pat = pat_num[len(e)]
             for z1 in (0, 1):
-                w_z = w_pat * half
                 if len(ebar) < m1 or len(e) < m1:
-                    yield ((), ("abort-phase-1",)), w_z
+                    yield ((), ("abort-phase-1",)), w_pat * pair_pool * sp_pool
                     continue
                 chosen_pool = list(itertools.combinations(ebar, m1))
                 other_pool = list(itertools.combinations(e, m1))
-                w_pair = w_z / (len(chosen_pool) * len(other_pool))
+                w_pair = w_pat * (pair_pool // (len(chosen_pool) * len(other_pool)))
                 for sc in chosen_pool:
                     for so in other_pool:
                         pair = (sc, so) if z1 == 0 else (so, sc)
                         leftover = [i for i in e if i not in so]
                         if len(leftover) < q:
-                            yield ((), (z1, pair, "no-sprime")), w_pair
+                            yield ((), (z1, pair, "no-sprime")), w_pair * sp_pool
                             continue
                         sprime_pool = list(itertools.combinations(leftover, q))
-                        w_sp = w_pair / len(sprime_pool)
+                        w_x = w_pair * (sp_pool // (len(sprime_pool) << (len(ebar) + q)))
                         for sp in sprime_pool:
                             assert all(i in e for i in sp)
                             free = list(ebar) + list(sp)
-                            w_x = w_sp * half ** len(free)
                             for bits in range(1 << len(free)):
                                 assign = {pos: (bits >> t) & 1 for t, pos in enumerate(free)}
                                 obs = tuple(
@@ -427,7 +490,8 @@ def _enum_phase1_cross(tiny: TinyParams, rational: bool):
                                 secret = tuple(assign[i] for i in sp)
                                 yield (secret, (z1, pair, sp, obs)), w_x
 
-    return _accumulate(items())
+    agg, states = _accumulate(items())
+    return agg, states, pat_den * 2 * pair_pool * sp_pool
 
 
 def enumerate_protocol(
@@ -442,7 +506,8 @@ def enumerate_protocol(
     Every realization is weighted by the product of its uniform input bits,
     erasure probabilities, uniform subset draws, uniform matrix entries, and
     uniform messages; abort realizations keep their mass under marker views, so
-    the joint always sums to one.
+    the joint always sums to one: the numerators sum to the denominator,
+    exactly under rational arithmetic and within MASS_TOL under float.
     """
     combo = (variant, secret_spec, view_spec)
     if combo not in SUPPORTED_SPECS:
@@ -451,23 +516,26 @@ def enumerate_protocol(
     _check_budget(tiny, view_spec, budget)
     rational = _is_rational(tiny.p1) and _is_rational(tiny.p2)
     if view_spec == "announced-sets-1":
-        agg, states = _enum_sets_link(tiny, tiny.p1, rational)
+        agg, states, denominator = _enum_sets_link(tiny, tiny.p1, rational)
     elif view_spec == "announced-sets-both":
-        agg, states = _enum_sets_both(tiny, rational)
+        agg, states, denominator = _enum_sets_both(tiny, rational)
     elif view_spec == "own-receiver-1":
-        agg, states = _enum_message_link1(tiny, rational, pooled=False)
+        agg, states, denominator = _enum_message_link1(tiny, rational, pooled=False)
     elif view_spec == "pooled-receivers-1":
-        agg, states = _enum_message_link1(tiny, rational, pooled=True)
+        agg, states, denominator = _enum_message_link1(tiny, rational, pooled=True)
     elif view_spec == "first-receiver-phase1":
-        agg, states = _enum_phase1_cross(tiny, rational)
+        agg, states, denominator = _enum_phase1_cross(tiny, rational)
     else:
-        agg, states = _enum_phase2_message(tiny, rational)
-    abort_mass = sum((w for (_, view), w in agg.items() if _has_abort(view)),
-                     Fraction(0) if rational else 0.0)
+        agg, states, denominator = _enum_phase2_message(tiny, rational)
+    if any(w < 0 for w in agg.values()):
+        raise ValueError("enumerated weights must be nonnegative")
+    total = sum(agg.values())
+    if (total != denominator) if rational else (abs(total - denominator) > MASS_TOL * denominator):
+        raise ValueError(f"enumerated weights sum to {total}, not the denominator {denominator}")
     return ExactJoint(
-        joint=JointDistribution(agg),
+        weights=agg,
+        denominator=denominator,
         arithmetic="rational" if rational else "float",
-        abort_mass=abort_mass,
         states=states,
         description=f"{variant}: {secret_spec} vs {view_spec} at n={tiny.n}",
         spec=combo,
@@ -477,7 +545,7 @@ def enumerate_protocol(
 
 def exact_mi(j: ExactJoint):
     """Exact mutual information in bits; exact integer 0 when the joint factors."""
-    return mutual_information(j.joint)
+    return _mutual_information(j.weights.items(), j.denominator)
 
 
 def exact_mi_given_success(j: ExactJoint):
@@ -488,12 +556,11 @@ def exact_mi_given_success(j: ExactJoint):
     retransmitted-set bits, say); unconditioned MI would mostly measure the
     abort indicator itself.
     """
-    items = [(key, w) for key, w in j.joint.items() if not _has_abort(key[1])]
-    total = sum(w for _, w in items)
+    completed = j._split[0]
+    total = sum(completed.values())
     if total == 0:
         raise ValueError("no completed branches to condition on")
-    cond = JointDistribution({key: w / total for key, w in items})
-    return mutual_information(cond)
+    return _mutual_information(completed.items(), total)
 
 
 def _tuple_set(arr) -> tuple:
@@ -588,7 +655,7 @@ def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -
     if exact.spec is None:
         raise ValueError("the joint has no enumerated spec to sample")
     view_spec = exact.spec[2]
-    probs = {pair: float(w) for pair, w in exact.joint.items()}
+    probs = {pair: c / exact.denominator for pair, c in exact.weights.items()}
     counts: dict = {}
     for t in range(trials):
         rng = trial_rng(master_seed, t)

@@ -26,6 +26,17 @@ def test_parse_prob_forms():
     for bad in ("1.5", "-0.1", "9/8", 1.5, -0.1):
         with pytest.raises(ValueError):
             parse_prob(bad)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_prob("1/0")
+
+
+def test_zero_denominator_flag_exits_2(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *SIM_FLAGS, "--p1", "1/0", "--trials", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_writes_report(tmp_path, capsys):
@@ -263,6 +274,7 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     ("oracle", {"spec": "choice-vs-sets"}, "config key 'spec' must be a list"),
     ("oracle", {"spec": ["nope"]}, "config key 'spec' must be one of"),
     ("region", {"all": 1}, "config key 'all' must be true or false, got 1"),
+    ("simulate", {"p1": "1/0"}, "config key 'p1' must be a probability, got \"1/0\""),
 ])
 def test_config_values_get_the_flag_checks(tmp_path, capsys, subcommand, payload, message):
     conf = tmp_path / "conf.json"
@@ -284,3 +296,23 @@ def test_config_strings_go_through_the_flag_type(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["config"]["params"]["n"] == 64 and report["config"]["params"]["order"] == 2
     assert report["results"]["trials"] == 3
+
+
+@pytest.mark.parametrize("key, flag", [
+    ("lambda-prime", "--lambda-prime"),
+    ("lam_prime", "--lambda-prime"),
+    ("lambda", "--lambda"),
+])
+def test_config_keys_resolve_by_flag_name_or_dest(tmp_path, capsys, key, flag):
+    base = ["simulate", "--variant", "p1", "--n", "64", "--r1", "1/8", "--r2", "1/8",
+            "--trials", "3"]
+    by_flag = tmp_path / "flag.json"
+    assert main([*base, flag, "1/32", "--out", str(by_flag)]) == 0
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({key: "1/32"}))
+    by_config = tmp_path / "config.json"
+    code, _, _ = run(capsys, *base, "--config", str(conf), "--out", str(by_config))
+    assert code == 0
+    params = json.loads(by_config.read_text())["config"]["params"]
+    assert params == json.loads(by_flag.read_text())["config"]["params"]
+    assert params["lam" if flag == "--lambda" else "lam_prime"] == "1/32"

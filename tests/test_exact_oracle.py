@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from otbec import exact_oracle
-from otbec.entropy import FiniteDistribution, JointDistribution
 from otbec.exact_oracle import (
     DEFAULT_BUDGET,
     BudgetError,
@@ -74,6 +73,23 @@ def test_mass_conservation_float_arithmetic():
     assert sum(w for _, w in j.joint.items()) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("spec", SUPPORTED_SPECS)
+def test_float_arithmetic_agrees_with_rational_on_the_same_binary_values(spec):
+    # Fraction(0.3) holds the double nearest 0.3 exactly, so both runs
+    # enumerate the same law and differ only by float rounding
+    variant, secret, view = spec
+    fl = enumerate_protocol(variant, tiny(p1=0.3, p2=0.7), view, secret)
+    ex = enumerate_protocol(variant, tiny(p1=Fraction(0.3), p2=Fraction(0.7)), view, secret)
+    assert (fl.arithmetic, ex.arithmetic) == ("float", "rational")
+    fl_cells, ex_cells = dict(fl.joint.items()), dict(ex.joint.items())
+    assert fl_cells.keys() == ex_cells.keys()
+    for key, p in ex_cells.items():
+        assert fl_cells[key] == pytest.approx(float(p), abs=1e-12), key
+    assert fl.abort_mass == pytest.approx(float(ex.abort_mass), abs=1e-12)
+    assert exact_mi(fl) == pytest.approx(float(exact_mi(ex)), abs=1e-12)
+    assert exact_mi_given_success(fl) == pytest.approx(float(exact_mi_given_success(ex)), abs=1e-12)
+
+
 def test_choice_bit_mi_is_exactly_zero():
     j = enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "z1")
     mi = exact_mi(j)
@@ -126,14 +142,12 @@ def test_conditioning_needs_completed_branches():
 
 
 def test_exact_mi_on_handmade_joints():
-    product = JointDistribution.product(
-        FiniteDistribution([0, 1], [HALF, HALF]),
-        FiniteDistribution(["u", "v"], [Fraction(1, 4), Fraction(3, 4)]),
-    )
-    j = ExactJoint(product, "rational", Fraction(0), 4, "handmade product", None, None)
+    # uniform bit times a (1/4, 3/4) symbol, as numerators over 8
+    product = {(0, "u"): 1, (0, "v"): 3, (1, "u"): 1, (1, "v"): 3}
+    j = ExactJoint(product, 8, "rational", 4, "handmade product", None, None)
     assert exact_mi(j) == 0
-    corr = JointDistribution({(0, 0): HALF, (1, 1): HALF})
-    j2 = ExactJoint(corr, "rational", Fraction(0), 2, "handmade correlated bit", None, None)
+    corr = {(0, 0): 1, (1, 1): 1}
+    j2 = ExactJoint(corr, 2, "rational", 2, "handmade correlated bit", None, None)
     assert exact_mi(j2) == pytest.approx(1.0)
 
 
