@@ -1,4 +1,4 @@
-"""Golden replay: pinned digests of three seeded reports' results blocks.
+"""Golden replay: pinned digests of seeded reports' results blocks.
 
 Criterion 10 replays the current code twice, so it cannot see a change that
 moves the random stream. These digests were recorded once and catch that: a
@@ -6,10 +6,14 @@ change that alters a draw (or the order of draws) changes these results. The
 campaign's results are abort counts and correctness, so its digest guards the
 input block and erasure draws; the audit's attacks and condition table read
 the index sets, hashes and ciphertexts, so its digest guards every later draw
-too. The oracle entry runs all six specs at p1 = 1/3, p2 = 3/4 with two-bit
-keys, so its digest guards every enumerator, the exact mutual-information
-floats and abort masses over denominators other than powers of two, and the
-Monte Carlo cross-check's draws. The digest is the SHA-256 of the "results"
+too. The four further audit entries cover the rest of the attack surface:
+every `p1` attacker (pooled, single receiver on link 2, wiretapper) and `p2`
+with the second receiver first and both phases broadcast, so every way a
+coalition's knowledge of the input block is worked out is pinned. The oracle
+entry runs all six specs at p1 = 1/3, p2 = 3/4 with two-bit keys, so its
+digest guards every enumerator, the exact mutual-information floats and abort
+masses over denominators other than powers of two, and the Monte Carlo
+cross-check's draws. The digest is the SHA-256 of the "results"
 block as compact sorted-key JSON.
 
 Recorded with Python 3.11.7, numpy 2.4.6 and scipy 1.17.1. The stream comes
@@ -39,6 +43,27 @@ GOLDEN = {
         ["audit", "--variant", "p2", "--p1", "0.75", "--p2", "0.75", "--trials", "300",
          "--seed", "101"],
         "18d7233c86187d3de1f26c2897ab8d67280b82097707e20561ac2cd5adc49461",
+    ),
+    "audit-p1-pooled": (
+        ["audit", "--variant", "p1", "--attacker", "pooled", "--trials", "300", "--seed", "101"],
+        "69b84cf80e489a6091079488375561380b66423a183d4e3aa19db419effb5c02",
+    ),
+    "audit-p1-single-link2": (
+        ["audit", "--variant", "p1", "--attacker", "single", "--link", "2", "--trials", "300",
+         "--seed", "101"],
+        "2bda7985e6857db5e66eafc44071472665a63a01d00b2f7242b76bf97866d3ba",
+    ),
+    "audit-p1-wiretapper": (
+        ["audit", "--variant", "p1", "--attacker", "wiretapper", "--trials", "300",
+         "--seed", "101"],
+        "32b3b755f8f1e911df61f36f39af26c59bdb3e7ba97abcaa91dd2c5c139884dd",
+    ),
+    "audit-p2-broadcast-order2": (
+        ["audit", "--variant", "p2", "--p1", "0.8", "--p2", "0.8", "--r1", "1/16",
+         "--r2", "1/16", "--lambda-prime", "1/32", "--order", "2",
+         "--visibility-phase1", "broadcast-both", "--visibility-phase2", "broadcast-both",
+         "--attacker", "pooled", "--link", "2", "--trials", "300", "--seed", "101"],
+        "4d7b33dc847010a04807a16a28e75ec618bd1b8ed3ffe1d8f241a3b1f9c27726",
     ),
     "oracle-all-specs": (
         ["oracle", "--n", "4", "--p1", "1/3", "--p2", "3/4", "--set-size", "1",
