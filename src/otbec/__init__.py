@@ -39,7 +39,6 @@ from .hashing import LinearHash, collision_probability, sample_linear_hash
 from .protocol_colluding import (
     DEFAULT_VISIBILITY,
     VisibilityModel,
-    collusion_mask_accounting,
     run_protocol2,
 )
 from .protocol_core import (
@@ -54,7 +53,6 @@ from .protocol_core import (
     validate_params,
 )
 from .protocol_noncolluding import (
-    abort_probability,
     exact_abort_probability,
     run_protocol1,
 )
@@ -62,6 +60,7 @@ from .adversary_audit import (
     AttackReport,
     ConditionRow,
     assemble_pooled_view,
+    collusion_mask_accounting,
     condition_suite,
     generate_runs,
     guess_choice_bit,
@@ -112,7 +111,6 @@ __all__ = [
     "sample_linear_hash",
     "DEFAULT_VISIBILITY",
     "VisibilityModel",
-    "collusion_mask_accounting",
     "run_protocol2",
     "AbortSignal",
     "DecodeError",
@@ -123,12 +121,12 @@ __all__ = [
     "ProtocolRun",
     "snap_params",
     "validate_params",
-    "abort_probability",
     "exact_abort_probability",
     "run_protocol1",
     "AttackReport",
     "ConditionRow",
     "assemble_pooled_view",
+    "collusion_mask_accounting",
     "condition_suite",
     "generate_runs",
     "guess_choice_bit",

@@ -29,6 +29,7 @@ __all__ = [
     "PooledView",
     "ConditionRow",
     "assemble_pooled_view",
+    "collusion_mask_accounting",
     "generate_runs",
     "guess_unchosen_message",
     "guess_choice_bit",
@@ -160,24 +161,33 @@ def assemble_pooled_view(run: ProtocolRun, parties) -> PooledView:
     return PooledView(parties, fields, provenance)
 
 
-def _known_input_bits(run: ProtocolRun, view: PooledView) -> np.ndarray:
-    """Coalition knowledge of the input block: length-n array, -1 where unknown."""
-    known = np.full(run.params.n, ERASED, dtype=np.int8)
-    sprime = run.record.get("sprime")
-    for i in (1, 2):
-        obs = view.fields.get(f"observations{i}")
-        if obs is None:
-            continue
-        for name, y in obs.items():
-            if y is None:
-                continue
-            if name == "y_phase2":
-                hit = y != ERASED
-                known[sprime[hit]] = y[hit]
-            else:
-                hit = y != ERASED
-                known[np.nonzero(hit)[0]] = y[hit]
+def _knowledge(run: ProtocolRun, i: int) -> np.ndarray:
+    """What receiver i holds of the input block: length n, ERASED where it holds nothing.
+
+    For the two-phase variant the phase-2 observations are mapped through S'.
+    The returned array may be the record's own; callers only read it.
+    """
+    rec = run.record
+    if run.params.variant == "noncolluding":
+        return rec[f"y{i}"]
+    y1, y2 = rec["y_phase1"][i], rec["y_phase2"][i]
+    known = np.full(run.params.n, ERASED, dtype=np.int8) if y1 is None else y1.copy()
+    if y2 is not None:
+        hit = y2 != ERASED
+        known[rec["sprime"][hit]] = y2[hit]
     return known
+
+
+def _union(maps, n: int) -> np.ndarray:
+    """What a coalition knows: the elementwise union of its members' maps."""
+    known = np.full(n, ERASED, dtype=np.int8)
+    for m in maps:
+        known = np.where(known != ERASED, known, m)
+    return known
+
+
+def _count_known(known: np.ndarray, positions: np.ndarray) -> int:
+    return int((known[positions] != ERASED).sum())
 
 
 def _global_sets(run: ProtocolRun, link: int):
@@ -242,14 +252,6 @@ def _shared_params(runs) -> ProtocolParams:
     return params
 
 
-def _message_parties(attacker: str, link: int) -> tuple:
-    if attacker == "single-receiver":
-        return (f"bob{link}",)
-    if attacker == "pooled-receivers":
-        return ("bob1", "bob2")
-    return ()
-
-
 def guess_unchosen_message(
     runs,
     attacker: str = "pooled-receivers",
@@ -258,7 +260,7 @@ def guess_unchosen_message(
 ) -> AttackReport:
     """Concrete reconstruction attack on the link's unchosen message.
 
-    The attacker reads every key-material bit visible in its pooled view,
+    The attacker reads every key-material bit its coalition's knowledge holds,
     guesses the rest uniformly, and decrypts the published ciphertext with the
     hashed guess. Advantage is the full-string success rate minus the blind
     baseline: with zero mask knowledge the fill is right with probability
@@ -273,6 +275,7 @@ def guess_unchosen_message(
     if rng is None:
         raise ValueError("the uniform-fill step needs an rng")
     k = _shared_params(runs).key_len(link)
+    receivers = {"single-receiver": (link,), "pooled-receivers": (1, 2), "wiretapper": ()}[attacker]
     successes = 0
     used = 0
     skipped = 0
@@ -286,8 +289,7 @@ def guess_unchosen_message(
         j = 1 - rec["z"][link - 1]
         positions = _global_sets(run, link)[j]
         mask = positions.size
-        view = assemble_pooled_view(run, _message_parties(attacker, link))
-        known = _known_input_bits(run, view)[positions]
+        known = _union([_knowledge(run, i) for i in receivers], run.params.n)[positions]
         fill = rng.integers(0, 2, size=positions.size, dtype=np.int64).astype(np.int8)
         x_hat = np.where(known != ERASED, known, fill).astype(np.uint8)
         kappa = rec["hashes"][link]["kappa"][j]
@@ -316,14 +318,6 @@ def guess_unchosen_message(
         },
         verdict=_verdict(advantage, ci),
     )
-
-
-def _choice_parties(attacker: str, link: int) -> tuple:
-    if attacker == "alice":
-        return ("alice",)
-    if attacker == "alice-plus-other-receiver":
-        return ("alice", f"bob{3 - link}")
-    return ()
 
 
 def guess_choice_bit(
@@ -355,22 +349,13 @@ def guess_choice_bit(
         if pair is None:
             skipped += 1
             continue
-        view = assemble_pooled_view(run, _choice_parties(attacker, link))
-        scores = []
-        known = None
-        if f"observations{3 - link}" in view.fields:
-            known = _known_input_bits(
-                run, assemble_pooled_view(run, (f"bob{3 - link}",))
-            )
-        for s in pair:
-            score = 0.0
-            if "x" in view.fields:
-                score += float(view.fields["x"][s].sum())
-            if known is not None:
-                score += float((known[s] != ERASED).sum())
-            if not view.parties:
-                score += float(int(s.sum()) % 2)
-            scores.append(score)
+        if attacker == "wiretapper":
+            scores = [int(s.sum()) % 2 for s in pair]
+        else:
+            scores = [int(run.record["x"][s].sum()) for s in pair]
+            if attacker == "alice-plus-other-receiver":
+                known = _knowledge(run, 3 - link)
+                scores = [score + _count_known(known, s) for score, s in zip(scores, pair)]
         if scores[0] == scores[1]:
             guess = int(rng.integers(0, 2))
         else:
@@ -397,15 +382,15 @@ def guess_choice_bit(
 # --- condition table ------------------------------------------------------------
 
 
-def _mi_row(condition: str, pairs: list) -> ConditionRow:
+def _mi_row(condition: str, counts: dict, n: int) -> ConditionRow:
+    """The row of one condition from its n (secret, feature) samples, tallied."""
     # 2N ln2 * MI_hat is the G statistic, asymptotically chi-square with
     # (dx-1)(dy-1) degrees of freedom under independence; the verdict threshold
     # is its 99.9th percentile, so each row has a 0.1% false-alarm rate
-    joint = JointDistribution.from_samples(pairs)
+    joint = JointDistribution({sample: c / n for sample, c in counts.items()})
     mi = float(mutual_information(joint))
     dx = len(joint.marginal_x())
     dy = len(joint.marginal_y())
-    n = len(pairs)
     df = (dx - 1) * (dy - 1)
     threshold = float(chi2.ppf(0.999, df)) / (2.0 * n * math.log(2.0)) if df > 0 else 0.0
     verdict = "no detected leakage" if mi <= max(threshold, 1e-12) else "leakage detected"
@@ -420,15 +405,6 @@ def _half_count_sign(pair, n: int):
     a = int((pair[0] < n // 2).sum())
     b = int((pair[1] < n // 2).sum())
     return int(np.sign(a - b))
-
-
-def _known_counts(run: ProtocolRun, viewer: int, link: int):
-    """How many of the link's set positions the viewer observed, per label."""
-    pair = _global_sets(run, link)
-    if pair is None:
-        return None
-    known = _known_input_bits(run, assemble_pooled_view(run, (f"bob{viewer}",)))
-    return tuple(int((known[s] != ERASED).sum()) for s in pair)
 
 
 def _cipher_bit(run: ProtocolRun, link: int, label: int):
@@ -488,75 +464,74 @@ def condition_suite(runs, variant: str | None = None) -> list[ConditionRow]:
         total_links, "informational", 0.0,
     ))
 
-    def unchosen_secret(run, i):
-        return int(run.record["messages"][i - 1][1 - run.record["z"][i - 1]][0])
+    # one pass: each run's two index pairs in input-block coordinates and its
+    # two receivers' knowledge maps are worked out once, and every secrecy row
+    # tallies its (secret, feature) sample from them; rows keep first-tally order
+    tallies: dict = {}
 
-    if variant == "noncolluding":
-        for i in (1, 2):
-            pairs = []
-            for run in runs:
-                secret = unchosen_secret(run, i)
-                kc = _known_counts(run, i, i)
-                feat = ("abort",) if kc is None else (kc[1 - run.record["z"][i - 1]], _cipher_bit(run, i, 1 - run.record["z"][i - 1]))
-                pairs.append((secret, feat))
-            rows.append(_mi_row(f"own unchosen message vs receiver {i}", pairs))
-        pairs = []
-        for run in runs:
-            stats = []
-            for i in (1, 2):
-                pair = _global_sets(run, i)
-                stats.append("abort" if pair is None else _half_count_sign(pair, params.n))
-            pairs.append((tuple(run.record["z"]), tuple(stats)))
-        rows.append(_mi_row("choice bits vs sender", pairs))
-        return rows
+    def tally(condition, secret, feat):
+        counts = tallies.setdefault(condition, {})
+        counts[secret, feat] = counts.get((secret, feat), 0) + 1
 
-    # colluding variant
-    pairs = []
     for run in runs:
-        secret = tuple(unchosen_secret(run, i) for i in (1, 2))
-        feats = []
-        pooled = _known_input_bits(run, assemble_pooled_view(run, ("bob1", "bob2")))
-        for i in (1, 2):
-            pair = _global_sets(run, i)
-            if pair is None:
-                feats.append("abort")
-                continue
-            j = 1 - run.record["z"][i - 1]
-            feats.append((int((pooled[pair[j]] != ERASED).sum()), _cipher_bit(run, i, j)))
-        pairs.append((secret, tuple(feats)))
-    rows.append(_mi_row("unchosen message pair vs pooled receivers", pairs))
+        rec = run.record
+        z = rec["z"]
+        pairs = tuple(_global_sets(run, i) for i in (1, 2))
+        known = tuple(_knowledge(run, i) for i in (1, 2))
+        unchosen = tuple(int(rec["messages"][i - 1][1 - z[i - 1]][0]) for i in (1, 2))
+        sender = (tuple(z), tuple(
+            "abort" if pair is None else _half_count_sign(pair, params.n) for pair in pairs))
+        if variant == "noncolluding":
+            for i, pair in zip((1, 2), pairs):
+                j = 1 - z[i - 1]
+                feat = ("abort",) if pair is None else (
+                    _count_known(known[i - 1], pair[j]), _cipher_bit(run, i, j))
+                tally(f"own unchosen message vs receiver {i}", unchosen[i - 1], feat)
+            tally("choice bits vs sender", *sender)
+            continue
 
-    for i in (1, 2):
-        pairs = []
-        for run in runs:
-            pair = _global_sets(run, i)
-            if pair is None:
-                feat = ("abort",)
-            else:
-                alice_stat = int(np.sign(float(run.record["x"][pair[0]].sum()) - float(run.record["x"][pair[1]].sum())))
-                kc = _known_counts(run, 3 - i, i)
-                feat = (alice_stat, int(np.sign(kc[0] - kc[1])))
-            pairs.append((run.record["z"][i - 1], feat))
-        rows.append(_mi_row(f"choice bit {i} vs sender pooling receiver {3 - i}", pairs))
-
-    pairs = []
-    for run in runs:
-        stats = []
-        for i in (1, 2):
-            pair = _global_sets(run, i)
-            stats.append("abort" if pair is None else _half_count_sign(pair, params.n))
-        pairs.append((tuple(run.record["z"]), tuple(stats)))
-    rows.append(_mi_row("choice bits vs sender", pairs))
-
-    for i in (1, 2):
-        pairs = []
-        for run in runs:
-            secret = (run.record["z"][i - 1], int(run.record["messages"][i - 1][0][0]))
-            kc = _known_counts(run, 3 - i, i)
+        pooled = _union(known, params.n)
+        tally("unchosen message pair vs pooled receivers", unchosen, tuple(
+            "abort" if pair is None else (
+                _count_known(pooled, pair[1 - z[i - 1]]), _cipher_bit(run, i, 1 - z[i - 1]))
+            for i, pair in zip((1, 2), pairs)))
+        # what the receiver opposite each link observed of the link's two sets, per label
+        other = [None if pair is None else tuple(_count_known(known[2 - i], s) for s in pair)
+                 for i, pair in zip((1, 2), pairs)]
+        for i, pair, kc in zip((1, 2), pairs, other):
             if kc is None:
                 feat = ("abort",)
             else:
-                feat = (kc[0], kc[1], _cipher_bit(run, i, 0), _cipher_bit(run, i, 1))
-            pairs.append((secret, feat))
-        rows.append(_mi_row(f"link {i} secrets vs receiver {3 - i} alone", pairs))
+                xa, xb = (int(rec["x"][s].sum()) for s in pair)
+                feat = (int(np.sign(xa - xb)), int(np.sign(kc[0] - kc[1])))
+            tally(f"choice bit {i} vs sender pooling receiver {3 - i}", z[i - 1], feat)
+        tally("choice bits vs sender", *sender)
+        for i, kc in zip((1, 2), other):
+            feat = ("abort",) if kc is None else (
+                *kc, _cipher_bit(run, i, 0), _cipher_bit(run, i, 1))
+            tally(f"link {i} secrets vs receiver {3 - i} alone",
+                  (z[i - 1], int(rec["messages"][i - 1][0][0])), feat)
+
+    rows.extend(_mi_row(condition, counts, len(runs)) for condition, counts in tallies.items())
     return rows
+
+
+def collusion_mask_accounting(run: ProtocolRun) -> dict:
+    """Count, per link and label, the mask positions the opposite receiver observed.
+
+    The owner of a link reads its chosen set directly; this measures what
+    pooling adds: the other receiver's knowledge of the link's index sets,
+    across both phases. Also checks that the retransmitted set lies inside the
+    phase-1 receiver's erasures.
+    """
+    rec = run.record
+    out: dict = {"per_link": {}, "sprime_inside_phase1_erasures": None}
+    if rec["sprime"] is not None:
+        y1 = rec["y_phase1"][rec["order"]]
+        out["sprime_inside_phase1_erasures"] = bool((y1[rec["sprime"]] == ERASED).all())
+    for link in (1, 2):
+        pair = _global_sets(run, link)
+        if pair is not None:
+            known = _knowledge(run, 3 - link)
+            out["per_link"][link] = {j: _count_known(known, s) for j, s in enumerate(pair)}
+    return out

@@ -75,6 +75,10 @@ _REGION_NAMES = (
 )
 
 
+class _ProbabilityError(ValueError, argparse.ArgumentTypeError):
+    """A refused probability; argparse prints its reason instead of a generic one."""
+
+
 def parse_prob(text):
     """Probability in [0, 1] from a number, a decimal or an exact fraction string like '3/10'.
 
@@ -87,9 +91,9 @@ def parse_prob(text):
         try:
             value = Fraction(text) if "/" in text else float(text)
         except ZeroDivisionError:
-            raise ValueError(f"probability {text} has a zero denominator") from None
+            raise _ProbabilityError(f"probability {text} has a zero denominator") from None
     if not 0 <= value <= 1:
-        raise ValueError(f"probability {text} not in [0, 1]")
+        raise _ProbabilityError(f"probability {text} not in [0, 1]")
     return value
 
 
@@ -387,7 +391,7 @@ def cmd_region(args) -> int:
     seed = _resolve_seed(args)
     config = {
         "p1": args.p1, "p2": args.p2, "regions": args.region,
-        "all": args.all, "channel": args.channel, "theorem": args.theorem,
+        "channel": args.channel, "theorem": args.theorem,
         "grid": args.grid, "check_containment": args.check_containment,
         "out": args.out,
     }
@@ -510,7 +514,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(reg)
     reg.add_argument("--p1", type=parse_prob, default=None)
     reg.add_argument("--p2", type=parse_prob, default=None)
-    reg.add_argument("--all", action="store_true", help="emit every closed-form region")
     reg.add_argument("--region", action="append", choices=_REGION_NAMES,
                      help="repeatable; default: all closed-form regions")
     reg.add_argument("--channel", help="JSON file with an explicit channel law")
@@ -534,13 +537,16 @@ _CONFIG_TYPES = {
 
 
 def _config_value(action: argparse.Action, raw_key: str, value):
-    """A config value checked and converted as its flag would be; a refusal names the key."""
+    """A config value checked and converted as its flag would be.
+
+    A refusal names the key, and then the flag type's reason when its conversion failed.
+    """
     def refused(wanted: str) -> ValueError:
         return ValueError(f"config key {raw_key!r} must be {wanted}, got {json.dumps(value)}")
 
     if value is None and action.default is None:
         return None
-    if action.nargs == 0:  # a switch such as --all
+    if action.nargs == 0:  # a switch such as --check-containment
         if not isinstance(value, bool):
             raise refused("true or false")
         return value
@@ -556,7 +562,7 @@ def _config_value(action: argparse.Action, raw_key: str, value):
             try:
                 item = action.type(item)
             except ValueError as exc:
-                raise refused(name) from exc
+                raise ValueError(f"{refused(name)}: {exc}") from exc
         if action.choices is not None and item not in action.choices:
             raise refused("one of " + ", ".join(map(str, action.choices)))
         items.append(item)

@@ -115,18 +115,6 @@ class JointDistribution:
         j.built_as_product = True
         return j
 
-    @classmethod
-    def from_samples(cls, pairs) -> "JointDistribution":
-        """Empirical (plug-in) joint from observed (x, y) samples."""
-        counts: dict = {}
-        n = 0
-        for pair in pairs:
-            counts[pair] = counts.get(pair, 0) + 1
-            n += 1
-        if n == 0:
-            raise ValueError("no samples")
-        return cls({pair: c / n for pair, c in counts.items()})
-
     def items(self):
         return self._items
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ERASED, compose_index_sets, restrict, transmit_bec
+from .channel import restrict, transmit_bec
 from .protocol_core import (
     AbortSignal,
     OtCode,
@@ -31,7 +31,6 @@ __all__ = [
     "VisibilityModel",
     "DEFAULT_VISIBILITY",
     "run_protocol2",
-    "collusion_mask_accounting",
 ]
 
 _VISIBILITIES = ("point-to-point", "broadcast-both")
@@ -151,42 +150,3 @@ def run_protocol2(
         "visibility": visibility,
     }
     return ProtocolRun(params, outcomes, record)
-
-
-def _known_positions(y: np.ndarray | None, positions: np.ndarray) -> int:
-    if y is None or positions.size == 0:
-        return 0
-    return int((restrict(y, positions) != ERASED).sum())
-
-
-def collusion_mask_accounting(run: ProtocolRun) -> dict:
-    """Count, per link and label, the mask positions the opposite receiver observed.
-
-    The owner of a link reads its chosen set directly; this measures what
-    pooling adds: non-erased observations of the link's index sets held by the
-    other receiver, across both phases. Also checks that the retransmitted set
-    lies inside the phase-1 receiver's erasures.
-    """
-    rec = run.record
-    first = rec["order"]
-    second = 3 - first
-    out: dict = {"per_link": {}, "sprime_inside_phase1_erasures": None}
-    sprime = rec["sprime"]
-    if sprime is not None:
-        y1 = rec["y_phase1"][first]
-        out["sprime_inside_phase1_erasures"] = bool((restrict(y1, sprime) == ERASED).all())
-    if first in rec["sets"]:
-        y_other = rec["y_phase1"][second]
-        out["per_link"][first] = {
-            j: _known_positions(y_other, rec["sets"][first][j]) for j in (0, 1)
-        }
-    if second in rec["sets"]:
-        counts = {}
-        for j in (0, 1):
-            local = rec["sets"][second][j]
-            global_positions = compose_index_sets(sprime, local)
-            seen = _known_positions(rec["y_phase2"][first], local)
-            seen += _known_positions(rec["y_phase1"][first], global_positions)
-            counts[j] = seen
-        out["per_link"][second] = counts
-    return out

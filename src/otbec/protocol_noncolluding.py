@@ -6,8 +6,6 @@ the broadcast block is common to both links, everything else is per-link.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import beta, binom
 
@@ -27,8 +25,6 @@ from .protocol_core import (
 
 __all__ = [
     "run_protocol1",
-    "AbortEstimate",
-    "abort_probability",
     "exact_abort_probability",
 ]
 
@@ -89,37 +85,6 @@ def _clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[
     lo = 0.0 if successes == 0 else float(beta.ppf(alpha / 2, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
     return lo, hi
-
-
-@dataclass(frozen=True)
-class AbortEstimate:
-    """Monte Carlo abort-probability estimate with an exact binomial interval."""
-
-    estimate: float
-    ci: tuple[float, float]
-    trials: int
-
-
-def abort_probability(
-    params: ProtocolParams,
-    trials: int,
-    rng: np.random.Generator,
-    receiver: int = 1,
-) -> AbortEstimate:
-    """Estimate the probability that one receiver's partition cannot host its index sets.
-
-    Only the broadcast and partition steps matter, so each trial reduces to the
-    erasure count, a Binomial(n, p) draw; the abort event is a two-sided tail.
-    """
-    validate_params(params)
-    if receiver not in (1, 2):
-        raise ValueError("receiver must be 1 or 2")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    need = params.mask_size(receiver)
-    erased = rng.binomial(params.n, float(params.p(receiver)), size=trials)
-    hits = int(((erased < need) | (params.n - erased < need)).sum())
-    return AbortEstimate(hits / trials, _clopper_pearson(hits, trials), trials)
 
 
 def exact_abort_probability(n: int, p: float, r) -> float:

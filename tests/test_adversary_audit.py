@@ -8,12 +8,15 @@ import pytest
 
 from otbec.adversary_audit import (
     FEATURE_MAP_VERSION,
+    _knowledge,
     assemble_pooled_view,
     condition_suite,
     generate_runs,
     guess_choice_bit,
     guess_unchosen_message,
 )
+from otbec.channel import ERASED
+from otbec.protocol_colluding import VisibilityModel
 from otbec.protocol_core import snap_params
 
 P1_ROWS = {
@@ -162,6 +165,44 @@ def test_pooled_view_fields_and_provenance(p1_runs):
     assert set(wiretap.fields) == {"public"}
     with pytest.raises(ValueError):
         assemble_pooled_view(run, ("eve",))
+
+
+def _observed_positions(run, i):
+    """Per observation of receiver i, the input-block positions it did not erase."""
+    rec = run.record
+    if run.params.variant == "noncolluding":
+        return [np.flatnonzero(rec[f"y{i}"] != ERASED)]
+    y1, y2 = rec["y_phase1"][i], rec["y_phase2"][i]
+    observed = [] if y1 is None else [np.flatnonzero(y1 != ERASED)]
+    if y2 is not None:
+        observed.append(rec["sprime"][y2 != ERASED])
+    return observed
+
+
+@pytest.mark.parametrize("case", ["p1", "p2 point-to-point", "p2 broadcast-both"])
+def test_knowledge_map_is_what_the_receiver_observed(case, p1_runs, p2_params):
+    if case == "p1":
+        runs = p1_runs[:300]
+    else:
+        visibility = case.split()[1]
+        runs = generate_runs(p2_params, 300, master_seed=43,
+                             visibility=VisibilityModel(visibility, visibility))
+    both_phases = 0
+    for run in runs:
+        x = run.record["x"]
+        for i in (1, 2):
+            known = _knowledge(run, i)
+            assert known.shape == x.shape
+            hit = known != ERASED
+            assert np.array_equal(known[hit], x[hit])
+            observed = _observed_positions(run, i)
+            # a position seen in both phases is known once
+            assert set(np.flatnonzero(hit)) == set().union(*(p.tolist() for p in observed))
+            if run.params.variant == "noncolluding" or i == run.record["order"]:
+                # S' lies inside the phase-1 receiver's erasures: its phases never overlap
+                assert int(hit.sum()) == sum(p.size for p in observed)
+            both_phases += len(observed) == 2
+    assert both_phases > 0 if case == "p2 broadcast-both" else both_phases == 0
 
 
 def test_condition_suite_rows_protocol1(p1_runs):

@@ -39,6 +39,19 @@ def test_zero_denominator_flag_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value, reason", [
+    ("1/0", "probability 1/0 has a zero denominator"),
+    ("1.5", "probability 1.5 not in [0, 1]"),
+])
+def test_refused_probability_flag_names_its_reason(tmp_path, capsys, value, reason):
+    out = tmp_path / "sim.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *SIM_FLAGS, "--p1", value, "--trials", "5", "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"argument --p1: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_writes_report(tmp_path, capsys):
     out = tmp_path / "sim.json"
     code, stdout, _ = run(capsys, "simulate", *SIM_FLAGS,
@@ -273,8 +286,13 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     ("oracle", {"set_size": 1.5}, "config key 'set_size' must be an integer, got 1.5"),
     ("oracle", {"spec": "choice-vs-sets"}, "config key 'spec' must be a list"),
     ("oracle", {"spec": ["nope"]}, "config key 'spec' must be one of"),
-    ("region", {"all": 1}, "config key 'all' must be true or false, got 1"),
+    ("region", {"check-containment": 1},
+     "config key 'check-containment' must be true or false, got 1"),
     ("simulate", {"p1": "1/0"}, "config key 'p1' must be a probability, got \"1/0\""),
+    ("simulate", {"p1": "1/0"},
+     "config key 'p1' must be a probability, got \"1/0\": probability 1/0 has a zero denominator"),
+    ("simulate", {"p1": 1.5},
+     "config key 'p1' must be a probability, got 1.5: probability 1.5 not in [0, 1]"),
 ])
 def test_config_values_get_the_flag_checks(tmp_path, capsys, subcommand, payload, message):
     conf = tmp_path / "conf.json"

@@ -5,13 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from otbec.adversary_audit import assemble_pooled_view, generate_runs
-from otbec.channel import ERASED, compose_index_sets, erasure_partition, trial_rng
+from otbec.adversary_audit import assemble_pooled_view, collusion_mask_accounting, generate_runs
+from otbec.channel import compose_index_sets, erasure_partition, trial_rng
 from otbec.hashing import apply
 from otbec.protocol_colluding import (
     DEFAULT_VISIBILITY,
     VisibilityModel,
-    collusion_mask_accounting,
     run_protocol2,
 )
 from otbec.protocol_core import OtCode, ParamError, encrypt, snap_params

@@ -9,11 +9,7 @@ from scipy.stats import binom
 from otbec.adversary_audit import generate_runs
 from otbec.channel import erasure_count, trial_rng
 from otbec.protocol_core import ParamError, snap_params
-from otbec.protocol_noncolluding import (
-    abort_probability,
-    exact_abort_probability,
-    run_protocol1,
-)
+from otbec.protocol_noncolluding import exact_abort_probability, run_protocol1
 
 
 def test_correctness_on_every_completed_trial(p1_runs):
@@ -64,16 +60,6 @@ def test_exact_abort_probability_matches_binomial_two_tail():
 def test_exact_abort_probability_degenerate():
     assert exact_abort_probability(10, 0.0, Fraction(1, 5)) == pytest.approx(1.0)
     assert exact_abort_probability(10, 1.0, Fraction(1, 5)) == pytest.approx(1.0)
-
-
-def test_monte_carlo_abort_within_three_sigma_of_exact():
-    n, p, r = 40, 0.5, Fraction(7, 20)
-    params, _ = snap_params(n, p, p, r, r, 0.05, Fraction(1, 10))
-    exact = exact_abort_probability(n, p, r)
-    est = abort_probability(params, trials=4000, rng=np.random.default_rng(17))
-    sigma = (exact * (1 - exact) / est.trials) ** 0.5
-    assert abs(est.estimate - exact) <= 3 * sigma
-    assert est.ci[0] <= exact <= est.ci[1]
 
 
 def test_exact_abort_decreases_with_block_length():
