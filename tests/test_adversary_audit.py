@@ -197,7 +197,7 @@ def test_knowledge_map_is_what_the_receiver_observed(case, p1_runs, p2_params):
             assert np.array_equal(known[hit], x[hit])
             observed = _observed_positions(run, i)
             # a position seen in both phases is known once
-            assert set(np.flatnonzero(hit)) == set().union(*(p.tolist() for p in observed))
+            assert set(np.flatnonzero(hit).tolist()) == set().union(*(p.tolist() for p in observed))
             if run.params.variant == "noncolluding" or i == run.record["order"]:
                 # S' lies inside the phase-1 receiver's erasures: its phases never overlap
                 assert int(hit.sum()) == sum(p.size for p in observed)
