@@ -14,14 +14,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
+from ._stats import chi2_ppf, clopper_pearson
 from .channel import ERASED, compose_index_sets, trial_rng
 from .entropy import JointDistribution, mutual_information
 from .hashing import apply
 from .protocol_core import ProtocolParams, ProtocolRun
 from .protocol_colluding import VisibilityModel, DEFAULT_VISIBILITY, run_protocol2
-from .protocol_noncolluding import _clopper_pearson, run_protocol1
+from .protocol_noncolluding import run_protocol1
 
 __all__ = [
     "FEATURE_MAP_VERSION",
@@ -302,7 +302,7 @@ def guess_unchosen_message(
     blind_hit = 2.0 ** (-mask)
     baseline = blind_hit + (1.0 - blind_hit) * 2.0 ** (-k)
     rate = successes / used
-    lo, hi = _clopper_pearson(successes, used)
+    lo, hi = clopper_pearson(successes, used)
     advantage = rate - baseline
     ci = (lo - baseline, hi - baseline)
     return AttackReport(
@@ -365,7 +365,7 @@ def guess_choice_bit(
     if used == 0:
         raise ValueError("no completed runs to attack")
     rate = successes / used
-    lo, hi = _clopper_pearson(successes, used)
+    lo, hi = clopper_pearson(successes, used)
     advantage = rate - 0.5
     ci = (lo - 0.5, hi - 0.5)
     return AttackReport(
@@ -392,7 +392,7 @@ def _mi_row(condition: str, counts: dict, n: int) -> ConditionRow:
     dx = len(joint.marginal_x())
     dy = len(joint.marginal_y())
     df = (dx - 1) * (dy - 1)
-    threshold = float(chi2.ppf(0.999, df)) / (2.0 * n * math.log(2.0)) if df > 0 else 0.0
+    threshold = chi2_ppf(0.999, df) / (2.0 * n * math.log(2.0)) if df > 0 else 0.0
     verdict = "no detected leakage" if mi <= max(threshold, 1e-12) else "leakage detected"
     return ConditionRow(
         condition,
@@ -452,7 +452,7 @@ def condition_suite(runs, variant: str | None = None) -> list[ConditionRow]:
     rows.append(ConditionRow(
         "chosen-message correctness",
         "empirical decode error rate over published links",
-        rate, _clopper_pearson(errors, counted) if counted else None,
+        rate, clopper_pearson(errors, counted) if counted else None,
         counted, "holds" if errors == 0 else "violated", 0.0,
     ))
     total_links = counted + aborted_links
@@ -460,7 +460,7 @@ def condition_suite(runs, variant: str | None = None) -> list[ConditionRow]:
         "abort rate",
         "empirical abort rate over links",
         aborted_links / total_links if total_links else 0.0,
-        _clopper_pearson(aborted_links, total_links) if total_links else None,
+        clopper_pearson(aborted_links, total_links) if total_links else None,
         total_links, "informational", 0.0,
     ))
 

@@ -86,7 +86,7 @@ def as_index_set(indices, n: int | None = None) -> np.ndarray:
     if a.size:
         if a[0] < 0:
             raise ValueError("indices must be nonnegative")
-        if (np.diff(a) <= 0).any():
+        if (a[1:] <= a[:-1]).any():
             raise ValueError("index set must not contain duplicates")
         if n is not None and a[-1] >= n:
             raise ValueError(f"index {int(a[-1])} out of range for length {n}")

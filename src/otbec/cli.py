@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from ._stats import clopper_pearson
 from .adversary_audit import condition_suite, generate_runs, guess_choice_bit, guess_unchosen_message
 from .exact_oracle import (
     BudgetError,
@@ -31,7 +32,6 @@ from .exact_oracle import (
 )
 from .protocol_colluding import VisibilityModel
 from .protocol_core import OtCode, ParamError, snap_params
-from .protocol_noncolluding import _clopper_pearson
 from .rates import (
     ChannelSpec,
     containment_note,
@@ -201,7 +201,7 @@ def _config_payload(args, params, adjustments, extra: dict | None = None) -> dic
 
 
 def _rate_ci(successes: int, trials: int) -> dict:
-    lo, hi = _clopper_pearson(successes, trials)
+    lo, hi = clopper_pearson(successes, trials)
     return {
         "estimate": successes / trials if trials else 0.0,
         "ci": [lo, hi],

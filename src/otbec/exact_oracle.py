@@ -164,6 +164,8 @@ SUPPORTED_SPECS = (
 )
 
 _ABORT_MARKERS = ("abort", "abort-phase-1", "abort-phase-2", "no-sprime")
+# a marker, or a marker view, as one top-level part of a view
+_ABORT_PARTS = frozenset(_ABORT_MARKERS) | frozenset((m,) for m in _ABORT_MARKERS)
 
 
 def _is_rational(p) -> bool:
@@ -205,13 +207,15 @@ def _int_to_bits(v: int, width: int) -> tuple:
 
 
 def _has_abort(view) -> bool:
-    if isinstance(view, str):
-        return view in _ABORT_MARKERS
+    """Whether a view records an abort.
+
+    The enumerators put a marker only at the view's top level: a marker view
+    ("abort",), a trailing "no-sprime", or, for a pair of per-link views, a
+    marker view as one of the pair. So only the top-level parts are looked up.
+    """
     if isinstance(view, tuple):
-        for v in view:
-            if _has_abort(v):
-                return True
-    return False
+        return not _ABORT_PARTS.isdisjoint(view)
+    return view in _ABORT_PARTS
 
 
 def _estimate_states(tiny: TinyParams, view_spec: str) -> int:

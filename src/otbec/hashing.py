@@ -71,11 +71,15 @@ def sample_linear_hash(m: int, k: int, rng: np.random.Generator) -> LinearHash:
 
 
 def apply(h: LinearHash, x) -> np.ndarray:
-    """Apply the linear map: output = h.matrix . x over GF(2)."""
+    """Apply the linear map: output = h.matrix . x over GF(2).
+
+    The product stays in uint8: its sums wrap modulo 256, which is even, so
+    their low bit is still the parity.
+    """
     x = as_bits(x)
     if x.size != h.cols:
         raise ValueError(f"input length {x.size} does not match hash input length {h.cols}")
-    return ((h.matrix.astype(np.int64) @ x.astype(np.int64)) % 2).astype(np.uint8)
+    return (h.matrix @ x) & 1
 
 
 def _even_parity_row_counts(m: int) -> np.ndarray:

@@ -7,8 +7,8 @@ the broadcast block is common to both links, everything else is per-link.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import beta, binom
 
+from ._stats import binom_cdf
 from .channel import broadcast, BroadcastParams
 from .protocol_core import (
     AbortSignal,
@@ -81,12 +81,6 @@ def run_protocol1(
     return ProtocolRun(params, outcomes, record)
 
 
-def _clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
-    lo = 0.0 if successes == 0 else float(beta.ppf(alpha / 2, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(beta.ppf(1 - alpha / 2, successes + 1, trials - successes))
-    return lo, hi
-
-
 def exact_abort_probability(n: int, p: float, r) -> float:
     """Exact abort probability: a two-sided Binomial(n, p) tail.
 
@@ -102,5 +96,5 @@ def exact_abort_probability(n: int, p: float, r) -> float:
         raise ParamError("set size integrality", f"r*n = {float(r) * n} is not a positive integer")
     if need > n:
         return 1.0
-    inside = binom.cdf(n - need, n, float(p)) - binom.cdf(need - 1, n, float(p))
+    inside = binom_cdf(n - need, n, float(p)) - binom_cdf(need - 1, n, float(p))
     return float(min(1.0, max(0.0, 1.0 - inside)))

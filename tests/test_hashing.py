@@ -24,6 +24,18 @@ def test_apply_is_linear(m, k, data):
     assert np.array_equal(apply(h, x ^ y), apply(h, x) ^ apply(h, y))
 
 
+@pytest.mark.parametrize("m", [1, 255, 256, 300, 1000])
+def test_apply_matches_int64_product(m, rng):
+    # the product runs in uint8; from m = 256 on its sums wrap modulo 256
+    h = sample_linear_hash(m, 8, rng)
+    ones = LinearHash(np.ones((1, m), dtype=np.uint8))
+    for x in (rng.integers(0, 2, size=m, dtype=np.uint8), np.ones(m, dtype=np.uint8)):
+        for g in (h, ones):
+            out = apply(g, x)
+            assert out.dtype == np.uint8
+            assert np.array_equal(out, (g.matrix.astype(np.int64) @ x.astype(np.int64)) % 2)
+
+
 def test_apply_rejects_length_mismatch(rng):
     h = sample_linear_hash(3, 2, rng)
     with pytest.raises(ValueError):
