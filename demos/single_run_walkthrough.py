@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from otbec.adversary_audit import assemble_pooled_view
+from otbec.adversary_audit import public_messages
 from otbec.channel import erasure_count
 from otbec.protocol_core import snap_params
 from otbec.protocol_colluding import VisibilityModel, run_protocol2
@@ -33,7 +33,8 @@ def show(run, chosen):
             print(f"    decoded {''.join(map(str, outcome.decoded))}"
                   f" == chosen {''.join(map(str, want))}:"
                   f" {outcome.diagnostics['correct']}")
-    public = sorted(assemble_pooled_view(run, ()).fields["public"])
+    # the single-phase variant has no S' and no phase order to announce
+    public = sorted(key for key, value in public_messages(run).items() if value is not None)
     print(f"  the public channel carried: {public}")
 
 
@@ -45,7 +46,7 @@ def main():
                             0.05, Fraction(1, 16), variant="noncolluding")
     run = run_protocol1(params, fresh_messages(params, rng), (0, 1), rng)
     show(run, (0, 1))
-    erased, intact = erasure_count(run.record["y1"])
+    erased, intact = erasure_count(run.record["y_phase1"][1])
     print(f"  receiver 1 saw {erased} erasures and {intact} intact of {params.n};"
           f" each announced set holds {params.mask_size(1)} positions\n")
 

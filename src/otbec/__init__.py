@@ -9,8 +9,6 @@ and hashing toolkit, closed-form rate regions, and a batch CLI.
 
 from .channel import (
     ERASED,
-    BroadcastParams,
-    broadcast,
     erasure_partition,
     mix64,
     transmit_bec,
@@ -59,12 +57,12 @@ from .protocol_noncolluding import (
 from .adversary_audit import (
     AttackReport,
     ConditionRow,
-    assemble_pooled_view,
     collusion_mask_accounting,
     condition_suite,
     generate_runs,
     guess_choice_bit,
     guess_unchosen_message,
+    public_messages,
 )
 from .rates import (
     ChannelSpec,
@@ -85,8 +83,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ERASED",
-    "BroadcastParams",
-    "broadcast",
     "erasure_partition",
     "mix64",
     "transmit_bec",
@@ -125,12 +121,12 @@ __all__ = [
     "run_protocol1",
     "AttackReport",
     "ConditionRow",
-    "assemble_pooled_view",
     "collusion_mask_accounting",
     "condition_suite",
     "generate_runs",
     "guess_choice_bit",
     "guess_unchosen_message",
+    "public_messages",
     "ChannelSpec",
     "RateRegion",
     "bec_information_terms",

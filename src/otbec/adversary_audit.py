@@ -26,9 +26,8 @@ from .protocol_noncolluding import run_protocol1
 __all__ = [
     "FEATURE_MAP_VERSION",
     "AttackReport",
-    "PooledView",
     "ConditionRow",
-    "assemble_pooled_view",
+    "public_messages",
     "collusion_mask_accounting",
     "generate_runs",
     "guess_unchosen_message",
@@ -63,31 +62,6 @@ class AttackReport:
         if not -1.0 <= self.advantage <= 1.0:
             raise ValueError("advantage must lie in [-1, 1]")
 
-    def as_json(self) -> dict:
-        return {
-            "target": self.target,
-            "strategy": self.strategy,
-            "advantage": self.advantage,
-            "ci": list(self.ci),
-            "trials": self.trials,
-            "extras": self.extras,
-            "verdict": self.verdict,
-        }
-
-
-@dataclass(frozen=True)
-class PooledView:
-    """Exactly the fields one attacker coalition holds, tagged by contributor.
-
-    The public transcript content is always present; channel observations and
-    choice bits appear only for coalition members, sender inputs only when the
-    sender is in the coalition.
-    """
-
-    parties: tuple
-    fields: dict
-    provenance: dict
-
 
 @dataclass(frozen=True)
 class ConditionRow:
@@ -101,80 +75,32 @@ class ConditionRow:
     verdict: str
     threshold: float
 
-    def as_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "estimator": self.estimator,
-            "estimate": self.estimate,
-            "ci": None if self.ci is None else list(self.ci),
-            "trials": self.trials,
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-        }
 
+def public_messages(run: ProtocolRun) -> dict:
+    """The wiretapper's view of a run: every message sent over the public channel.
 
-def _public_fields(run: ProtocolRun) -> dict:
-    rec = run.record
-    pub = {
-        "sets": rec["sets"],
-        "hashes": rec["hashes"],
-        "commitments": rec["commitments"],
-        "ciphertexts": rec["ciphertexts"],
-        "aborted": rec["aborted"],
-    }
-    if run.params.variant == "colluding":
-        pub["sprime"] = rec["sprime"]
-        pub["order"] = rec["order"]
-    return pub
-
-
-def _bob_observations(run: ProtocolRun, i: int) -> dict:
-    rec = run.record
-    if run.params.variant == "noncolluding":
-        return {"y": rec[f"y{i}"]}
-    return {"y_phase1": rec["y_phase1"][i], "y_phase2": rec["y_phase2"][i]}
-
-
-def assemble_pooled_view(run: ProtocolRun, parties) -> PooledView:
-    """Build the coalition view for any subset of {alice, bob1, bob2}.
-
-    An empty coalition is the wiretapper: public transcript content only.
+    Both variants give the same keys; `sprime` and `order` are None for the
+    single-phase variant.
     """
-    parties = tuple(sorted(set(parties)))
-    for p in parties:
-        if p not in ("alice", "bob1", "bob2"):
-            raise ValueError(f"unknown party {p!r}")
-    fields: dict = {"public": _public_fields(run)}
-    provenance: dict = {"public": "transcript"}
-    for i in (1, 2):
-        name = f"bob{i}"
-        if name in parties:
-            fields[f"z{i}"] = run.record["z"][i - 1]
-            fields[f"observations{i}"] = _bob_observations(run, i)
-            provenance[f"z{i}"] = name
-            provenance[f"observations{i}"] = name
-    if "alice" in parties:
-        fields["x"] = run.record["x"]
-        fields["messages"] = run.record["messages"]
-        provenance["x"] = "alice"
-        provenance["messages"] = "alice"
-    return PooledView(parties, fields, provenance)
+    rec = run.record
+    return {key: rec[key] for key in
+            ("sets", "hashes", "commitments", "ciphertexts", "aborted", "sprime", "order")}
 
 
 def _knowledge(run: ProtocolRun, i: int) -> np.ndarray:
     """What receiver i holds of the input block: length n, ERASED where it holds nothing.
 
-    For the two-phase variant the phase-2 observations are mapped through S'.
-    The returned array may be the record's own; callers only read it.
+    A phase-2 observation is mapped through S'. The returned array may be the
+    record's own; callers only read it.
     """
     rec = run.record
-    if run.params.variant == "noncolluding":
-        return rec[f"y{i}"]
     y1, y2 = rec["y_phase1"][i], rec["y_phase2"][i]
-    known = np.full(run.params.n, ERASED, dtype=np.int8) if y1 is None else y1.copy()
-    if y2 is not None:
-        hit = y2 != ERASED
-        known[rec["sprime"][hit]] = y2[hit]
+    known = np.full(run.params.n, ERASED, dtype=np.int8) if y1 is None else y1
+    if y2 is None:
+        return known
+    known = known.copy()
+    hit = y2 != ERASED
+    known[rec["sprime"][hit]] = y2[hit]
     return known
 
 
@@ -196,10 +122,11 @@ def _global_sets(run: ProtocolRun, link: int):
     if link not in sets:
         return None
     pair = sets[link]
-    if run.params.variant == "colluding" and link != run.record["order"]:
-        sprime = run.record["sprime"]
-        return tuple(compose_index_sets(sprime, s) for s in pair)
-    return pair
+    sprime = run.record["sprime"]
+    # only the second link of the two-phase variant announces inside S'
+    if sprime is None or link == run.record["order"]:
+        return pair
+    return tuple(compose_index_sets(sprime, s) for s in pair)
 
 
 def _verdict(advantage: float, ci: tuple[float, float]) -> str:

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "ERASED",
-    "BroadcastParams",
     "as_bits",
     "as_observation",
     "as_index_set",
     "obs_to_string",
     "transmit_bec",
-    "broadcast",
     "erasure_partition",
     "erasure_count",
     "restrict",
@@ -93,19 +89,6 @@ def as_index_set(indices, n: int | None = None) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class BroadcastParams:
-    """Per-receiver erasure probabilities of the two independent sub-channels."""
-
-    p1: float
-    p2: float
-
-    def __post_init__(self) -> None:
-        for name, p in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 <= float(p) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {p}")
-
-
 def transmit_bec(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
     """Send a bit vector through a BEC(p): each position erased independently with probability p."""
     if not 0.0 <= float(p) <= 1.0:
@@ -115,15 +98,6 @@ def transmit_bec(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarra
     erase = rng.random(x.size) < p
     y[erase] = ERASED
     return y
-
-
-def broadcast(
-    x: np.ndarray, params: BroadcastParams, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Send one bit vector through both sub-channels; the erasure processes are independent."""
-    y1 = transmit_bec(x, params.p1, rng)
-    y2 = transmit_bec(x, params.p2, rng)
-    return y1, y2
 
 
 def erasure_partition(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

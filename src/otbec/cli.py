@@ -82,7 +82,7 @@ class _ProbabilityError(ValueError, argparse.ArgumentTypeError):
 def parse_prob(text):
     """Probability in [0, 1] from a number, a decimal or an exact fraction string like '3/10'.
 
-    Fractions stay exact, routing downstream arithmetic to rational mode.
+    A fraction string stays an exact Fraction; a decimal becomes a float.
     """
     if isinstance(text, (int, float)) and not isinstance(text, bool):
         value = float(text)
@@ -288,8 +288,8 @@ def cmd_audit(args) -> int:
     extra = {"attacker": args.attacker, "link": args.link}
     report = _report_shell("audit", _config_payload(args, params, adjustments, extra), seed)
     report["results"] = {
-        "attacks": [a.as_json() for a in attacks],
-        "conditions": [row.as_json() for row in rows],
+        "attacks": attacks,
+        "conditions": rows,
         "summary": {
             "conditions_clean": all(
                 row.verdict in ("no detected leakage", "holds", "informational")
@@ -328,10 +328,9 @@ def cmd_oracle(args) -> int:
             "mi_given_success": float(mi_success),
             "mi_given_success_exact": str(mi_success)
             if isinstance(mi_success, (int, Fraction)) else None,
-            "arithmetic": joint.arithmetic,
+            "arithmetic": "rational",
             "abort_mass": float(joint.abort_mass),
-            "abort_mass_exact": str(joint.abort_mass)
-            if isinstance(joint.abort_mass, Fraction) else None,
+            "abort_mass_exact": str(joint.abort_mass),
             "states": joint.states,
             "description": joint.description,
         }

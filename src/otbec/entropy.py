@@ -118,12 +118,6 @@ class JointDistribution:
     def items(self):
         return self._items
 
-    def mass(self, pair):
-        for q, p in self._items:
-            if q == pair:
-                return p
-        return 0
-
     def marginal_x(self) -> FiniteDistribution:
         acc: dict = {}
         for (x, _), p in self._items:

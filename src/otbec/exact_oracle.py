@@ -15,9 +15,9 @@ Every weight is a product of erasure-pattern laws a^e (b-a)^(m-e) / b^m for
 p = a/b, fair coins and uniform draws from pools whose sizes the enumerator
 can list before it starts. So each enumerator fixes one integer denominator
 up front (powers of b1, b2 and 2 times the lcm of the pool sizes it can meet)
-and accumulates numerators: integers under rational arithmetic, so no
-Fraction arithmetic runs per state. Float p takes the same code with b = 1
-and float pattern numerators p^e (1-p)^(m-e).
+and accumulates integer numerators, so no Fraction arithmetic runs per state.
+TinyParams holds each probability as a Fraction and reads a float as the
+decimal its repr prints (0.5 is 1/2, 0.3 is 3/10), so every joint is exact.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ERASED, restrict, transmit_bec, trial_rng
-from .entropy import MASS_TOL, JointDistribution, _mutual_information
+from .entropy import JointDistribution, _mutual_information
 from .protocol_core import AbortSignal, announce_sets, draw_sprime, send_link
 
 __all__ = [
@@ -76,12 +76,13 @@ class TinyParams:
 
     Tiny instances are specified by counts rather than rates: the strict rate
     constraints have no room at these block lengths (a one-bit key over a
-    one-position set would force the slack to zero).
+    one-position set would force the slack to zero). p1 and p2 are stored as
+    Fractions, a float read as the decimal its repr prints.
     """
 
     n: int
-    p1: float | Fraction
-    p2: float | Fraction
+    p1: Fraction
+    p2: Fraction
     set_size: int = 1
     key_bits: int = 1
     phase1_size: int = 1
@@ -90,9 +91,12 @@ class TinyParams:
     def __post_init__(self) -> None:
         if not (isinstance(self.n, int) and self.n >= 1):
             raise ValueError("n must be a positive integer")
-        for p in (self.p1, self.p2):
-            if not 0 <= float(p) <= 1:
+        for name in ("p1", "p2"):
+            p = getattr(self, name)
+            exact = Fraction(repr(float(p))) if isinstance(p, float) else Fraction(p)
+            if not 0 <= exact <= 1:
                 raise ValueError(f"erasure probability {p} not in [0, 1]")
+            object.__setattr__(self, name, exact)
         for name in ("set_size", "key_bits", "phase1_size", "sprime_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -102,28 +106,21 @@ class TinyParams:
 class ExactJoint:
     """Exact joint law of (secret, view features) plus enumeration metadata.
 
-    weights maps each (secret, view) cell to its numerator over the common
-    integer denominator: an int under "rational" arithmetic, a float under
-    "float" arithmetic. joint and abort_mass turn them into probabilities on
-    demand. spec (variant, secret_spec, view_spec) and tiny name what was
+    weights maps each (secret, view) cell to its integer numerator over the
+    common integer denominator. joint and abort_mass turn them into Fractions
+    on demand. spec (variant, secret_spec, view_spec) and tiny name what was
     enumerated; both are None for a hand-built joint.
     """
 
     weights: dict
     denominator: int
-    arithmetic: str
     states: int
     description: str
     spec: tuple | None
     tiny: TinyParams | None
 
-    def _probability(self, numerator):
-        if self.arithmetic == "rational":
-            return Fraction(numerator, self.denominator)
-        return numerator / self.denominator
-
     @cached_property
-    def _split(self) -> tuple[dict, int | float]:
+    def _split(self) -> tuple[dict, int]:
         """(completed cells with their numerators, summed numerator of the abort cells)."""
         completed: dict = {}
         aborted = 0
@@ -136,19 +133,19 @@ class ExactJoint:
 
     @property
     def joint(self) -> JointDistribution:
-        return JointDistribution({key: self._probability(w) for key, w in self.weights.items()})
+        return JointDistribution({key: Fraction(w, self.denominator)
+                                  for key, w in self.weights.items()})
 
     @property
-    def abort_mass(self) -> float | Fraction:
+    def abort_mass(self) -> Fraction:
         """Probability that the protocol aborts (any view carrying an abort marker)."""
-        return self._probability(self._split[1])
+        return Fraction(self._split[1], self.denominator)
 
     def to_json(self) -> dict:
         return {
             "distribution": self.joint.as_distribution().to_json(),
-            "arithmetic": self.arithmetic,
-            "abort_mass": str(self.abort_mass) if isinstance(self.abort_mass, Fraction)
-            else self.abort_mass,
+            "arithmetic": "rational",
+            "abort_mass": str(self.abort_mass),
             "states": self.states,
             "description": self.description,
         }
@@ -168,18 +165,10 @@ _ABORT_MARKERS = ("abort", "abort-phase-1", "abort-phase-2", "no-sprime")
 _ABORT_PARTS = frozenset(_ABORT_MARKERS) | frozenset((m,) for m in _ABORT_MARKERS)
 
 
-def _is_rational(p) -> bool:
-    return isinstance(p, (int, Fraction))
-
-
-def _pattern_law(p, m: int, rational: bool) -> tuple[list, int]:
+def _pattern_law(p: Fraction, m: int) -> tuple[list, int]:
     """Numerators by erasure count e of an m-position pattern, and their denominator b^m."""
-    if rational:
-        q = Fraction(p)
-        a, c, b = q.numerator, q.denominator - q.numerator, q.denominator
-    else:
-        a, c, b = float(p), 1.0 - float(p), 1
-    return [a**e * c ** (m - e) for e in range(m + 1)], b**m
+    a, b = p.numerator, p.denominator
+    return [a**e * (b - a) ** (m - e) for e in range(m + 1)], b**m
 
 
 def _pair_lcm(n: int, size: int) -> int:
@@ -266,12 +255,12 @@ def _check_budget(tiny: TinyParams, view_spec: str, budget: EnumerationBudget) -
     return estimate
 
 
-def _link_structures(n: int, p, size: int, rational: bool):
+def _link_structures(n: int, p: Fraction, size: int):
     """(denominator, iterator of (z, announced pair or abort marker, numerator)) for one link.
 
     The denominator is b^n for the pattern, 2 for z and the pair-pool lcm.
     """
-    pattern_num, pattern_den = _pattern_law(p, n, rational)
+    pattern_num, pattern_den = _pattern_law(p, n)
     pool = _pair_lcm(n, size)
 
     def items():
@@ -302,15 +291,15 @@ def _accumulate(items) -> tuple[dict, int]:
     return agg, states
 
 
-def _enum_sets_link(tiny: TinyParams, p, rational: bool):
-    denominator, structures = _link_structures(tiny.n, p, tiny.set_size, rational)
+def _enum_sets_link(tiny: TinyParams, p: Fraction):
+    denominator, structures = _link_structures(tiny.n, p, tiny.set_size)
     agg, states = _accumulate(((z, pair), w) for z, pair, w in structures)
     return agg, states, denominator
 
 
-def _enum_sets_both(tiny: TinyParams, rational: bool):
-    agg1, st1, d1 = _enum_sets_link(tiny, tiny.p1, rational)
-    agg2, st2, d2 = _enum_sets_link(tiny, tiny.p2, rational)
+def _enum_sets_both(tiny: TinyParams):
+    agg1, st1, d1 = _enum_sets_link(tiny, tiny.p1)
+    agg2, st2, d2 = _enum_sets_link(tiny, tiny.p2)
     agg: dict = {}
     for (z1, v1), w1 in agg1.items():
         for (z2, v2), w2 in agg2.items():
@@ -319,7 +308,27 @@ def _enum_sets_both(tiny: TinyParams, rational: bool):
     return agg, st1 + st2 + len(agg1) * len(agg2), d1 * d2
 
 
-def _enum_message_link1(tiny: TinyParams, rational: bool, pooled: bool):
+def _message_cells(s: int, k: int, x: int, head: tuple, tail: tuple, w: int):
+    """Every (message, view) cell of a published link's unchosen label, each of weight w.
+
+    x holds the input bits at the unchosen set, in set order; the view is head,
+    the uniform hash matrix kappa, the ciphertext m xor kappa(x), then tail.
+    """
+    for rows in itertools.product(range(1 << s), repeat=k):
+        kappa = ("kappa", rows)
+        kx = _kappa_images(rows, x)
+        for m in range(1 << k):
+            mbits = _int_to_bits(m, k)
+            yield (mbits, (*head, kappa, _xor_bits(mbits, kx), *tail)), w
+
+
+def _abort_cells(k: int, view: tuple, w: int):
+    """Every message under an abort view, each of weight w: nothing was published."""
+    for m in range(1 << k):
+        yield (_int_to_bits(m, k), view), w
+
+
+def _enum_message_link1(tiny: TinyParams, pooled: bool):
     """Joint of (unchosen message, view) for link 1.
 
     The view holds the receiver's choice bit, the announced pair, the unchosen
@@ -327,9 +336,9 @@ def _enum_message_link1(tiny: TinyParams, rational: bool, pooled: bool):
     erasure-limited look at the unchosen key material ("e" marks an erasure).
     """
     n, s, k = tiny.n, tiny.set_size, tiny.key_bits
-    link_den, structures = _link_structures(n, tiny.p1, s, rational)
+    link_den, structures = _link_structures(n, tiny.p1, s)
     # the second receiver's look at the unchosen set: a p2 pattern over s positions
-    y_num, y_den = _pattern_law(tiny.p2, s, rational) if pooled else ([1], 1)
+    y_num, y_den = _pattern_law(tiny.p2, s) if pooled else ([1], 1)
     # input bits at the unchosen set, matrix entries and message are uniform;
     # an aborted link draws only the message
     uniform_bits = s + s * k + k
@@ -338,34 +347,22 @@ def _enum_message_link1(tiny: TinyParams, rational: bool, pooled: bool):
     def items():
         for z, pair, w in structures:
             if pair == ("abort",):
-                for m in range(1 << k):
-                    yield (_int_to_bits(m, k), ("abort",)), w * abort_scale
+                yield from _abort_cells(k, pair, w * abort_scale)
                 continue
             for x in range(1 << s):  # input bits at the unchosen set, in set order
-                if pooled:
-                    y_variants = []
-                    for ypat in range(1 << s):
-                        sym = tuple(
-                            "e" if (ypat >> t) & 1 else (x >> t) & 1 for t in range(s)
-                        )
-                        y_variants.append((sym, w * y_num[bin(ypat).count("1")]))
-                else:
-                    y_variants = [(None, w)]
-                for sym, w_y in y_variants:
-                    for rows in itertools.product(range(1 << s), repeat=k):
-                        kx = _kappa_images(rows, x)
-                        for m in range(1 << k):
-                            mbits = _int_to_bits(m, k)
-                            view = (z, pair, ("kappa", rows), _xor_bits(mbits, kx))
-                            if pooled:
-                                view = view + (sym,)
-                            yield (mbits, view), w_y
+                looks = [
+                    ((tuple("e" if (ypat >> t) & 1 else (x >> t) & 1 for t in range(s)),),
+                     w * y_num[bin(ypat).count("1")])
+                    for ypat in range(1 << s)
+                ] if pooled else [((), w)]
+                for tail, w_y in looks:
+                    yield from _message_cells(s, k, x, (z, pair), tail, w_y)
 
     agg, states = _accumulate(items())
     return agg, states, (link_den * y_den) << uniform_bits
 
 
-def _enum_phase2_message(tiny: TinyParams, rational: bool):
+def _enum_phase2_message(tiny: TinyParams):
     """Joint of (unchosen message, view) for the second link of the two-phase
     variant under point-to-point visibility.
 
@@ -376,17 +373,17 @@ def _enum_phase2_message(tiny: TinyParams, rational: bool):
     """
     n, m1, q = tiny.n, tiny.phase1_size, tiny.sprime_size
     s, k = tiny.set_size, tiny.key_bits
-    pat1_num, pat1_den = _pattern_law(tiny.p1, n, rational)
-    pat2_num, pat2_den = _pattern_law(tiny.p2, q, rational)
-    # pool-size lcms: phase-1 unchosen set, S' inside the leftover, phase-2 pair
+    pat1_num, pat1_den = _pattern_law(tiny.p1, n)
+    # phase 2 is one link over the q retransmitted positions, walked once per S' and input
+    link2_den, link2 = _link_structures(q, tiny.p2, s)
+    link2 = list(link2)
+    # pool-size lcms: phase-1 unchosen set, S' inside the leftover
     unch_pool = math.lcm(*(math.comb(e, m1) for e in range(m1, n - m1 + 1)))
     sp_pool = math.lcm(*(math.comb(e - m1, q) for e in range(m1 + q, n - m1 + 1)))
-    pair2_pool = _pair_lcm(q, s)
-    # uniform draws: z1, input bits at S', z2, matrix entries, message
-    uniform_bits = 1 + q + 1 + s * k + k
+    # uniform draws besides phase 2's z2: z1, input bits at S', matrix entries, message
+    uniform_bits = 1 + q + s * k + k
     # each early end keeps the weight of every draw it skips, bar the message
-    phase2_scale = pair2_pool << (s * k)
-    sprime_scale = (sp_pool * pat2_den * phase2_scale) << (q + 1)
+    sprime_scale = (sp_pool * link2_den) << (q + s * k)
 
     def items():
         for pattern in range(1 << n):
@@ -394,57 +391,35 @@ def _enum_phase2_message(tiny: TinyParams, rational: bool):
             w_pat = pat1_num[len(e)]
             for z1 in (0, 1):
                 if len(ebar) < m1 or len(e) < m1:
-                    w_abort = w_pat * unch_pool * sprime_scale
-                    for m in range(1 << k):
-                        yield (_int_to_bits(m, k), ("abort-phase-1",)), w_abort
+                    yield from _abort_cells(k, ("abort-phase-1",), w_pat * unch_pool * sprime_scale)
                     continue
                 other_pool = list(itertools.combinations(e, m1))
                 w_unch = w_pat * (unch_pool // len(other_pool))
                 for so in other_pool:  # the phase-1 unchosen set, from the erased side
                     leftover = [i for i in e if i not in so]
                     if len(leftover) < q:
-                        for m in range(1 << k):
-                            yield (_int_to_bits(m, k), ("no-sprime",)), w_unch * sprime_scale
+                        yield from _abort_cells(k, ("no-sprime",), w_unch * sprime_scale)
                         continue
                     sprime_pool = list(itertools.combinations(leftover, q))
                     w_sp = w_unch * (sp_pool // len(sprime_pool))
                     for sp in sprime_pool:
                         assert all(i in e for i in sp)
                         for x in range(1 << q):  # input bits at the retransmitted set
-                            for e2pat in range(1 << q):
-                                e2, ebar2 = _bit_positions(e2pat, q)
-                                w_e2 = w_sp * pat2_num[len(e2)]
-                                for z2 in (0, 1):
-                                    if len(ebar2) < s or len(e2) < s:
-                                        w_abort = w_e2 * phase2_scale
-                                        for m in range(1 << k):
-                                            yield (_int_to_bits(m, k), ("abort-phase-2",)), w_abort
-                                        continue
-                                    c2 = list(itertools.combinations(ebar2, s))
-                                    o2 = list(itertools.combinations(e2, s))
-                                    w_sub2 = w_e2 * (pair2_pool // (len(c2) * len(o2)))
-                                    for tc in c2:
-                                        for to in o2:
-                                            pair2 = (tc, to) if z2 == 0 else (to, tc)
-                                            x_unch = sum(
-                                                (((x >> pos) & 1) << t)
-                                                for t, pos in enumerate(to)
-                                            )
-                                            for rows in itertools.product(range(1 << s), repeat=k):
-                                                kx = _kappa_images(rows, x_unch)
-                                                for m in range(1 << k):
-                                                    mbits = _int_to_bits(m, k)
-                                                    view = (
-                                                        z2, sp, pair2, ("kappa", rows),
-                                                        _xor_bits(mbits, kx), ("e",) * s,
-                                                    )
-                                                    yield (mbits, view), w_sub2
+                            for z2, pair2, w2 in link2:
+                                if pair2 == ("abort",):
+                                    yield from _abort_cells(
+                                        k, ("abort-phase-2",), (w_sp * w2) << (s * k))
+                                    continue
+                                x_unch = sum(((x >> pos) & 1) << t
+                                             for t, pos in enumerate(pair2[1 - z2]))
+                                yield from _message_cells(
+                                    s, k, x_unch, (z2, sp, pair2), (("e",) * s,), w_sp * w2)
 
     agg, states = _accumulate(items())
-    return agg, states, (pat1_den * unch_pool * sp_pool * pat2_den * pair2_pool) << uniform_bits
+    return agg, states, (pat1_den * unch_pool * sp_pool * link2_den) << uniform_bits
 
 
-def _enum_phase1_cross(tiny: TinyParams, rational: bool):
+def _enum_phase1_cross(tiny: TinyParams):
     """Joint of (input bits at the retransmitted set, phase-1 receiver view).
 
     The view is everything the phase-1 receiver holds after phase 1: choice
@@ -455,7 +430,7 @@ def _enum_phase1_cross(tiny: TinyParams, rational: bool):
     enumeration checks branch by branch; the joint therefore factors exactly.
     """
     n, m1, q = tiny.n, tiny.phase1_size, tiny.sprime_size
-    pat_num, pat_den = _pattern_law(tiny.p1, n, rational)
+    pat_num, pat_den = _pattern_law(tiny.p1, n)
     pair_pool = _pair_lcm(n, m1)
     # S' and the free input bits (non-erased plus S') are one uniform draw
     # from C(e - m1, q) * 2^(n - e + q) outcomes
@@ -510,36 +485,33 @@ def enumerate_protocol(
     Every realization is weighted by the product of its uniform input bits,
     erasure probabilities, uniform subset draws, uniform matrix entries, and
     uniform messages; abort realizations keep their mass under marker views, so
-    the joint always sums to one: the numerators sum to the denominator,
-    exactly under rational arithmetic and within MASS_TOL under float.
+    the joint always sums to one: the numerators sum to the denominator exactly.
     """
     combo = (variant, secret_spec, view_spec)
     if combo not in SUPPORTED_SPECS:
         supported = ", ".join(str(c) for c in SUPPORTED_SPECS)
         raise ValueError(f"unsupported spec {combo}; supported: {supported}")
     _check_budget(tiny, view_spec, budget)
-    rational = _is_rational(tiny.p1) and _is_rational(tiny.p2)
     if view_spec == "announced-sets-1":
-        agg, states, denominator = _enum_sets_link(tiny, tiny.p1, rational)
+        agg, states, denominator = _enum_sets_link(tiny, tiny.p1)
     elif view_spec == "announced-sets-both":
-        agg, states, denominator = _enum_sets_both(tiny, rational)
+        agg, states, denominator = _enum_sets_both(tiny)
     elif view_spec == "own-receiver-1":
-        agg, states, denominator = _enum_message_link1(tiny, rational, pooled=False)
+        agg, states, denominator = _enum_message_link1(tiny, pooled=False)
     elif view_spec == "pooled-receivers-1":
-        agg, states, denominator = _enum_message_link1(tiny, rational, pooled=True)
+        agg, states, denominator = _enum_message_link1(tiny, pooled=True)
     elif view_spec == "first-receiver-phase1":
-        agg, states, denominator = _enum_phase1_cross(tiny, rational)
+        agg, states, denominator = _enum_phase1_cross(tiny)
     else:
-        agg, states, denominator = _enum_phase2_message(tiny, rational)
+        agg, states, denominator = _enum_phase2_message(tiny)
     if any(w < 0 for w in agg.values()):
         raise ValueError("enumerated weights must be nonnegative")
     total = sum(agg.values())
-    if (total != denominator) if rational else (abs(total - denominator) > MASS_TOL * denominator):
+    if total != denominator:
         raise ValueError(f"enumerated weights sum to {total}, not the denominator {denominator}")
     return ExactJoint(
         weights=agg,
         denominator=denominator,
-        arithmetic="rational" if rational else "float",
         states=states,
         description=f"{variant}: {secret_spec} vs {view_spec} at n={tiny.n}",
         spec=combo,

@@ -147,6 +147,5 @@ def run_protocol2(
         "y_phase2": {first: w_first, second: w_second},
         "sets": sets, "hashes": hashes, "commitments": commitments,
         "ciphertexts": ciphertexts, "aborted": {i: sig.reason for i, sig in aborts.items()},
-        "visibility": visibility,
     }
     return ProtocolRun(params, outcomes, record)

@@ -332,10 +332,12 @@ class ProtocolRun:
     """Full result of one protocol execution over both links.
 
     `record` is the omniscient trace (inputs, observations, subset draws, hash
-    draws, ciphertexts) and the only copy of the run's data. A party's view
-    (its own inputs and channel outputs plus the public messages) is built
-    from it by `adversary_audit.assemble_pooled_view`; the empty coalition
-    gives the wiretapper's view, the public messages alone.
+    draws, ciphertexts) and the only copy of the run's data. Both variants
+    write the same keys: `y_phase1` and `y_phase2` map each receiver to what
+    it observed of the input block and of the retransmitted block S' (None
+    where it received nothing), and the single-phase variant sets `order`,
+    `sprime` and `x_sprime` to None. `adversary_audit.public_messages` gives
+    the wiretapper's view, the public messages alone.
     """
 
     params: ProtocolParams

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._stats import binom_cdf
-from .channel import broadcast, BroadcastParams
+from .channel import transmit_bec
 from .protocol_core import (
     AbortSignal,
     ParamError,
@@ -51,8 +51,7 @@ def run_protocol1(
     z = (int(z[0]), int(z[1]))
 
     x = rng.integers(0, 2, size=params.n, dtype=np.int64).astype(np.uint8)
-    y1, y2 = broadcast(x, BroadcastParams(float(params.p1), float(params.p2)), rng)
-    observations = {1: y1, 2: y2}
+    observations = {i: transmit_bec(x, float(params.p(i)), rng) for i in (1, 2)}
 
     sets, aborts = {}, {}
     for i in (1, 2):
@@ -73,8 +72,11 @@ def run_protocol1(
         for i in (1, 2)
     )
 
+    # the two-phase record's layout: this variant has no phase order and no S'
     record = {
-        "x": x, "y1": y1, "y2": y2, "z": z, "messages": messages,
+        "x": x, "z": z, "messages": messages, "order": None,
+        "y_phase1": observations, "sprime": None, "x_sprime": None,
+        "y_phase2": {1: None, 2: None},
         "sets": sets, "hashes": hashes, "commitments": commitments,
         "ciphertexts": ciphertexts, "aborted": {i: sig.reason for i, sig in aborts.items()},
     }

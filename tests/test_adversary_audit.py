@@ -9,11 +9,11 @@ import pytest
 from otbec.adversary_audit import (
     FEATURE_MAP_VERSION,
     _knowledge,
-    assemble_pooled_view,
     condition_suite,
     generate_runs,
     guess_choice_bit,
     guess_unchosen_message,
+    public_messages,
 )
 from otbec.channel import ERASED
 from otbec.protocol_colluding import VisibilityModel
@@ -155,23 +155,19 @@ def test_attacks_reject_mixed_parameters(p1_runs, p2_runs):
         guess_choice_bit(mixed, rng=np.random.default_rng(0))
 
 
-def test_pooled_view_fields_and_provenance(p1_runs):
-    run = p1_runs[0]
-    view = assemble_pooled_view(run, ("alice", "bob2"))
-    assert view.provenance["x"] == "alice"
-    assert view.provenance["observations2"] == "bob2"
-    assert "observations1" not in view.fields
-    wiretap = assemble_pooled_view(run, ())
-    assert set(wiretap.fields) == {"public"}
-    with pytest.raises(ValueError):
-        assemble_pooled_view(run, ("eve",))
+def test_public_messages_are_the_same_fields_for_both_variants(p1_runs, p2_runs):
+    # what only a party holds: its inputs, its observations, the retransmitted bits
+    private = {"x", "z", "messages", "y_phase1", "y_phase2", "x_sprime"}
+    for run in (p1_runs[0], p2_runs[0]):
+        public = public_messages(run)
+        assert public.keys() == run.record.keys() - private
+        assert all(public[key] is run.record[key] for key in public)
+    assert public_messages(p1_runs[0]).keys() == public_messages(p2_runs[0]).keys()
 
 
 def _observed_positions(run, i):
     """Per observation of receiver i, the input-block positions it did not erase."""
     rec = run.record
-    if run.params.variant == "noncolluding":
-        return [np.flatnonzero(rec[f"y{i}"] != ERASED)]
     y1, y2 = rec["y_phase1"][i], rec["y_phase2"][i]
     observed = [] if y1 is None else [np.flatnonzero(y1 != ERASED)]
     if y2 is not None:

@@ -7,11 +7,9 @@ from scipy.stats import chi2_contingency
 
 from otbec.channel import (
     ERASED,
-    BroadcastParams,
     as_bits,
     as_index_set,
     as_observation,
-    broadcast,
     compose_index_sets,
     erasure_count,
     erasure_partition,
@@ -93,14 +91,6 @@ def test_as_index_set_ndarray_and_set_inputs():
         as_index_set(np.array([0, 4]), n=4)
 
 
-def test_broadcast_params_range():
-    BroadcastParams(0.0, 1.0)
-    with pytest.raises(ValueError):
-        BroadcastParams(-0.1, 0.5)
-    with pytest.raises(ValueError):
-        BroadcastParams(0.5, 1.2)
-
-
 def test_transmit_degenerate_probabilities(rng):
     x = as_bits("10110100")
     assert np.array_equal(transmit_bec(x, 0.0, rng), x)
@@ -128,13 +118,6 @@ def test_erasures_independent_of_values():
             table[int(xv), int(yv == ERASED)] += 1
     _, pvalue, _, _ = chi2_contingency(table)
     assert pvalue > 1e-3
-
-
-def test_broadcast_channels_are_independent(rng):
-    x = as_bits("110010101100")
-    y1, y2 = broadcast(x, BroadcastParams(0.0, 1.0), rng)
-    assert np.array_equal(y1, x)
-    assert (y2 == ERASED).all()
 
 
 @given(obs_vectors)

@@ -151,6 +151,19 @@ def test_oracle_default_rows_show_zero_leakage(tmp_path, capsys):
         assert row["arithmetic"] == "rational"
 
 
+def test_oracle_decimal_probabilities_are_exact(tmp_path, capsys):
+    reports = []
+    for p in ("0.5", "1/2"):
+        out = tmp_path / f"oracle-{p.replace('/', '-')}.json"
+        code, _, _ = run(capsys, "oracle", "--p1", p, "--p2", p, "--out", str(out))
+        assert code == 0
+        reports.append(json.loads(out.read_text()))
+    assert reports[0]["results"] == reports[1]["results"]
+    assert reports[0]["config"]["tiny"]["p1"] == "1/2"
+    assert [row["mi_exact"] for row in reports[0]["results"]] == ["0", "0"]
+    assert reports[0]["results"][0]["abort_mass_exact"] == "1/8"
+
+
 def test_oracle_compare_mc(tmp_path, capsys):
     out = tmp_path / "oracle.json"
     code, _, _ = run(capsys, "oracle", "--compare-mc", "400", "--out", str(out))

@@ -64,30 +64,18 @@ def test_mass_conservation_all_specs():
         j = enumerate_protocol(variant, tiny(), view, secret)
         total = sum(w for _, w in j.joint.items())
         assert total == 1, (variant, secret, view)
-        assert j.arithmetic == "rational"
-
-
-def test_mass_conservation_float_arithmetic():
-    j = enumerate_protocol("noncolluding", tiny(p1=0.3, p2=0.3), "announced-sets-1", "z1")
-    assert j.arithmetic == "float"
-    assert sum(w for _, w in j.joint.items()) == pytest.approx(1.0, abs=1e-12)
+        assert all(type(w) is int for w in j.weights.values())
 
 
 @pytest.mark.parametrize("spec", SUPPORTED_SPECS)
-def test_float_arithmetic_agrees_with_rational_on_the_same_binary_values(spec):
-    # Fraction(0.3) holds the double nearest 0.3 exactly, so both runs
-    # enumerate the same law and differ only by float rounding
+def test_float_params_enumerate_as_their_decimal_fraction(spec):
+    # a float is read as the decimal its repr prints (0.3 is 3/10), not as the
+    # binary value Fraction(0.3) holds, so typing a decimal keeps the joint exact
     variant, secret, view = spec
     fl = enumerate_protocol(variant, tiny(p1=0.3, p2=0.7), view, secret)
-    ex = enumerate_protocol(variant, tiny(p1=Fraction(0.3), p2=Fraction(0.7)), view, secret)
-    assert (fl.arithmetic, ex.arithmetic) == ("float", "rational")
-    fl_cells, ex_cells = dict(fl.joint.items()), dict(ex.joint.items())
-    assert fl_cells.keys() == ex_cells.keys()
-    for key, p in ex_cells.items():
-        assert fl_cells[key] == pytest.approx(float(p), abs=1e-12), key
-    assert fl.abort_mass == pytest.approx(float(ex.abort_mass), abs=1e-12)
-    assert exact_mi(fl) == pytest.approx(float(exact_mi(ex)), abs=1e-12)
-    assert exact_mi_given_success(fl) == pytest.approx(float(exact_mi_given_success(ex)), abs=1e-12)
+    ex = enumerate_protocol(variant, tiny(p1=Fraction(3, 10), p2=Fraction(7, 10)), view, secret)
+    assert fl.tiny == ex.tiny
+    assert (fl.weights, fl.denominator, fl.states) == (ex.weights, ex.denominator, ex.states)
 
 
 def test_choice_bit_mi_is_exactly_zero():
@@ -144,10 +132,10 @@ def test_conditioning_needs_completed_branches():
 def test_exact_mi_on_handmade_joints():
     # uniform bit times a (1/4, 3/4) symbol, as numerators over 8
     product = {(0, "u"): 1, (0, "v"): 3, (1, "u"): 1, (1, "v"): 3}
-    j = ExactJoint(product, 8, "rational", 4, "handmade product", None, None)
+    j = ExactJoint(product, 8, 4, "handmade product", None, None)
     assert exact_mi(j) == 0
     corr = {(0, 0): 1, (1, 1): 1}
-    j2 = ExactJoint(corr, 2, "rational", 2, "handmade correlated bit", None, None)
+    j2 = ExactJoint(corr, 2, 2, "handmade correlated bit", None, None)
     assert exact_mi(j2) == pytest.approx(1.0)
 
 

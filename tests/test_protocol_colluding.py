@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from otbec.adversary_audit import assemble_pooled_view, collusion_mask_accounting, generate_runs
+from otbec.adversary_audit import collusion_mask_accounting, generate_runs
 from otbec.channel import compose_index_sets, erasure_partition, trial_rng
 from otbec.hashing import apply
 from otbec.protocol_colluding import (
@@ -45,6 +45,19 @@ def test_correctness_under_every_visibility(p2_params):
                     chosen = run.record["messages"][i - 1][run.record["z"][i - 1]]
                     assert np.array_equal(outcome.decoded, chosen)
             assert completed[0] > 50 and completed[1] > 50
+
+
+def test_record_keys_are_the_single_phase_record_keys(p1_runs, p2_params):
+    keys = p1_runs[0].record.keys()
+    for phase1 in ("point-to-point", "broadcast-both"):
+        for phase2 in ("point-to-point", "broadcast-both"):
+            vis = VisibilityModel(phase1, phase2)
+            runs = generate_runs(p2_params, 20, master_seed=902, visibility=vis)
+            assert all(run.record.keys() == keys for run in runs)
+    # the single-phase variant has no phase order, no S' and no phase 2
+    rec = p1_runs[0].record
+    assert rec["order"] is None and rec["sprime"] is None and rec["x_sprime"] is None
+    assert rec["y_phase2"] == {1: None, 2: None}
 
 
 def test_set_geometry_invariants(p2_runs):
@@ -162,11 +175,12 @@ def test_broadcast_visibility_populates_other_receiver(p2_params):
     vis = VisibilityModel("broadcast-both", "broadcast-both")
     runs = generate_runs(p2_params, 30, master_seed=41, visibility=vis)
     run = next(r for r in runs if r.record["sprime"] is not None)
-    assert assemble_pooled_view(run, ("bob2",)).fields["observations2"]["y_phase1"] is not None
-    assert assemble_pooled_view(run, ("bob1",)).fields["observations1"]["y_phase2"] is not None
+    assert run.record["y_phase1"][2] is not None
+    assert run.record["y_phase2"][1] is not None
     default_runs = generate_runs(p2_params, 30, master_seed=41)
     drun = next(r for r in default_runs if r.record["sprime"] is not None)
-    assert assemble_pooled_view(drun, ("bob2",)).fields["observations2"]["y_phase1"] is None
+    assert drun.record["y_phase1"][2] is None
+    assert drun.record["y_phase2"][1] is None
 
 
 def test_mask_accounting_counts_cross_visibility(p2_params, p2_runs):

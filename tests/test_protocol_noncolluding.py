@@ -28,8 +28,8 @@ def test_correctness_on_every_completed_trial(p1_runs):
 def test_abort_iff_partition_cannot_host_sets(p1_runs):
     mask = p1_runs[0].params.mask_size(1)
     for run in p1_runs[:500]:
-        for i, key in ((1, "y1"), (2, "y2")):
-            e_count, ebar_count = erasure_count(run.record[key])
+        for i in (1, 2):
+            e_count, ebar_count = erasure_count(run.record["y_phase1"][i])
             should_abort = min(e_count, ebar_count) < mask
             assert (run.outcomes[i - 1].status == "aborted") == should_abort
             if should_abort:
