@@ -67,6 +67,27 @@ def test_mass_conservation_all_specs():
         assert all(type(w) is int for w in j.weights.values())
 
 
+def test_mass_conservation_float_arithmetic():
+    # float probabilities no longer fork to float arithmetic: the mass is exact
+    j = enumerate_protocol("noncolluding", tiny(p1=0.3, p2=0.3), "announced-sets-1", "z1")
+    assert j.tiny.p1 == Fraction(3, 10)
+    assert all(type(w) is int for w in j.weights.values())
+    assert sum(w for _, w in j.joint.items()) == 1
+
+
+@pytest.mark.parametrize("spec", SUPPORTED_SPECS)
+def test_float_arithmetic_agrees_with_rational_on_the_same_binary_values(spec):
+    # 0.25 and 0.75 print as the binary values they hold, so the float and
+    # the Fraction inputs name the same law and must enumerate it identically
+    variant, secret, view = spec
+    fl = enumerate_protocol(variant, tiny(p1=0.25, p2=0.75), view, secret)
+    ex = enumerate_protocol(variant, tiny(p1=Fraction(0.25), p2=Fraction(0.75)), view, secret)
+    assert (fl.weights, fl.denominator, fl.states) == (ex.weights, ex.denominator, ex.states)
+    assert fl.abort_mass == ex.abort_mass
+    assert exact_mi(fl) == exact_mi(ex)
+    assert exact_mi_given_success(fl) == exact_mi_given_success(ex)
+
+
 @pytest.mark.parametrize("spec", SUPPORTED_SPECS)
 def test_float_params_enumerate_as_their_decimal_fraction(spec):
     # a float is read as the decimal its repr prints (0.3 is 3/10), not as the
