@@ -17,7 +17,7 @@ import numpy as np
 
 from ._stats import chi2_ppf, clopper_pearson
 from .channel import ERASED, compose_index_sets, trial_rng
-from .entropy import JointDistribution, mutual_information
+from .entropy import mutual_information_of
 from .hashing import apply
 from .protocol_core import ProtocolParams, ProtocolRun
 from .protocol_colluding import VisibilityModel, DEFAULT_VISIBILITY, run_protocol2
@@ -314,10 +314,9 @@ def _mi_row(condition: str, counts: dict, n: int) -> ConditionRow:
     # 2N ln2 * MI_hat is the G statistic, asymptotically chi-square with
     # (dx-1)(dy-1) degrees of freedom under independence; the verdict threshold
     # is its 99.9th percentile, so each row has a 0.1% false-alarm rate
-    joint = JointDistribution({sample: c / n for sample, c in counts.items()})
-    mi = float(mutual_information(joint))
-    dx = len(joint.marginal_x())
-    dy = len(joint.marginal_y())
+    mi = mutual_information_of([(sample, c / n) for sample, c in counts.items()], 1)
+    dx = len({secret for secret, _ in counts})
+    dy = len({feat for _, feat in counts})
     df = (dx - 1) * (dy - 1)
     threshold = chi2_ppf(0.999, df) / (2.0 * n * math.log(2.0)) if df > 0 else 0.0
     verdict = "no detected leakage" if mi <= max(threshold, 1e-12) else "leakage detected"
@@ -339,8 +338,8 @@ def _cipher_bit(run: ProtocolRun, link: int, label: int):
     return "abort" if c is None else int(c[label][0])
 
 
-def condition_suite(runs, variant: str | None = None) -> list[ConditionRow]:
-    """Estimate every security condition applicable to the variant.
+def condition_suite(runs) -> list[ConditionRow]:
+    """Estimate every security condition applicable to the runs' variant.
 
     Correctness is an empirical error rate over published links. Each secrecy
     condition becomes a plug-in MI estimate between a coarsened secret and the
@@ -353,10 +352,6 @@ def condition_suite(runs, variant: str | None = None) -> list[ConditionRow]:
     """
     runs = list(runs)
     params = _shared_params(runs)
-    if variant is None:
-        variant = params.variant
-    if variant != params.variant:
-        raise ValueError(f"runs were produced by the {params.variant} variant")
 
     rows: list[ConditionRow] = []
 
@@ -408,7 +403,7 @@ def condition_suite(runs, variant: str | None = None) -> list[ConditionRow]:
         unchosen = tuple(int(rec["messages"][i - 1][1 - z[i - 1]][0]) for i in (1, 2))
         sender = (tuple(z), tuple(
             "abort" if pair is None else _half_count_sign(pair, params.n) for pair in pairs))
-        if variant == "noncolluding":
+        if params.variant == "noncolluding":
             for i, pair in zip((1, 2), pairs):
                 j = 1 - z[i - 1]
                 feat = ("abort",) if pair is None else (

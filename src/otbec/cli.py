@@ -32,17 +32,7 @@ from .exact_oracle import (
 )
 from .protocol_colluding import VisibilityModel
 from .protocol_core import OtCode, ParamError, snap_params
-from .rates import (
-    ChannelSpec,
-    containment_note,
-    general_upper_bounds,
-    region_colluding_inner,
-    region_colluding_outer,
-    region_noncolluding_capacity,
-    region_noncolluding_outer,
-    region_timesharing,
-    vertices,
-)
+from .rates import REGIONS, ChannelSpec, containment_note, general_upper_bounds, vertices
 
 __all__ = ["DEFAULT_SEED", "SCHEMA_VERSION", "parse_prob", "main"]
 
@@ -65,14 +55,6 @@ _ATTACKER_MAP = {
     "pooled": ("pooled-receivers", "alice-plus-other-receiver"),
     "wiretapper": ("wiretapper", "wiretapper"),
 }
-
-_REGION_NAMES = (
-    "noncolluding-outer",
-    "noncolluding-capacity",
-    "colluding-outer",
-    "colluding-inner",
-    "timesharing",
-)
 
 
 class _ProbabilityError(ValueError, argparse.ArgumentTypeError):
@@ -324,10 +306,9 @@ def cmd_oracle(args) -> int:
             "secret": secret,
             "view": view,
             "mi": float(mi),
-            "mi_exact": str(mi) if isinstance(mi, (int, Fraction)) else None,
+            "mi_exact": str(mi) if isinstance(mi, int) else None,
             "mi_given_success": float(mi_success),
-            "mi_given_success_exact": str(mi_success)
-            if isinstance(mi_success, (int, Fraction)) else None,
+            "mi_given_success_exact": str(mi_success) if isinstance(mi_success, int) else None,
             "arithmetic": "rational",
             "abort_mass": float(joint.abort_mass),
             "abort_mass_exact": str(joint.abort_mass),
@@ -360,24 +341,6 @@ def _load_channel(path: str) -> ChannelSpec:
     return ChannelSpec.from_json(payload)
 
 
-def _named_regions(p1: float, p2: float, names) -> list:
-    regions = []
-    for name in names:
-        if name == "noncolluding-outer":
-            regions.append(region_noncolluding_outer(p1, p2))
-        elif name == "noncolluding-capacity":
-            regions.append(region_noncolluding_capacity(p1, p2))
-        elif name == "colluding-outer":
-            regions.append(region_colluding_outer(p1, p2))
-        elif name == "colluding-inner":
-            regions.append(region_colluding_inner(p1, p2))
-        elif name == "timesharing":
-            regions.append(region_timesharing(p1, p2)[2])
-        else:
-            raise ValueError(f"unknown region {name!r}")
-    return regions
-
-
 def _region_csv(regions) -> str:
     lines = ["region_label,R1,R2"]
     for region in regions:
@@ -403,8 +366,8 @@ def cmd_region(args) -> int:
     if args.p1 is not None or args.p2 is not None or not args.channel:
         if args.p1 is None or args.p2 is None:
             raise ValueError("region needs both --p1 and --p2 (or a --channel file)")
-        names = args.region or _REGION_NAMES
-        regions.extend(_named_regions(float(args.p1), float(args.p2), names))
+        regions.extend(REGIONS[name](float(args.p1), float(args.p2))
+                       for name in args.region or REGIONS)
     report = _report_shell("region", config, seed)
     report["results"] = {"regions": [r.as_json() for r in regions]}
     if channel_payload is not None:
@@ -414,11 +377,12 @@ def cmd_region(args) -> int:
             raise ValueError("--check-containment needs --p1 and --p2")
         p1f, p2f = float(args.p1), float(args.p2)
         checks = []
-        for outer, inner in (
-            (region_noncolluding_outer(p1f, p2f), region_noncolluding_capacity(p1f, p2f)),
-            (region_colluding_outer(p1f, p2f), region_colluding_inner(p1f, p2f)),
-            (region_noncolluding_outer(p1f, p2f), region_colluding_outer(p1f, p2f)),
+        for outer_name, inner_name in (
+            ("noncolluding-outer", "noncolluding-capacity"),
+            ("colluding-outer", "colluding-inner"),
+            ("noncolluding-outer", "colluding-outer"),
         ):
+            outer, inner = REGIONS[outer_name](p1f, p2f), REGIONS[inner_name](p1f, p2f)
             note = containment_note(outer, inner)
             checks.append({
                 "outer": outer.label,
@@ -513,7 +477,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add_common(reg)
     reg.add_argument("--p1", type=parse_prob, default=None)
     reg.add_argument("--p2", type=parse_prob, default=None)
-    reg.add_argument("--region", action="append", choices=_REGION_NAMES,
+    reg.add_argument("--region", action="append", choices=tuple(REGIONS),
                      help="repeatable; default: all closed-form regions")
     reg.add_argument("--channel", help="JSON file with an explicit channel law")
     reg.add_argument("--theorem", choices=("1", "2"), default="1")

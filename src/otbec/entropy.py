@@ -1,4 +1,10 @@
-"""Finite-distribution information toolkit: entropies, distances, and extraction bounds."""
+"""Finite-distribution information toolkit: entropies, distances, and extraction bounds.
+
+FiniteDistribution and JointDistribution hold float or exact Fraction
+probabilities for the toolkit functions. No run path builds them: the audit's
+integer tallies and the oracle's integer numerators go straight to
+`mutual_information_of`, the one mutual-information kernel, as (cells, total).
+"""
 
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ __all__ = [
     "statistical_distance",
     "zero_entropy",
     "mutual_information",
+    "mutual_information_of",
     "privacy_amp_bound",
     "dlhl_closeness",
     "dlhl_condition",
@@ -32,19 +39,6 @@ def _check_mass(probs) -> None:
         raise ValueError("probabilities must be nonnegative")
     if abs(float(total) - 1.0) > MASS_TOL:
         raise ValueError(f"probabilities must sum to 1 within {MASS_TOL}, got {float(total)}")
-
-
-def _prob_repr(p):
-    if isinstance(p, Fraction):
-        return f"{p.numerator}/{p.denominator}"
-    return p
-
-
-def _prob_parse(v):
-    if isinstance(v, str):
-        num, den = v.split("/")
-        return Fraction(int(num), int(den))
-    return v
 
 
 class FiniteDistribution:
@@ -82,17 +76,9 @@ class FiniteDistribution:
         pairs = ", ".join(f"{o!r}: {p}" for o, p in zip(self.outcomes, self.probs))
         return f"FiniteDistribution({{{pairs}}})"
 
-    def to_json(self) -> dict:
-        return {"outcomes": list(self.outcomes), "probs": [_prob_repr(p) for p in self.probs]}
-
-    @classmethod
-    def from_json(cls, obj) -> "FiniteDistribution":
-        outcomes = [tuple(o) if isinstance(o, list) else o for o in obj["outcomes"]]
-        return cls(outcomes, [_prob_parse(p) for p in obj["probs"]])
-
 
 class JointDistribution:
-    """Distribution over (x, y) pairs with marginal and conditional accessors."""
+    """Distribution over (x, y) pairs."""
 
     __slots__ = ("_items", "built_as_product")
 
@@ -117,21 +103,6 @@ class JointDistribution:
 
     def items(self):
         return self._items
-
-    def marginal_x(self) -> FiniteDistribution:
-        acc: dict = {}
-        for (x, _), p in self._items:
-            acc[x] = acc.get(x, 0) + p
-        return FiniteDistribution.from_mapping(acc)
-
-    def marginal_y(self) -> FiniteDistribution:
-        acc: dict = {}
-        for (_, y), p in self._items:
-            acc[y] = acc.get(y, 0) + p
-        return FiniteDistribution.from_mapping(acc)
-
-    def as_distribution(self) -> FiniteDistribution:
-        return FiniteDistribution([q for q, _ in self._items], [p for _, p in self._items])
 
 
 def min_entropy(d: FiniteDistribution) -> float:
@@ -234,7 +205,7 @@ def mutual_information(j: JointDistribution):
     """
     if j.built_as_product:
         return _zero(j.items())
-    return _mutual_information(j.items(), 1)
+    return mutual_information_of(j.items(), 1)
 
 
 def _zero(cells):
@@ -242,13 +213,15 @@ def _zero(cells):
     return 0 if all(isinstance(c, (Fraction, int)) for _, c in cells) else 0.0
 
 
-def _mutual_information(cells, total):
+def mutual_information_of(cells, total):
     """Mutual information in bits of the joint whose ((x, y), c) cells have probability c / total.
 
     cells is iterated several times. With integer weights and total, the
     product test c * total == a * b is exact integer arithmetic, and each
     float(c / total) is the correctly rounded value of the rational, so the
-    result equals the one on the normalised Fraction joint bit for bit.
+    result equals the one on the normalised Fraction joint bit for bit. The
+    result is the int 0 when the joint factors and every weight is exact (an
+    int or a Fraction), else a float.
     """
     px: dict = {}
     py: dict = {}

@@ -16,8 +16,11 @@ p = a/b, fair coins and uniform draws from pools whose sizes the enumerator
 can list before it starts. So each enumerator fixes one integer denominator
 up front (powers of b1, b2 and 2 times the lcm of the pool sizes it can meet)
 and accumulates integer numerators, so no Fraction arithmetic runs per state.
-TinyParams holds each probability as a Fraction and reads a float as the
-decimal its repr prints (0.5 is 1/2, 0.3 is 3/10), so every joint is exact.
+The mutual information comes from `entropy.mutual_information_of` on those
+numerators and their denominator. TinyParams holds each probability as a
+Fraction read by `protocol_core.as_fraction`, the rule the protocol
+parameters use: a float is the decimal its repr prints (0.5 is 1/2, 0.3 is
+3/10), so every joint is exact.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ERASED, restrict, transmit_bec, trial_rng
-from .entropy import JointDistribution, _mutual_information
-from .protocol_core import AbortSignal, announce_sets, draw_sprime, send_link
+from .entropy import mutual_information_of
+from .protocol_core import AbortSignal, announce_sets, as_fraction, draw_sprime, send_link
 
 __all__ = [
     "EnumerationBudget",
@@ -93,7 +96,7 @@ class TinyParams:
             raise ValueError("n must be a positive integer")
         for name in ("p1", "p2"):
             p = getattr(self, name)
-            exact = Fraction(repr(float(p))) if isinstance(p, float) else Fraction(p)
+            exact = as_fraction(p)
             if not 0 <= exact <= 1:
                 raise ValueError(f"erasure probability {p} not in [0, 1]")
             object.__setattr__(self, name, exact)
@@ -107,9 +110,9 @@ class ExactJoint:
     """Exact joint law of (secret, view features) plus enumeration metadata.
 
     weights maps each (secret, view) cell to its integer numerator over the
-    common integer denominator. joint and abort_mass turn them into Fractions
-    on demand. spec (variant, secret_spec, view_spec) and tiny name what was
-    enumerated; both are None for a hand-built joint.
+    common integer denominator; abort_mass turns the abort cells' share into
+    a Fraction on demand. spec (variant, secret_spec, view_spec) and tiny
+    name what was enumerated; both are None for a hand-built joint.
     """
 
     weights: dict
@@ -132,23 +135,9 @@ class ExactJoint:
         return completed, aborted
 
     @property
-    def joint(self) -> JointDistribution:
-        return JointDistribution({key: Fraction(w, self.denominator)
-                                  for key, w in self.weights.items()})
-
-    @property
     def abort_mass(self) -> Fraction:
         """Probability that the protocol aborts (any view carrying an abort marker)."""
         return Fraction(self._split[1], self.denominator)
-
-    def to_json(self) -> dict:
-        return {
-            "distribution": self.joint.as_distribution().to_json(),
-            "arithmetic": "rational",
-            "abort_mass": str(self.abort_mass),
-            "states": self.states,
-            "description": self.description,
-        }
 
 
 SUPPORTED_SPECS = (
@@ -521,7 +510,7 @@ def enumerate_protocol(
 
 def exact_mi(j: ExactJoint):
     """Exact mutual information in bits; exact integer 0 when the joint factors."""
-    return _mutual_information(j.weights.items(), j.denominator)
+    return mutual_information_of(j.weights.items(), j.denominator)
 
 
 def exact_mi_given_success(j: ExactJoint):
@@ -536,7 +525,7 @@ def exact_mi_given_success(j: ExactJoint):
     total = sum(completed.values())
     if total == 0:
         raise ValueError("no completed branches to condition on")
-    return _mutual_information(completed.items(), total)
+    return mutual_information_of(completed.items(), total)
 
 
 def _tuple_set(arr) -> tuple:

@@ -18,6 +18,7 @@ __all__ = [
     "OtCode",
     "AbortSignal",
     "DecodeError",
+    "as_fraction",
     "ProtocolParams",
     "validate_params",
     "snap_params",
@@ -83,24 +84,13 @@ class DecodeError(_LinkStop):
     """Decoding failure (erased chosen position or verification mismatch)."""
 
 
-def _near_int(x, tol: float = 1e-9):
-    """Integer value of x if x is within tol of one, else None."""
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else None
-    r = round(float(x))
-    return r if abs(float(x) - r) <= tol else None
+def as_fraction(v) -> Fraction:
+    """The exact value of a parameter: a float reads as the decimal its repr prints.
 
-
-def _ceil(x) -> int:
-    if isinstance(x, Fraction):
-        return math.ceil(x)
-    return math.ceil(float(x) - 1e-12)
-
-
-def _floor(x) -> int:
-    if isinstance(x, Fraction):
-        return math.floor(x)
-    return math.floor(float(x) + 1e-12)
+    So 0.3 is 3/10, not the float's binary value; ints, Fractions and strings
+    such as "3/10" go through Fraction unchanged.
+    """
+    return Fraction(repr(float(v))) if isinstance(v, float) else Fraction(v)
 
 
 def _once(method):
@@ -127,9 +117,11 @@ def _once(method):
 class ProtocolParams:
     """Parameters shared by both protocol variants.
 
-    Rates and slacks may be floats or exact Fractions; integrality checks are
-    exact for Fractions and tolerance-based (1e-9) for floats. `order` names the
-    phase-1 receiver of the colluding variant.
+    Rates and slacks may be given as floats or exact Fractions; the fields keep
+    them as given. Every derived size and every check computes on their exact
+    values (`as_fraction`: a float is the decimal its repr prints), so
+    integrality and the strict rate bounds hold or fail exactly. `order` names
+    the phase-1 receiver of the colluding variant.
     """
 
     n: int
@@ -162,46 +154,51 @@ class ProtocolParams:
     @_once
     def mask_size(self, i: int) -> int:
         """Label-set size r_i * n of the plain protocol (and the abort threshold of both)."""
-        v = _near_int(self.r(i) * self.n)
-        if v is None:
-            raise ParamError("set size integrality", f"r{i}*n = {float(self.r(i)) * self.n} is not an integer")
-        return v
+        return _whole(as_fraction(self.r(i)) * self.n, "set size integrality", f"r{i}*n")
 
     @_once
     def key_len(self, i: int) -> int:
         """Message length k_i = n(r_i - lambda')."""
-        v = _near_int((self.r(i) - self.lam_prime) * self.n)
-        if v is None:
-            raise ParamError("integrality", f"n(r{i} - lambda') = {(float(self.r(i)) - float(self.lam_prime)) * self.n} is not an integer")
-        return v
+        return _whole((as_fraction(self.r(i)) - as_fraction(self.lam_prime)) * self.n,
+                      "integrality", f"n(r{i} - lambda')")
 
     @_once
     def verify_bits(self, i: int) -> int:
         """Verification hash output length s_i * n."""
-        v = _near_int(self.s(i) * self.n)
-        if v is None:
-            raise ParamError("verification hash length", f"s{i}*n = {float(self.s(i)) * self.n} is not an integer")
-        return v
+        return _whole(as_fraction(self.s(i)) * self.n, "verification hash length", f"s{i}*n")
 
     @_once
     def phase1_size(self, i: int) -> int:
         """Colluding phase-1 label-set size ceil(r_i / (p_other - lambda') * n)."""
-        other = self.p(3 - i)
-        denom = other - self.lam_prime
+        denom = as_fraction(self.p(3 - i)) - as_fraction(self.lam_prime)
         if denom <= 0:
             raise ParamError("phase-one inflation", f"p{3 - i} - lambda' = {float(denom)} must be positive")
-        if isinstance(self.r(i), Fraction) and isinstance(self.lam_prime, Fraction):
-            return _ceil(Fraction(self.r(i)) / Fraction(denom) * self.n)
-        return _ceil(float(self.r(i)) / float(denom) * self.n)
+        return math.ceil(as_fraction(self.r(i)) / denom * self.n)
+
+    @_once
+    def _leftover_rate(self) -> Fraction:
+        """p_i - lambda - r_i/(p_j - lambda') for the phase-1 receiver i.
+
+        The share of the block the phase-1 receiver expects to hold erased
+        beyond its unchosen set: the rate of S'.
+        """
+        i = self.order
+        return (as_fraction(self.p(i)) - as_fraction(self.lam) - as_fraction(self.r(i))
+                / (as_fraction(self.p(3 - i)) - as_fraction(self.lam_prime)))
 
     @_once
     def sprime_size(self) -> int:
         """Leftover-erasure set size for the phase-1 receiver; 0 when p_i <= 1/2."""
-        i = self.order
-        if not float(self.p(i)) > 0.5:
+        if as_fraction(self.p(self.order)) <= Fraction(1, 2):
             return 0
-        inner = float(self.p(i)) - float(self.lam) - float(self.r(i)) / (float(self.p(3 - i)) - float(self.lam_prime))
-        return max(0, _floor(inner * self.n))
+        return max(0, math.floor(self._leftover_rate() * self.n))
+
+
+def _whole(v: Fraction, constraint: str, label: str) -> int:
+    """The integer v; ParamError(constraint) naming label when v is not one."""
+    if v.denominator != 1:
+        raise ParamError(constraint, f"{label} = {float(v)} is not an integer")
+    return v.numerator
 
 
 def validate_params(params: ProtocolParams) -> ProtocolParams:
@@ -215,17 +212,20 @@ def validate_params(params: ProtocolParams) -> ProtocolParams:
     p = params
     if not (isinstance(p.n, int) and p.n >= 1):
         raise ParamError("block length", f"n must be a positive integer, got {p.n}")
+    prob = {i: as_fraction(p.p(i)) for i in (1, 2)}
     for i in (1, 2):
-        if not 0 <= float(p.p(i)) <= 1:
+        if not 0 <= prob[i] <= 1:
             raise ParamError("erasure probability", f"p{i} = {p.p(i)} not in [0, 1]")
-    if not 0 < float(p.lam) < 1:
+    lam, lam_prime = as_fraction(p.lam), as_fraction(p.lam_prime)
+    if not 0 < lam < 1:
         raise ParamError("lambda range", f"lambda = {p.lam} not in (0, 1)")
     if p.variant not in ("noncolluding", "colluding"):
         raise ParamError("variant", f"unknown variant {p.variant!r}")
     if p.order not in (1, 2):
         raise ParamError("order", f"phase-1 receiver must be 1 or 2, got {p.order}")
     for i in (1, 2):
-        if not 0 < float(p.lam_prime) < float(p.r(i)):
+        rate = as_fraction(p.r(i))
+        if not 0 < lam_prime < rate:
             raise ParamError("lambda-prime range", f"need 0 < lambda' < r{i}, got lambda' = {p.lam_prime}, r{i} = {p.r(i)}")
         if p.mask_size(i) < 1:
             raise ParamError("set size integrality", f"r{i}*n must be a positive integer")
@@ -233,22 +233,21 @@ def validate_params(params: ProtocolParams) -> ProtocolParams:
             raise ParamError("integrality", f"n(r{i} - lambda') must be a positive integer")
         if p.verify_bits(i) < 1:
             raise ParamError("verification hash length", f"s{i}*n must be a positive integer")
-        cap = min(float(p.p(i)), 1 - float(p.p(i)))
+        cap = min(prob[i], 1 - prob[i])
         if p.variant == "noncolluding":
-            if not float(p.r(i)) < cap - float(p.lam):
-                raise ParamError("rate constraint", f"need r{i} < min(p{i}, 1-p{i}) - lambda = {cap - float(p.lam)}, got {float(p.r(i))}")
+            if not rate < cap - lam:
+                raise ParamError("rate constraint", f"need r{i} < min(p{i}, 1-p{i}) - lambda = {float(cap - lam)}, got {float(rate)}")
         else:
-            bound = float(p.p(3 - i)) * cap - float(p.lam)
-            if not float(p.r(i)) < bound:
-                raise ParamError("rate constraint", f"need r{i} < p{3 - i}*min(p{i}, 1-p{i}) - lambda = {bound}, got {float(p.r(i))}")
+            bound = prob[3 - i] * cap - lam
+            if not rate < bound:
+                raise ParamError("rate constraint", f"need r{i} < p{3 - i}*min(p{i}, 1-p{i}) - lambda = {float(bound)}, got {float(rate)}")
     if p.variant == "colluding":
         for i in (1, 2):
             p.phase1_size(i)  # raises on nonpositive inflation denominator
         i = p.order
-        if float(p.p(i)) > 0.5:
-            inner = float(p.p(i)) - float(p.lam) - float(p.r(i)) / (float(p.p(3 - i)) - float(p.lam_prime))
-            if inner <= 0:
-                raise ParamError("leftover set size", f"p{i} - lambda - r{i}/(p{3 - i} - lambda') = {inner} must be positive")
+        leftover = p._leftover_rate()
+        if prob[i] > Fraction(1, 2) and leftover <= 0:
+            raise ParamError("leftover set size", f"p{i} - lambda - r{i}/(p{3 - i} - lambda') = {float(leftover)} must be positive")
     params.__dict__["_valid"] = True
     return params
 
@@ -270,30 +269,30 @@ def snap_params(
 
     Set sizes, key lengths and verification lengths are rounded to integers, so
     effective rates become multiples of 1/n (stored as exact Fractions). Returns
-    the params plus a record of every adjusted quantity. The strict validator
-    still runs; constraint violations that survive snapping are real rejections.
+    the params plus a record of every quantity whose effective value differs
+    from the exact requested one. The strict validator still runs; constraint
+    violations that survive snapping are real rejections.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ParamError("block length", f"n must be a positive integer, got {n}")
     adjustments: dict = {}
 
-    def snap(label, value, minimum=1):
-        bits = max(minimum, round(float(value) * n))
+    def snap(label, value, bits=None):
+        exact = as_fraction(value)
+        if bits is None:
+            bits = max(1, round(exact * n))
         eff = Fraction(bits, n)
-        if abs(float(eff) - float(value)) > 1e-12:
+        if eff != exact:
             adjustments[label] = {"requested": float(value), "effective": float(eff)}
         return bits, eff
 
     mask1, r1_eff = snap("r1", r1)
     mask2, r2_eff = snap("r2", r2)
-    lp_bits = max(1, round(float(lam_prime) * n))
     # keep both key lengths positive: k_i = mask_i - lp_bits
-    lp_bits = min(lp_bits, mask1 - 1, mask2 - 1)
+    lp_bits = min(max(1, round(as_fraction(lam_prime) * n)), mask1 - 1, mask2 - 1)
     if lp_bits < 1:
         raise ParamError("integrality", f"block length {n} too small to separate r*n from n(r - lambda')")
-    lp_eff = Fraction(lp_bits, n)
-    if abs(float(lp_eff) - float(lam_prime)) > 1e-12:
-        adjustments["lambda_prime"] = {"requested": float(lam_prime), "effective": float(lp_eff)}
+    _, lp_eff = snap("lambda_prime", lam_prime, lp_bits)
     _, s1_eff = snap("s1", lam_prime if s1 is None else s1)
     _, s2_eff = snap("s2", lam_prime if s2 is None else s2)
     params = ProtocolParams(

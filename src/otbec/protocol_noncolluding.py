@@ -15,7 +15,7 @@ from .protocol_core import (
     ParamError,
     ProtocolParams,
     ProtocolRun,
-    _near_int,
+    as_fraction,
     announce_sets,
     check_messages,
     receive_link,
@@ -91,11 +91,12 @@ def exact_abort_probability(n: int, p: float, r) -> float:
     """
     if not (isinstance(n, int) and n >= 1):
         raise ParamError("block length", f"n must be a positive integer, got {n}")
-    if not 0 <= float(p) <= 1:
+    if not 0 <= as_fraction(p) <= 1:
         raise ParamError("erasure probability", f"p = {p} not in [0, 1]")
-    need = _near_int(float(r) * n)
-    if need is None or need < 1:
-        raise ParamError("set size integrality", f"r*n = {float(r) * n} is not a positive integer")
+    need = as_fraction(r) * n
+    if need.denominator != 1 or need < 1:
+        raise ParamError("set size integrality", f"r*n = {float(need)} is not a positive integer")
+    need = need.numerator
     if need > n:
         return 1.0
     inside = binom_cdf(n - need, n, float(p)) - binom_cdf(need - 1, n, float(p))

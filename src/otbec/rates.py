@@ -50,6 +50,7 @@ __all__ = [
     "region_colluding_outer",
     "region_colluding_inner",
     "region_timesharing",
+    "REGIONS",
     "general_upper_bounds",
     "pt2pt_bounds",
     "vertices",
@@ -187,6 +188,17 @@ def region_timesharing(p1: float, p2: float) -> tuple[RateRegion, RateRegion, Ra
     points = list(vertices(box12)) + list(vertices(box21))
     hull = _convex_hull(points)
     return box12, box21, RateRegion("timesharing-hull", _hull_constraints(hull))
+
+
+# every closed-form region by name, each a function of (p1, p2); "timesharing"
+# names the hull of the two ordered boxes
+REGIONS = {
+    "noncolluding-outer": region_noncolluding_outer,
+    "noncolluding-capacity": region_noncolluding_capacity,
+    "colluding-outer": region_colluding_outer,
+    "colluding-inner": region_colluding_inner,
+    "timesharing": lambda p1, p2: region_timesharing(p1, p2)[2],
+}
 
 
 def _convex_hull(points) -> list[tuple[float, float]]:

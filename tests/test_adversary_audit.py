@@ -246,8 +246,6 @@ def test_condition_suite_input_validation(p1_runs, p2_runs):
     with pytest.raises(ValueError):
         condition_suite([])
     with pytest.raises(ValueError):
-        condition_suite(p1_runs, variant="colluding")
-    with pytest.raises(ValueError):
         condition_suite([p1_runs[0], p2_runs[0]])
 
 

@@ -89,6 +89,38 @@ def test_rate_violation_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rate_on_the_bound_exits_2(tmp_path, capsys):
+    # min(0.7, 1 - 0.7) - 0.05 is exactly 1/4; a float check let r = 1/4 through
+    out = tmp_path / "x.json"
+    code, _, stderr = run(capsys, "simulate", "--variant", "p1", "--n", "8",
+                          "--p1", "0.7", "--p2", "0.7", "--r1", "1/4", "--r2", "1/4",
+                          "--lambda", "0.05", "--lambda-prime", "1/8", "--out", str(out))
+    assert code == 2
+    assert "need r1 < min(p1, 1-p1) - lambda = 0.25, got 0.25" in stderr
+    assert not out.exists()
+
+
+def test_run_paths_build_no_distribution_objects(tmp_path, capsys, monkeypatch):
+    # the distribution classes are the entropy toolkit; campaigns, audits and
+    # the oracle compute on tallies and integer numerators instead
+    from otbec import entropy
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"{type(self).__name__} built on a run path")
+
+    monkeypatch.setattr(entropy.FiniteDistribution, "__init__", refuse)
+    monkeypatch.setattr(entropy.JointDistribution, "__init__", refuse)
+    for argv in (
+        ["simulate", *SIM_FLAGS, "--trials", "20"],
+        ["audit", "--variant", "p1", "--trials", "50"],
+        ["audit", "--variant", "p2", "--p1", "0.75", "--p2", "0.75", "--trials", "50"],
+        ["oracle", "--spec", "choice-vs-sets", "--spec", "unchosen-vs-pooled",
+         "--spec", "phase1-cross-knowledge", "--compare-mc", "20"],
+    ):
+        code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "r.json"))
+        assert (code, stderr) == (0, ""), argv
+
+
 def test_oracle_budget_exits_3(tmp_path, capsys):
     code, _, stderr = run(capsys, "oracle", "--n", "9", "--set-size", "3",
                           "--out", str(tmp_path / "o.json"))

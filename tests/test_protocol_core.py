@@ -1,11 +1,12 @@
 """Parameter validation, subset draws, encrypt/decode round trips."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from otbec.channel import ERASED
 from otbec.hashing import apply, sample_linear_hash
@@ -14,6 +15,7 @@ from otbec.protocol_core import (
     DecodeError,
     OtCode,
     ParamError,
+    as_fraction,
     decode_chosen,
     draw_sprime,
     encrypt,
@@ -114,6 +116,72 @@ def test_phase_sizes_for_colluding_variant():
         variant="colluding",
     )
     assert low.sprime_size() == 0  # no leftover erasures to retransmit at p <= 1/2
+
+
+def test_as_fraction_reads_a_float_as_its_decimal():
+    assert as_fraction(0.3) == Fraction(3, 10)
+    assert as_fraction(0.3) != Fraction(0.3)
+    assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    assert as_fraction(2) == 2
+    assert as_fraction("3/10") == Fraction(3, 10)
+
+
+def test_phase1_size_is_the_exact_ceiling():
+    # r / (p - lambda') * n = (1/6) / (3/4 - 1/12) * 120 = 30 exactly
+    params, _ = snap_params(120, 0.75, 0.75, 1 / 6, 1 / 6, 0.01, 1 / 12, variant="colluding")
+    assert (params.r1, params.lam_prime) == (Fraction(1, 6), Fraction(1, 12))
+    assert params.phase1_size(1) == 30
+
+
+def test_rate_exactly_on_the_bound_is_rejected():
+    # min(0.7, 1 - 0.7) - 0.05 is exactly 1/4, and the rate bound is strict
+    with pytest.raises(ParamError) as err:
+        snap_params(8, 0.7, 0.7, 1 / 4, 1 / 4, 0.05, 1 / 8)
+    assert err.value.constraint == "rate constraint"
+    assert "= 0.25, got 0.25" in err.value.message
+
+
+def _decimal(lo: int, hi: int, digits: int = 2):
+    """Decimal strings k / 10^digits for k in [lo, hi]."""
+    return st.integers(lo, hi).map(lambda k: f"{k / 10 ** digits:.{digits}f}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(8, 160), p1=_decimal(5, 95), p2=_decimal(5, 95),
+       r1=_decimal(1, 30), r2=_decimal(1, 30), lam=_decimal(1, 8), lam_prime=_decimal(1, 8),
+       variant=st.sampled_from(["noncolluding", "colluding"]), order=st.sampled_from([1, 2]))
+@example(n=120, p1="0.75", p2="0.75", r1="0.17", r2="0.17", lam="0.01", lam_prime="0.08",
+         variant="colluding", order=1)
+@example(n=8, p1="0.70", p2="0.70", r1="0.25", r2="0.25", lam="0.05", lam_prime="0.12",
+         variant="noncolluding", order=1)
+def test_accepted_decimal_params_have_the_exact_sizes(
+        n, p1, p2, r1, r2, lam, lam_prime, variant, order):
+    # the inputs are typed decimals, read as floats the way the command line reads them
+    try:
+        params, _ = snap_params(n, float(p1), float(p2), float(r1), float(r2), float(lam),
+                                float(lam_prime), variant=variant, order=order)
+    except ParamError:
+        assume(False)
+    p = {1: Fraction(p1), 2: Fraction(p2)}
+    lam = Fraction(lam)
+    mask = {i: max(1, round(Fraction(r) * n)) for i, r in ((1, r1), (2, r2))}
+    lp = min(max(1, round(Fraction(lam_prime) * n)), mask[1] - 1, mask[2] - 1)
+    for i in (1, 2):
+        assert params.mask_size(i) == mask[i]
+        assert params.key_len(i) == mask[i] - lp
+        assert params.verify_bits(i) == max(1, round(Fraction(lam_prime) * n))
+        cap = min(p[i], 1 - p[i])
+        bound = cap - lam if variant == "noncolluding" else p[3 - i] * cap - lam
+        assert Fraction(mask[i], n) < bound
+    if variant == "colluding":
+        for i in (1, 2):
+            # ceil(mask_i / (p_j - lp/n)) in integers, with p_j = a/b
+            a, b = p[3 - i].numerator, p[3 - i].denominator
+            assert params.phase1_size(i) == -(-mask[i] * b * n // (a * n - lp * b))
+        i = order
+        leftover = p[i] - lam - Fraction(mask[i], n) / (p[3 - i] - Fraction(lp, n))
+        expected = max(0, math.floor(leftover * n)) if p[i] > Fraction(1, 2) else 0
+        assert params.sprime_size() == expected
 
 
 def test_sample_subset_draws_within_pool(rng):

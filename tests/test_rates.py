@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from otbec.rates import (
+    REGIONS,
     ChannelSpec,
     RateRegion,
     bec_information_terms,
@@ -103,6 +104,16 @@ def test_timesharing_hull_sum_bound():
     a1, a2, b = slanted[0]
     assert b / a1 == pytest.approx(0.33, abs=1e-9)
     assert a2 / a1 == pytest.approx(1.0, abs=1e-9)
+
+
+def test_region_registry_names_each_closed_form():
+    p1, p2 = 0.7, 0.4
+    assert list(REGIONS) == ["noncolluding-outer", "noncolluding-capacity", "colluding-outer",
+                             "colluding-inner", "timesharing"]
+    for name in ("noncolluding-outer", "noncolluding-capacity", "colluding-outer",
+                 "colluding-inner"):
+        assert REGIONS[name](p1, p2).label == name
+    assert REGIONS["timesharing"](p1, p2) == region_timesharing(p1, p2)[2]
 
 
 def test_timesharing_boxes_inside_hull():
