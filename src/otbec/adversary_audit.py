@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._stats import chi2_ppf, clopper_pearson
-from .channel import ERASED, compose_index_sets, trial_rng
+from .channel import ERASED, trial_rng
 from .entropy import mutual_information_of
 from .hashing import apply
 from .protocol_core import ProtocolParams, ProtocolRun
@@ -126,7 +126,7 @@ def _global_sets(run: ProtocolRun, link: int):
     # only the second link of the two-phase variant announces inside S'
     if sprime is None or link == run.record["order"]:
         return pair
-    return tuple(compose_index_sets(sprime, s) for s in pair)
+    return tuple(sprime[s] for s in pair)
 
 
 def _verdict(advantage: float, ci: tuple[float, float]) -> str:

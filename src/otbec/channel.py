@@ -7,14 +7,10 @@ import numpy as np
 __all__ = [
     "ERASED",
     "as_bits",
-    "as_observation",
-    "as_index_set",
-    "obs_to_string",
     "transmit_bec",
     "erasure_partition",
     "erasure_count",
     "restrict",
-    "compose_index_sets",
     "mix64",
     "trial_rng",
 ]
@@ -26,19 +22,19 @@ ERASED = -1
 _MASK64 = (1 << 64) - 1
 
 
-def _entries_in(a: np.ndarray, lo: int, hi: int) -> bool:
-    """Whether every entry of a is an integer in [lo, hi], checked before any cast.
+def _all_bits(a: np.ndarray) -> bool:
+    """Whether every entry of a is 0 or 1, checked before any cast.
 
     Integer arrays take one range test; other dtypes are compared with the
     allowed values, so 0.7 is refused, not truncated, while 1.0 passes.
     """
     if not a.size:
         return True
-    if a.dtype == np.uint8 and lo == 0:
-        return bool(a.max() <= hi)
-    if a.dtype.kind in "iu":
-        return bool(a.min() >= lo and a.max() <= hi)
-    return bool(np.isin(a, np.arange(lo, hi + 1)).all())
+    if a.dtype.kind == "u":
+        return bool(a.max() <= 1)
+    if a.dtype.kind == "i":
+        return bool(a.min() >= 0 and a.max() <= 1)
+    return bool(np.isin(a, (0, 1)).all())
 
 
 def as_bits(bits) -> np.ndarray:
@@ -48,45 +44,9 @@ def as_bits(bits) -> np.ndarray:
     a = np.asarray(bits)
     if a.ndim != 1:
         raise ValueError("bit vector must be one-dimensional")
-    if not _entries_in(a, 0, 1):
+    if not _all_bits(a):
         raise ValueError("bit vector entries must be 0 or 1")
     return a.astype(np.uint8)
-
-
-def as_observation(symbols) -> np.ndarray:
-    """Validate a {0,1,e} sequence and return it as an int8 vector with e = ERASED.
-
-    Accepts strings like '1e0e' with 'e' marking erasures.
-    """
-    if isinstance(symbols, str):
-        symbols = [ERASED if c == "e" else int(c) for c in symbols]
-    a = np.asarray(symbols)
-    if a.ndim != 1:
-        raise ValueError("observation vector must be one-dimensional")
-    if not _entries_in(a, ERASED, 1):
-        raise ValueError("observation entries must be 0, 1 or the erasure symbol")
-    return a.astype(np.int8)
-
-
-def obs_to_string(y: np.ndarray) -> str:
-    """Render an observation vector as a string, erasures as 'e'."""
-    return "".join("e" if s == ERASED else str(int(s)) for s in y)
-
-
-def as_index_set(indices, n: int | None = None) -> np.ndarray:
-    """Validate a strictly increasing duplicate-free index set, optionally bounded by n."""
-    if isinstance(indices, np.ndarray) and indices.ndim == 1 and indices.dtype.kind in "iu":
-        a = np.sort(indices.astype(np.int64, copy=False))
-    else:
-        a = np.asarray(sorted(int(i) for i in indices), dtype=np.int64)
-    if a.size:
-        if a[0] < 0:
-            raise ValueError("indices must be nonnegative")
-        if (a[1:] <= a[:-1]).any():
-            raise ValueError("index set must not contain duplicates")
-        if n is not None and a[-1] >= n:
-            raise ValueError(f"index {int(a[-1])} out of range for length {n}")
-    return a
 
 
 def transmit_bec(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
@@ -116,17 +76,8 @@ def erasure_count(y: np.ndarray) -> tuple[int, int]:
 
 
 def restrict(v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Restrict a vector to an index set: output j-th entry = v at the j-th smallest index."""
-    v = np.asarray(v)
-    s = as_index_set(s, n=v.size)
+    """Restrict a vector to a sorted index set the run drew: j-th entry = v at the j-th smallest index."""
     return v[s]
-
-
-def compose_index_sets(s: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Map positions of t through s, so restrict(restrict(v, s), t) == restrict(v, compose(s, t))."""
-    s = np.asarray(s, dtype=np.int64)
-    t = as_index_set(t, n=s.size)
-    return s[t]
 
 
 def mix64(master_seed: int, index: int) -> int:

@@ -24,8 +24,6 @@ __all__ = [
     "mutual_information_of",
     "privacy_amp_bound",
     "dlhl_closeness",
-    "dlhl_condition",
-    "chain_bound",
 ]
 
 MASS_TOL = 1e-9
@@ -256,31 +254,3 @@ def dlhl_closeness(m: int, eps: float, eps_prime: float) -> float:
         raise ValueError("eps and eps_prime must be nonnegative")
     return (2 ** m) * eps / 2 + (2 ** m) * eps_prime
 
-
-def dlhl_condition(entropy, key_lengths, eps: float) -> bool:
-    """Entropy condition for extraction: H >= sum of key lengths + 2 log2(1/eps).
-
-    `entropy` is either a single smooth-min-entropy figure for the full key set,
-    or a mapping {subset-of-key-indices: entropy}; every provided subset is checked.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-
-    def holds(h, lengths):
-        if eps == 0:
-            return False  # 2 log2(1/0) is infinite; no finite entropy satisfies it
-        return h >= sum(lengths) + 2 * math.log2(1 / eps)
-
-    if hasattr(entropy, "items"):
-        return all(
-            holds(h, [key_lengths[i] for i in subset]) for subset, h in entropy.items()
-        )
-    return holds(entropy, key_lengths)
-
-
-def chain_bound(hinf_u_given_w: float, hinf_eps_v_given_uw: float,
-                h0_v_given_w: float, eps_prime: float) -> float:
-    """Smooth-entropy chain certificate: H_inf(U|W) + H_inf^eps(V|U,W) - H_0(V|W) - log2(1/eps')."""
-    if eps_prime <= 0:
-        raise ValueError("eps_prime must be positive")
-    return hinf_u_given_w + hinf_eps_v_given_uw - h0_v_given_w - math.log2(1 / eps_prime)

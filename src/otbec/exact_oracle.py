@@ -598,7 +598,7 @@ def _sample_once(tiny: TinyParams, view_spec: str, rng: np.random.Generator):
         return secret, ("no-sprime",) if phase2 else (z1, pairview, "no-sprime")
     if not phase2:
         return _tuple_set(restrict(x, sp)), (z1, pairview, _tuple_set(sp), _obs_symbol(y1))
-    x_sp = restrict(x, sp).astype(np.uint8)
+    x_sp = restrict(x, sp)
     z2, view2, _, pair2, _ = announced(x_sp, tiny.p2, s)
     if pair2 is None:
         return _tuple_set(messages[1 - z2]), ("abort-phase-2",)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import _entries_in, as_bits
+from .channel import _all_bits, as_bits
 
 __all__ = [
     "LinearHash",
@@ -32,7 +32,7 @@ class LinearHash:
         m = np.asarray(self.matrix)
         if m.ndim != 2:
             raise ValueError("hash matrix must be two-dimensional")
-        if not _entries_in(m, 0, 1):
+        if not _all_bits(m):
             raise ValueError("hash matrix entries must be bits")
         object.__setattr__(self, "matrix", m.astype(np.uint8, copy=False))
 

@@ -16,15 +16,13 @@ from .channel import restrict, transmit_bec
 from .protocol_core import (
     AbortSignal,
     OtCode,
-    ParamError,
     ProtocolParams,
     ProtocolRun,
     announce_sets,
-    check_messages,
+    check_run_inputs,
     draw_sprime,
     receive_link,
     send_link,
-    validate_params,
 )
 
 __all__ = [
@@ -76,14 +74,7 @@ def run_protocol2(
     probability is at most 1/2 no leftover set exists and the second link
     reports no-second-phase.
     """
-    validate_params(params)
-    if params.variant != "colluding":
-        raise ParamError("variant", "run_protocol2 executes the colluding variant only")
-    messages = check_messages(params, messages)
-    z = (int(z[0]), int(z[1]))
-    # phase 2 may never run, so its receiver's bit is checked here, not by select_subsets
-    if any(bit not in (0, 1) for bit in z):
-        raise ValueError("choice bit must be 0 or 1")
+    messages, z = check_run_inputs(params, "colluding", messages, z)
     first = params.order
     second = 3 - first
 
@@ -117,7 +108,7 @@ def run_protocol2(
             x, sets[first], messages[first - 1], params.verify_bits(first), rng)
 
         if sprime is not None:
-            x_sprime = restrict(x, sprime).astype(np.uint8)
+            x_sprime = restrict(x, sprime)
             w_second = transmit_bec(x_sprime, float(params.p(second)), rng)
             w_first = (
                 transmit_bec(x_sprime, float(params.p(first)), rng)

@@ -28,7 +28,7 @@ __all__ = [
     "select_subsets",
     "encrypt",
     "decode_chosen",
-    "check_messages",
+    "check_run_inputs",
     "announce_sets",
     "draw_sprime",
     "send_link",
@@ -344,12 +344,49 @@ class ProtocolRun:
     record: dict
 
 
+# --- the run boundary --------------------------------------------------------
+# Each executor calls check_run_inputs first. The steps below trust their
+# arrays: the boundary checked the parties' inputs, and the run drew the rest.
+
+_EXECUTORS = {"noncolluding": "run_protocol1", "colluding": "run_protocol2"}
+
+
+def check_run_inputs(params: ProtocolParams, variant: str, messages, z) -> tuple[tuple, tuple]:
+    """The run boundary: check a run's parameters and the parties' inputs once.
+
+    params must validate and be of `variant`; messages must be two pairs
+    ((m10, m11), (m20, m21)) of bit vectors of lengths k1 and k2; z must be
+    two choice bits, each 0 or 1 (tested before any cast, so 0.7 is refused,
+    not truncated). Returns (messages as uint8 vectors, z as ints). Nothing
+    after this point re-checks the run's arrays.
+    """
+    validate_params(params)
+    if params.variant != variant:
+        raise ParamError("variant", f"{_EXECUTORS[variant]} executes the {variant} variant only")
+    if len(messages) != 2:
+        raise ValueError("messages must hold one message pair per link")
+    out = []
+    for i, pair in zip((1, 2), messages):
+        if len(pair) != 2:
+            raise ValueError(f"link {i} needs a message pair")
+        k = params.key_len(i)
+        coerced = tuple(as_bits(m) for m in pair)
+        for m in coerced:
+            if m.size != k:
+                raise ValueError(f"link {i} messages must have length k{i} = {k}, got {m.size}")
+        out.append(coerced)
+    if len(z) != 2:
+        raise ValueError("need one choice bit per receiver")
+    if any(bit not in (0, 1) for bit in z):
+        raise ValueError("choice bit must be 0 or 1")
+    return tuple(out), (int(z[0]), int(z[1]))
+
+
 # --- core operations ----------------------------------------------------------
 
 
 def sample_subset(pool: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform size-subset of pool via a seeded partial Fisher-Yates shuffle, returned sorted."""
-    pool = np.asarray(pool, dtype=np.int64)
+    """Uniform size-subset of an int64 pool via a seeded partial Fisher-Yates shuffle, sorted."""
     if size > pool.size:
         raise AbortSignal(OtCode.SET_SHORTFALL, f"cannot draw {size} indices from a pool of {pool.size}")
     # one draw of all swap offsets; it consumes the stream exactly as one
@@ -368,10 +405,9 @@ def select_subsets(
     """Draw the label-indexed pair (S_0, S_1): the chosen label's set from the
     non-erased positions, the other from the erased ones.
 
-    Draw order is fixed (chosen set first) so runs replay identically.
+    z is a choice bit the run boundary checked. Draw order is fixed (chosen
+    set first) so runs replay identically.
     """
-    if z not in (0, 1):
-        raise ValueError("choice bit must be 0 or 1")
     if ebar.size < size or e.size < size:
         raise AbortSignal(
             OtCode.SET_SHORTFALL,
@@ -383,10 +419,7 @@ def select_subsets(
 
 
 def encrypt(m: np.ndarray, kappa: LinearHash, key_material: np.ndarray) -> np.ndarray:
-    """One-time-pad the message with the hashed key material: m xor kappa(key)."""
-    m = as_bits(m)
-    if m.size != kappa.rows:
-        raise ValueError(f"message length {m.size} does not match hash output length {kappa.rows}")
+    """One-time-pad a checked message of kappa's output length: m xor kappa(key)."""
     return (m ^ apply(kappa, key_material)).astype(np.uint8)
 
 
@@ -402,15 +435,15 @@ def decode_chosen(
 
     On an erasure channel the non-erased symbols determine the key material
     exactly, so decoding is a direct read-off followed by the verification-hash
-    equality check against the sender's commitment.
+    equality check against the commitment. All inputs are the run's own arrays.
     """
     picked = restrict(y, s_z)
     if (picked == ERASED).any():
         raise DecodeError(OtCode.ERASED_CHOSEN, "erased position in the chosen index set")
     x_hat = picked.astype(np.uint8)
-    if not np.array_equal(apply(h_z, x_hat), as_bits(h_commitment)):
+    if not np.array_equal(apply(h_z, x_hat), h_commitment):
         raise DecodeError(OtCode.HASH_MISMATCH, "verification hash mismatch")
-    return (as_bits(ciphertext) ^ apply(kappa_z, x_hat)).astype(np.uint8)
+    return (ciphertext ^ apply(kappa_z, x_hat)).astype(np.uint8)
 
 
 # --- the string-OT link step --------------------------------------------------
@@ -418,28 +451,13 @@ def decode_chosen(
 # each draws one fixed block of randomness, so every composition replays.
 
 
-def check_messages(params: ProtocolParams, messages) -> tuple:
-    """Coerce ((m10, m11), (m20, m21)) to bit vectors of lengths k1 and k2."""
-    out = []
-    for i in (1, 2):
-        pair = messages[i - 1]
-        if len(pair) != 2:
-            raise ValueError(f"link {i} needs a message pair")
-        k = params.key_len(i)
-        coerced = tuple(as_bits(m) for m in pair)
-        for m in coerced:
-            if m.size != k:
-                raise ValueError(f"link {i} messages must have length k{i} = {k}, got {m.size}")
-        out.append(coerced)
-    return tuple(out)
-
-
 def announce_sets(
     y: np.ndarray, z: int, size: int, rng: np.random.Generator
 ) -> tuple[tuple, np.ndarray]:
     """Receiver step: draw the label pair to announce; returns it with the erased positions.
 
-    On a shortfall the AbortSignal propagates; the run records the abort, which is public.
+    y is the receiver's observation as the run drew it. On a shortfall the
+    AbortSignal propagates; the run records the abort, which is public.
     """
     e, ebar = erasure_partition(y)
     return select_subsets(e, ebar, z, size, rng), e
@@ -468,12 +486,13 @@ def send_link(
 ) -> tuple[dict, tuple, tuple]:
     """Sender step: draw the h and kappa pairs, commit to and pad both messages.
 
-    Returns ({"h": h pair, "kappa": kappa pair}, commitments, ciphertexts).
+    x is the run's uint8 block and messages the link's checked pair. Returns
+    ({"h": h pair, "kappa": kappa pair}, commitments, ciphertexts).
     """
     mask = pair[0].size
     h_pair = tuple(sample_linear_hash(mask, verify_bits, rng) for _ in range(2))
     kappa_pair = tuple(sample_linear_hash(mask, messages[0].size, rng) for _ in range(2))
-    keys = tuple(restrict(x, pair[j]).astype(np.uint8) for j in (0, 1))
+    keys = tuple(restrict(x, pair[j]) for j in (0, 1))
     commit = tuple(apply(h_pair[j], keys[j]) for j in (0, 1))
     cipher = tuple(encrypt(messages[j], kappa_pair[j], keys[j]) for j in (0, 1))
     return {"h": h_pair, "kappa": kappa_pair}, commit, cipher
@@ -483,7 +502,7 @@ def receive_link(
     y: np.ndarray, pair: tuple, z: int, hashes: dict, commitments: tuple, ciphertexts: tuple,
     messages: tuple,
 ) -> OtOutcome:
-    """Receiver step: decode the chosen message; `correct` compares it with the sent one."""
+    """Receiver step: decode the chosen message from the run's arrays; `correct` checks it."""
     try:
         decoded = decode_chosen(y, pair[z], hashes["kappa"][z], hashes["h"][z],
                                 commitments[z], ciphertexts[z])

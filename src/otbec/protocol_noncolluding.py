@@ -17,10 +17,9 @@ from .protocol_core import (
     ProtocolRun,
     as_fraction,
     announce_sets,
-    check_messages,
+    check_run_inputs,
     receive_link,
     send_link,
-    validate_params,
 )
 
 __all__ = [
@@ -44,11 +43,7 @@ def run_protocol1(
     A link that cannot host its index sets aborts publicly; the other link
     proceeds on the same broadcast block.
     """
-    validate_params(params)
-    if params.variant != "noncolluding":
-        raise ParamError("variant", "run_protocol1 executes the noncolluding variant only")
-    messages = check_messages(params, messages)
-    z = (int(z[0]), int(z[1]))
+    messages, z = check_run_inputs(params, "noncolluding", messages, z)
 
     x = rng.integers(0, 2, size=params.n, dtype=np.int64).astype(np.uint8)
     observations = {i: transmit_bec(x, float(params.p(i)), rng) for i in (1, 2)}

@@ -8,19 +8,13 @@ from scipy.stats import chi2_contingency
 from otbec.channel import (
     ERASED,
     as_bits,
-    as_index_set,
-    as_observation,
-    compose_index_sets,
     erasure_count,
     erasure_partition,
     mix64,
-    obs_to_string,
-    restrict,
     transmit_bec,
     trial_rng,
 )
 
-bit_vectors = st.lists(st.integers(0, 1), min_size=0, max_size=24)
 obs_vectors = st.lists(st.sampled_from([0, 1, ERASED]), min_size=0, max_size=24)
 
 
@@ -51,44 +45,6 @@ def test_as_bits_range_check_per_dtype():
     src = np.array([1, 0, 1], dtype=np.uint8)
     out = as_bits(src)
     assert np.array_equal(out, src) and out is not src  # callers own the result
-
-
-def test_as_observation_range_check():
-    for bad in ([2], [-2], np.array([0, -2], dtype=np.int8), [0.5], [-0.5]):
-        with pytest.raises(ValueError, match="erasure symbol"):
-            as_observation(bad)
-    assert as_observation([1.0, -1.0]).tolist() == [1, ERASED]
-
-
-def test_as_observation_string_roundtrip():
-    y = as_observation("1e0e")
-    assert list(y) == [1, ERASED, 0, ERASED]
-    assert obs_to_string(y) == "1e0e"
-    with pytest.raises(ValueError):
-        as_observation([0, 3])
-
-
-def test_as_index_set_validation():
-    assert list(as_index_set([3, 1, 2])) == [1, 2, 3]
-    with pytest.raises(ValueError):
-        as_index_set([1, 1])
-    with pytest.raises(ValueError):
-        as_index_set([-1])
-    with pytest.raises(ValueError):
-        as_index_set([4], n=4)
-
-
-def test_as_index_set_ndarray_and_set_inputs():
-    # integer ndarrays are sorted by numpy; sets and lists take the generic path
-    assert list(as_index_set(np.array([3, 1, 2], dtype=np.int32))) == [1, 2, 3]
-    assert as_index_set(np.array([3, 1], dtype=np.uint8)).dtype == np.int64
-    assert list(as_index_set({5, 0, 2}, n=6)) == [0, 2, 5]
-    with pytest.raises(ValueError, match="duplicates"):
-        as_index_set(np.array([2, 1, 2]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        as_index_set(np.array([1, -1]))
-    with pytest.raises(ValueError, match="out of range"):
-        as_index_set(np.array([0, 4]), n=4)
 
 
 def test_transmit_degenerate_probabilities(rng):
@@ -122,30 +78,11 @@ def test_erasures_independent_of_values():
 
 @given(obs_vectors)
 def test_erasure_partition_is_a_partition(symbols):
-    y = as_observation(symbols)
+    y = np.array(symbols, dtype=np.int8)
     e, ebar = erasure_partition(y)
     assert set(e) | set(ebar) == set(range(len(symbols)))
     assert set(e) & set(ebar) == set()
     assert erasure_count(y) == (len(e), len(ebar))
-
-
-@given(st.data())
-def test_restrict_composes_through_index_maps(data):
-    bits = data.draw(st.lists(st.integers(0, 1), min_size=1, max_size=16))
-    v = as_bits(bits)
-    s = data.draw(st.sets(st.integers(0, len(bits) - 1), min_size=1))
-    s = as_index_set(sorted(s))
-    t = data.draw(st.sets(st.integers(0, len(s) - 1)))
-    t = as_index_set(sorted(t))
-    direct = restrict(restrict(v, s), t)
-    composed = restrict(v, compose_index_sets(s, t))
-    assert np.array_equal(direct, composed)
-
-
-def test_compose_index_sets_maps_positions():
-    s = as_index_set([2, 5, 7])
-    t = as_index_set([0, 2])
-    assert list(compose_index_sets(s, t)) == [2, 7]
 
 
 def test_trial_rng_deterministic_and_distinct():

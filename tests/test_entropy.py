@@ -10,10 +10,8 @@ from hypothesis import given, strategies as st
 from otbec.entropy import (
     FiniteDistribution,
     JointDistribution,
-    chain_bound,
     cond_min_entropy,
     dlhl_closeness,
-    dlhl_condition,
     min_entropy,
     mutual_information,
     privacy_amp_bound,
@@ -168,18 +166,3 @@ def test_dlhl_closeness_formula():
     with pytest.raises(ValueError):
         dlhl_closeness(1, -0.1, 0.0)
 
-
-def test_dlhl_condition():
-    # H >= sum k + 2 log2(1/eps)
-    assert dlhl_condition(10.0, [2, 2], 0.25)  # needs 4 + 4 = 8
-    assert not dlhl_condition(7.9, [2, 2], 0.25)
-    assert not dlhl_condition(100.0, [1], 0.0)
-    assert dlhl_condition({(0,): 5.0, (0, 1): 9.0}, [2, 2], 0.25) is False
-    assert dlhl_condition({(0,): 6.0, (0, 1): 10.0}, [2, 2], 0.25) is True
-
-
-def test_chain_bound_formula():
-    got = chain_bound(5.0, 3.0, 2.0, 0.25)
-    assert got == pytest.approx(5.0 + 3.0 - 2.0 - 2.0)
-    with pytest.raises(ValueError):
-        chain_bound(5.0, 3.0, 2.0, 0.0)

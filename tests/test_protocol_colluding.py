@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from otbec.adversary_audit import collusion_mask_accounting, generate_runs
-from otbec.channel import compose_index_sets, erasure_partition, trial_rng
+from otbec.channel import erasure_partition, trial_rng
 from otbec.hashing import apply
 from otbec.protocol_colluding import (
     DEFAULT_VISIBILITY,
@@ -29,6 +29,31 @@ def test_run_rejects_noncolluding_params(p1_params):
     )
     with pytest.raises(ParamError):
         run_protocol2(p1_params, messages, (0, 0), trial_rng(0, 0))
+
+
+def _zero_messages(params):
+    return tuple(
+        tuple(np.zeros(params.key_len(i), dtype=np.uint8) for _ in range(2)) for i in (1, 2)
+    )
+
+
+@pytest.mark.parametrize("z", [(0.7, 1), (0, 1.5), (0, 2)])
+def test_choice_bits_are_refused_not_truncated(p2_params, z):
+    with pytest.raises(ValueError, match="choice bit must be 0 or 1"):
+        run_protocol2(p2_params, _zero_messages(p2_params), z, trial_rng(0, 0))
+
+
+@pytest.mark.parametrize("case", ["one choice bit", "one message pair", "short message"])
+def test_malformed_run_inputs_raise_value_error(p2_params, case):
+    messages, z = _zero_messages(p2_params), (0, 1)
+    if case == "one choice bit":
+        z = (0,)
+    elif case == "one message pair":
+        messages = messages[:1]
+    else:
+        messages = ((messages[0][0][:-1], messages[0][1]), messages[1])
+    with pytest.raises(ValueError):
+        run_protocol2(p2_params, messages, z, trial_rng(0, 0))
 
 
 def test_correctness_under_every_visibility(p2_params):
@@ -77,7 +102,7 @@ def test_set_geometry_invariants(p2_runs):
         assert sprime.isdisjoint(set(unchosen.tolist()))
         if 2 in rec["sets"]:
             for local in rec["sets"][2]:
-                composed = compose_index_sets(rec["sprime"], local)
+                composed = rec["sprime"][local]
                 assert set(composed.tolist()) <= sprime
 
 

@@ -1,15 +1,20 @@
 """Parameter validation, subset draws, encrypt/decode round trips."""
 
 import dataclasses
+import functools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from otbec.channel import ERASED
+from otbec import channel, hashing
+from otbec.channel import ERASED, trial_rng
 from otbec.hashing import apply, sample_linear_hash
+from otbec.protocol_colluding import VisibilityModel, run_protocol2
+from otbec.protocol_noncolluding import run_protocol1
 from otbec.protocol_core import (
     AbortSignal,
     DecodeError,
@@ -238,8 +243,6 @@ def test_select_subsets_label_indexing(rng):
     assert set(s0) <= set(ebar.tolist()) and set(s1) <= set(e.tolist())
     t0, t1 = select_subsets(e, ebar, 1, 2, rng)
     assert set(t1) <= set(ebar.tolist()) and set(t0) <= set(e.tolist())
-    with pytest.raises(ValueError):
-        select_subsets(e, ebar, 2, 1, rng)
 
 
 def test_select_subsets_abort_depends_only_on_sizes(rng):
@@ -294,14 +297,53 @@ def test_decode_rejects_wrong_commitment(rng):
     assert err.value.code is OtCode.HASH_MISMATCH
 
 
-def test_encrypt_checks_message_length(rng):
-    kappa = sample_linear_hash(2, 2, rng)
-    with pytest.raises(ValueError):
-        encrypt([1], kappa, np.array([0, 1], dtype=np.uint8))
-
-
 def test_param_error_carries_parts():
     err = ParamError("rate constraint", "need r < bound")
     assert err.constraint == "rate constraint"
     assert err.message == "need r < bound"
     assert "rate constraint: need r < bound" in str(err)
+
+
+def _count_calls(monkeypatch, originals):
+    """Swap every otbec binding of the given functions for a counting wrapper."""
+    counts = dict.fromkeys(originals, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {name: counting(name, fn) for name, fn in originals.items()}
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "otbec"]:
+        for name, fn in originals.items():
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrappers[name])
+    return counts
+
+
+_BROADCAST = VisibilityModel("broadcast-both", "broadcast-both")
+
+
+@pytest.mark.parametrize("params, execute", [
+    ("p1_params", run_protocol1),
+    ("p2_params", functools.partial(run_protocol2, visibility=_BROADCAST)),
+], ids=["p1", "p2"])
+def test_a_run_validates_only_at_its_boundary_and_the_primitives(
+        monkeypatch, request, params, execute):
+    # the run boundary checks the four messages; after that, as_bits runs only
+    # inside transmit_bec and apply, the primitives a caller may hand its own data
+    counts = _count_calls(monkeypatch, {"as_bits": channel.as_bits,
+                                        "transmit_bec": channel.transmit_bec,
+                                        "apply": hashing.apply})
+    params = request.getfixturevalue(params)
+    rng = trial_rng(3, 3)
+    messages = tuple(
+        tuple(rng.integers(0, 2, size=params.key_len(i), dtype=np.int64).astype(np.uint8)
+              for _ in range(2))
+        for i in (1, 2)
+    )
+    run = execute(params, messages, (0, 1), rng)
+    assert all(outcome.code is OtCode.COMPLETED for outcome in run.outcomes)
+    assert counts["transmit_bec"] > 0 and counts["apply"] > 0
+    assert counts["as_bits"] == 4 + counts["transmit_bec"] + counts["apply"]

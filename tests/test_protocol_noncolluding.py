@@ -36,6 +36,31 @@ def test_abort_iff_partition_cannot_host_sets(p1_runs):
                 assert run.outcomes[i - 1].diagnostics["reason"].startswith("cannot host")
 
 
+def _zero_messages(params):
+    return tuple(
+        tuple(np.zeros(params.key_len(i), dtype=np.uint8) for _ in range(2)) for i in (1, 2)
+    )
+
+
+@pytest.mark.parametrize("z", [(0.7, 1), (0, 1.5), (0, 2)])
+def test_choice_bits_are_refused_not_truncated(p1_params, z):
+    with pytest.raises(ValueError, match="choice bit must be 0 or 1"):
+        run_protocol1(p1_params, _zero_messages(p1_params), z, trial_rng(0, 0))
+
+
+@pytest.mark.parametrize("case", ["one choice bit", "one message pair", "short message"])
+def test_malformed_run_inputs_raise_value_error(p1_params, case):
+    messages, z = _zero_messages(p1_params), (0, 1)
+    if case == "one choice bit":
+        z = (0,)
+    elif case == "one message pair":
+        messages = messages[:1]
+    else:
+        messages = ((messages[0][0][:-1], messages[0][1]), messages[1])
+    with pytest.raises(ValueError):
+        run_protocol1(p1_params, messages, z, trial_rng(0, 0))
+
+
 def test_run_rejects_wrong_variant():
     params, _ = snap_params(
         48, 0.75, 0.75, Fraction(3, 32), Fraction(3, 32), Fraction(1, 16), Fraction(1, 32),
