@@ -6,10 +6,11 @@ change that alters a draw (or the order of draws) changes these results. The
 campaign's results are abort counts and correctness, so its digest guards the
 input block and erasure draws; the audit's attacks and condition table read
 the index sets, hashes and ciphertexts, so its digest guards every later draw
-too. The four further audit entries cover the rest of the attack surface:
-every `p1` attacker (pooled, single receiver on link 2, wiretapper) and `p2`
-with the second receiver first and both phases broadcast, so every way a
-coalition's knowledge of the input block is worked out is pinned. The oracle
+too. The further audit entries cover the rest of the attack surface: every
+attacker (pooled, single receiver, wiretapper) on both variants, and `p2`
+with the second receiver first and both phases broadcast, so every attack
+scorer and every way a coalition's knowledge of the input block is worked
+out is pinned. The oracle
 entry runs all six specs at p1 = 1/3, p2 = 3/4 with two-bit keys, so its
 digest guards every enumerator, the exact mutual-information floats and abort
 masses over denominators other than powers of two, and the Monte Carlo
@@ -43,6 +44,16 @@ GOLDEN = {
         ["audit", "--variant", "p2", "--p1", "0.75", "--p2", "0.75", "--trials", "300",
          "--seed", "101"],
         "18d7233c86187d3de1f26c2897ab8d67280b82097707e20561ac2cd5adc49461",
+    ),
+    "audit-p2-single": (
+        ["audit", "--variant", "p2", "--p1", "0.75", "--p2", "0.75", "--attacker", "single",
+         "--trials", "300", "--seed", "101"],
+        "713e0ce7072825deadca0db89521b35c276f15122042fe46a2b8b9ef5e94e096",
+    ),
+    "audit-p2-wiretapper": (
+        ["audit", "--variant", "p2", "--p1", "0.75", "--p2", "0.75", "--attacker", "wiretapper",
+         "--trials", "300", "--seed", "101"],
+        "cfb01b7cd30d531045e22c9deadb48ae3020ed6e90269b02a7d03abf0f2612f4",
     ),
     "audit-p1-pooled": (
         ["audit", "--variant", "p1", "--attacker", "pooled", "--trials", "300", "--seed", "101"],
