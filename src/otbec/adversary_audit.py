@@ -10,15 +10,16 @@ the estimate lower-bounds the full-view quantity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from ._stats import chi2_ppf, clopper_pearson
 from .channel import ERASED, trial_rng
 from .entropy import mutual_information_of
-from .hashing import apply
 from .protocol_core import ProtocolParams, ProtocolRun
 from .protocol_colluding import VisibilityModel, DEFAULT_VISIBILITY, run_protocol2
 from .protocol_noncolluding import run_protocol1
@@ -87,46 +88,100 @@ def public_messages(run: ProtocolRun) -> dict:
             ("sets", "hashes", "commitments", "ciphertexts", "aborted", "sprime", "order")}
 
 
-def _knowledge(run: ProtocolRun, i: int) -> np.ndarray:
-    """What receiver i holds of the input block: length n, ERASED where it holds nothing.
+# The analysis reads runs back in blocks of this many: numpy then works on
+# whole blocks, while the stacked copies stay a small share of the runs' own
+# memory.
+_CHUNK = 256
 
-    A phase-2 observation is mapped through S'. The returned array may be the
-    record's own; callers only read it.
+
+class _Block:
+    """Consecutive runs of one parameter set read back as stacked arrays.
+
+    Axis 0 of every array is the run within the block. `known` holds what
+    each receiver knows of the input block, `sets` a link's announced index
+    pairs in input-block coordinates; both are built on first use.
     """
-    rec = run.record
-    y1, y2 = rec["y_phase1"][i], rec["y_phase2"][i]
-    known = np.full(run.params.n, ERASED, dtype=np.int8) if y1 is None else y1
-    if y2 is None:
+
+    def __init__(self, runs, params: ProtocolParams):
+        self.params = params
+        self.records = [run.record for run in runs]
+        self.z = np.array([rec["z"] for rec in self.records], dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    @functools.cached_property
+    def x(self) -> np.ndarray:
+        return np.stack([rec["x"] for rec in self.records])
+
+    @functools.cached_property
+    def known(self) -> np.ndarray:
+        """(c, 2, n) int8: receiver i's knowledge map at [:, i - 1], ERASED where it holds nothing.
+
+        A phase-2 observation is mapped through S'.
+        """
+        known = np.full((len(self), 2, self.params.n), ERASED, dtype=np.int8)
+        for r, rec in enumerate(self.records):
+            for i, y in rec["y_phase1"].items():
+                if y is not None:
+                    known[r, i - 1] = y
+        for i in (1, 2):
+            rows = [r for r, rec in enumerate(self.records) if rec["y_phase2"][i] is not None]
+            if rows:
+                seen = np.stack([self.records[r]["y_phase2"][i] for r in rows])
+                at = (np.array(rows)[:, None], i - 1,
+                      np.stack([self.records[r]["sprime"] for r in rows]))
+                known[at] = np.where(seen != ERASED, seen, known[at])
         return known
-    known = known.copy()
-    hit = y2 != ERASED
-    known[rec["sprime"][hit]] = y2[hit]
-    return known
+
+    def coalition(self, receivers) -> np.ndarray:
+        """(c, n): what the receivers know together, the elementwise union of their maps."""
+        known = np.full((len(self), self.params.n), ERASED, dtype=np.int8)
+        for i in receivers:
+            known = np.where(known != ERASED, known, self.known[:, i - 1])
+        return known
+
+    def sets(self, link: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(rows, pairs): the block rows whose run announced on the link, and
+        their (u, 2, size) index pairs in input-block coordinates (None if u = 0)."""
+        rows = [r for r, rec in enumerate(self.records) if link in rec["sets"]]
+        if not rows:
+            return np.empty(0, dtype=np.int64), None
+        pairs = np.array([self.records[r]["sets"][link] for r in rows])
+        # only the second link of the two-phase variant announces inside S'
+        if self.params.variant == "colluding" and link != self.params.order:
+            sprime = np.stack([self.records[r]["sprime"] for r in rows])
+            pairs = np.take_along_axis(sprime[:, None, :], pairs, axis=2)
+        return np.array(rows), pairs
+
+    def published(self, link: int, rows: np.ndarray, labels: np.ndarray) -> tuple:
+        """(kappa, ciphertext, message) of the given label per row, stacked:
+        (u, k, mask), (u, k) and (u, k)."""
+        picked = [(self.records[r], j) for r, j in zip(rows.tolist(), labels.tolist())]
+        return (np.stack([rec["hashes"][link]["kappa"][j].matrix for rec, j in picked]),
+                np.stack([rec["ciphertexts"][link][j] for rec, j in picked]),
+                np.stack([rec["messages"][link - 1][j] for rec, j in picked]))
 
 
-def _union(maps, n: int) -> np.ndarray:
-    """What a coalition knows: the elementwise union of its members' maps."""
-    known = np.full(n, ERASED, dtype=np.int8)
-    for m in maps:
-        known = np.where(known != ERASED, known, m)
-    return known
+def _blocks(runs, params: ProtocolParams):
+    """The runs as consecutive blocks of at most _CHUNK, in run order."""
+    for start in range(0, len(runs), _CHUNK):
+        yield _Block(runs[start:start + _CHUNK], params)
 
 
-def _count_known(known: np.ndarray, positions: np.ndarray) -> int:
-    return int((known[positions] != ERASED).sum())
+def _on_sets(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """(u, 2, size): per row of the (u, n) values, the entries at each label's index set."""
+    return np.take_along_axis(values[:, None, :], pairs, axis=2)
 
 
-def _global_sets(run: ProtocolRun, link: int):
-    """The link's announced index pair in input-block coordinates, or None."""
-    sets = run.record["sets"]
-    if link not in sets:
-        return None
-    pair = sets[link]
-    sprime = run.record["sprime"]
-    # only the second link of the two-phase variant announces inside S'
-    if sprime is None or link == run.record["order"]:
-        return pair
-    return tuple(sprime[s] for s in pair)
+def _known_on_sets(known: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """(u, 2): per row, how many positions of each label's set the (u, n) map knows."""
+    return (_on_sets(known, pairs) != ERASED).sum(axis=2)
+
+
+def _heads(pairs) -> np.ndarray:
+    """(u, 2): the first bit of both vectors of each of u (label 0, label 1) pairs."""
+    return np.stack([np.stack([pair[j] for pair in pairs])[:, 0] for j in (0, 1)], axis=1)
 
 
 def _verdict(advantage: float, ci: tuple[float, float]) -> str:
@@ -151,20 +206,22 @@ def generate_runs(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
+    k1, k2 = params.key_len(1), params.key_len(2)
+    # where each of the four messages starts in the trial's one draw of bits
+    a, b, c, d = 2, 2 + k1, 2 + 2 * k1, 2 + 2 * k1 + k2
+    if params.variant == "noncolluding":
+        execute = run_protocol1
+    else:
+        execute = functools.partial(
+            run_protocol2, visibility=DEFAULT_VISIBILITY if visibility is None else visibility)
     runs = []
     for t in range(trials):
         rng = trial_rng(master_seed, t)
-        z = (int(rng.integers(0, 2)), int(rng.integers(0, 2)))
-        messages = tuple(
-            tuple(rng.integers(0, 2, size=params.key_len(i), dtype=np.int64).astype(np.uint8)
-                  for _ in range(2))
-            for i in (1, 2)
-        )
-        if params.variant == "noncolluding":
-            runs.append(run_protocol1(params, messages, z, rng))
-        else:
-            runs.append(run_protocol2(params, messages, z, rng,
-                                      DEFAULT_VISIBILITY if visibility is None else visibility))
+        # z and the messages in one call, the stream of one call per bit or message
+        # (see protocol_core on bounded int64 draws)
+        bits = rng.integers(0, 2, size=d + k2)
+        m = bits.astype(np.uint8)
+        runs.append(execute(params, ((m[a:b], m[b:c]), (m[c:d], m[d:])), bits[:2].tolist(), rng))
     return runs
 
 
@@ -174,7 +231,7 @@ def _shared_params(runs) -> ProtocolParams:
         raise ValueError("need at least one run")
     params = runs[0].params
     for run in runs:
-        if run.params != params:
+        if run.params is not params and run.params != params:
             raise ValueError("runs must share parameters")
     return params
 
@@ -201,29 +258,33 @@ def guess_unchosen_message(
         raise ValueError("link must be 1 or 2")
     if rng is None:
         raise ValueError("the uniform-fill step needs an rng")
-    k = _shared_params(runs).key_len(link)
+    params = _shared_params(runs)
+    k = params.key_len(link)
     receivers = {"single-receiver": (link,), "pooled-receivers": (1, 2), "wiretapper": ()}[attacker]
     successes = 0
     used = 0
     skipped = 0
     known_fraction = 0.0
     mask = None
-    for run in runs:
-        rec = run.record
-        if link not in rec["ciphertexts"]:
-            skipped += 1
+    for block in _blocks(runs, params):
+        rows, pairs = block.sets(link)
+        skipped += len(block) - rows.size
+        if not rows.size:
             continue
-        j = 1 - rec["z"][link - 1]
-        positions = _global_sets(run, link)[j]
-        mask = positions.size
-        known = _union([_knowledge(run, i) for i in receivers], run.params.n)[positions]
-        fill = rng.integers(0, 2, size=positions.size, dtype=np.int64).astype(np.int8)
+        unchosen = 1 - block.z[rows, link - 1]
+        positions = pairs[np.arange(rows.size), unchosen]
+        mask = positions.shape[1]
+        known = np.take_along_axis(block.coalition(receivers)[rows], positions, axis=1)
+        # every run's uniform fill in one draw, in run order
+        fill = rng.integers(0, 2, size=known.size).reshape(known.shape)
         x_hat = np.where(known != ERASED, known, fill).astype(np.uint8)
-        kappa = rec["hashes"][link]["kappa"][j]
-        m_hat = (rec["ciphertexts"][link][j] ^ apply(kappa, x_hat)).astype(np.uint8)
-        successes += int(np.array_equal(m_hat, rec["messages"][link - 1][j]))
-        known_fraction += float((known != ERASED).sum()) / positions.size
-        used += 1
+        kappa, cipher, message = block.published(link, rows, unchosen)
+        m_hat = cipher ^ (np.matmul(kappa, x_hat[:, :, None])[:, :, 0] & 1)
+        successes += int((m_hat == message).all(axis=1).sum())
+        # summed run by run, in run order
+        for share in ((known != ERASED).sum(axis=1) / mask).tolist():
+            known_fraction += share
+        used += rows.size
     if used == 0:
         raise ValueError("no completed runs to attack")
     blind_hit = 2.0 ** (-mask)
@@ -267,28 +328,27 @@ def guess_choice_bit(
         raise ValueError("link must be 1 or 2")
     if rng is None:
         raise ValueError("tie-breaking needs an rng")
-    _shared_params(runs)
+    params = _shared_params(runs)
     successes = 0
     used = 0
     skipped = 0
-    for run in runs:
-        pair = _global_sets(run, link)
-        if pair is None:
-            skipped += 1
+    for block in _blocks(runs, params):
+        rows, pairs = block.sets(link)
+        skipped += len(block) - rows.size
+        if not rows.size:
             continue
         if attacker == "wiretapper":
-            scores = [int(s.sum()) % 2 for s in pair]
+            scores = pairs.sum(axis=2) % 2
         else:
-            scores = [int(run.record["x"][s].sum()) for s in pair]
+            scores = _on_sets(block.x[rows], pairs).sum(axis=2, dtype=np.int64)
             if attacker == "alice-plus-other-receiver":
-                known = _knowledge(run, 3 - link)
-                scores = [score + _count_known(known, s) for score, s in zip(scores, pair)]
-        if scores[0] == scores[1]:
-            guess = int(rng.integers(0, 2))
-        else:
-            guess = int(scores[1] > scores[0])
-        successes += int(guess == run.record["z"][link - 1])
-        used += 1
+                scores += _known_on_sets(block.known[rows, 2 - link], pairs)
+        guess = (scores[:, 1] > scores[:, 0]).astype(np.int64)
+        # the coins of the block's ties in one draw, in run order
+        ties = np.flatnonzero(scores[:, 0] == scores[:, 1])
+        guess[ties] = rng.integers(0, 2, size=ties.size)
+        successes += int((guess == block.z[rows, link - 1]).sum())
+        used += rows.size
     if used == 0:
         raise ValueError("no completed runs to attack")
     rate = successes / used
@@ -327,15 +387,39 @@ def _mi_row(condition: str, counts: dict, n: int) -> ConditionRow:
     )
 
 
-def _half_count_sign(pair, n: int):
-    a = int((pair[0] < n // 2).sum())
-    b = int((pair[1] < n // 2).sum())
-    return int(np.sign(a - b))
+class _LinkView(NamedTuple):
+    """The condition suite's features of one run's announced link.
+
+    The lists hold one entry per label; a sign compares label 0 with label 1.
+    """
+
+    half: int  # sign of the difference in set positions below n // 2
+    own: list  # set positions the link's own receiver knows
+    other: list  # set positions the opposite receiver knows
+    other_sign: int  # sign of other[0] - other[1]
+    pooled: list  # set positions the two receivers know together
+    x_sign: int  # sign of the difference in ones of the input block on the sets
+    cipher: list  # first ciphertext bit
 
 
-def _cipher_bit(run: ProtocolRun, link: int, label: int):
-    c = run.record["ciphertexts"].get(link)
-    return "abort" if c is None else int(c[label][0])
+def _link_views(block: _Block, link: int, pooled: np.ndarray) -> list:
+    """Per block row, the link's _LinkView, or None where the link published nothing."""
+    views = [None] * len(block)
+    rows, pairs = block.sets(link)
+    if not rows.size:
+        return views
+    low = (pairs < block.params.n // 2).sum(axis=2)
+    ones = _on_sets(block.x[rows], pairs).sum(axis=2, dtype=np.int64)
+    own = _known_on_sets(block.known[rows, link - 1], pairs)
+    other = _known_on_sets(block.known[rows, 2 - link], pairs)
+    columns = (
+        np.sign(low[:, 0] - low[:, 1]), own, other, np.sign(other[:, 0] - other[:, 1]),
+        _known_on_sets(pooled[rows], pairs), np.sign(ones[:, 0] - ones[:, 1]),
+        _heads([block.records[r]["ciphertexts"][link] for r in rows.tolist()]),
+    )
+    for r, view in zip(rows.tolist(), zip(*(column.tolist() for column in columns))):
+        views[r] = _LinkView(*view)
+    return views
 
 
 def condition_suite(runs) -> list[ConditionRow]:
@@ -361,14 +445,15 @@ def condition_suite(runs) -> list[ConditionRow]:
     # correctness over published links; the abort rate over links the
     # parameters run, so no-second-phase links count in neither
     for run in runs:
-        for i, outcome in zip((1, 2), run.outcomes):
-            if outcome.status == "no-second-phase":
+        for outcome in run.outcomes:
+            status = outcome.status
+            if status == "no-second-phase":
                 continue
-            if outcome.status == "aborted":
+            if status == "aborted":
                 aborted_links += 1
                 continue
             counted += 1
-            if outcome.status != "completed" or not outcome.diagnostics.get("correct", False):
+            if status != "completed" or not outcome.diagnostics.get("correct", False):
                 errors += 1
     rate = errors / counted if counted else 0.0
     rows.append(ConditionRow(
@@ -386,53 +471,42 @@ def condition_suite(runs) -> list[ConditionRow]:
         total_links, "informational", 0.0,
     ))
 
-    # one pass: each run's two index pairs in input-block coordinates and its
-    # two receivers' knowledge maps are worked out once, and every secrecy row
-    # tallies its (secret, feature) sample from them; rows keep first-tally order
+    # one pass over blocks of runs: each block's index pairs in input-block
+    # coordinates and its knowledge maps are worked out as arrays, then every
+    # secrecy row tallies its (secret, feature) samples run by run, in run
+    # order; rows keep first-tally order
     tallies: dict = {}
 
     def tally(condition, secret, feat):
         counts = tallies.setdefault(condition, {})
         counts[secret, feat] = counts.get((secret, feat), 0) + 1
 
-    for run in runs:
-        rec = run.record
-        z = rec["z"]
-        pairs = tuple(_global_sets(run, i) for i in (1, 2))
-        known = tuple(_knowledge(run, i) for i in (1, 2))
-        unchosen = tuple(int(rec["messages"][i - 1][1 - z[i - 1]][0]) for i in (1, 2))
-        sender = (tuple(z), tuple(
-            "abort" if pair is None else _half_count_sign(pair, params.n) for pair in pairs))
-        if params.variant == "noncolluding":
-            for i, pair in zip((1, 2), pairs):
-                j = 1 - z[i - 1]
-                feat = ("abort",) if pair is None else (
-                    _count_known(known[i - 1], pair[j]), _cipher_bit(run, i, j))
-                tally(f"own unchosen message vs receiver {i}", unchosen[i - 1], feat)
-            tally("choice bits vs sender", *sender)
-            continue
+    for block in _blocks(runs, params):
+        pooled = block.coalition((1, 2))
+        link_views = [_link_views(block, i, pooled) for i in (1, 2)]
+        link_heads = [_heads([rec["messages"][i - 1] for rec in block.records]).tolist()
+                      for i in (1, 2)]
+        for z, views, heads in zip(block.z.tolist(), zip(*link_views), zip(*link_heads)):
+            unchosen = tuple(h[1 - b] for h, b in zip(heads, z))
+            sender = (tuple(z), tuple("abort" if v is None else v.half for v in views))
+            if params.variant == "noncolluding":
+                for i, v, b in zip((1, 2), views, z):
+                    feat = ("abort",) if v is None else (v.own[1 - b], v.cipher[1 - b])
+                    tally(f"own unchosen message vs receiver {i}", unchosen[i - 1], feat)
+                tally("choice bits vs sender", *sender)
+                continue
 
-        pooled = _union(known, params.n)
-        tally("unchosen message pair vs pooled receivers", unchosen, tuple(
-            "abort" if pair is None else (
-                _count_known(pooled, pair[1 - z[i - 1]]), _cipher_bit(run, i, 1 - z[i - 1]))
-            for i, pair in zip((1, 2), pairs)))
-        # what the receiver opposite each link observed of the link's two sets, per label
-        other = [None if pair is None else tuple(_count_known(known[2 - i], s) for s in pair)
-                 for i, pair in zip((1, 2), pairs)]
-        for i, pair, kc in zip((1, 2), pairs, other):
-            if kc is None:
-                feat = ("abort",)
-            else:
-                xa, xb = (int(rec["x"][s].sum()) for s in pair)
-                feat = (int(np.sign(xa - xb)), int(np.sign(kc[0] - kc[1])))
-            tally(f"choice bit {i} vs sender pooling receiver {3 - i}", z[i - 1], feat)
-        tally("choice bits vs sender", *sender)
-        for i, kc in zip((1, 2), other):
-            feat = ("abort",) if kc is None else (
-                *kc, _cipher_bit(run, i, 0), _cipher_bit(run, i, 1))
-            tally(f"link {i} secrets vs receiver {3 - i} alone",
-                  (z[i - 1], int(rec["messages"][i - 1][0][0])), feat)
+            tally("unchosen message pair vs pooled receivers", unchosen, tuple(
+                "abort" if v is None else (v.pooled[1 - b], v.cipher[1 - b])
+                for v, b in zip(views, z)))
+            # what the receiver opposite each link observed of the link's two sets, per label
+            for i, v, b in zip((1, 2), views, z):
+                feat = ("abort",) if v is None else (v.x_sign, v.other_sign)
+                tally(f"choice bit {i} vs sender pooling receiver {3 - i}", b, feat)
+            tally("choice bits vs sender", *sender)
+            for i, v, b, h in zip((1, 2), views, z, heads):
+                feat = ("abort",) if v is None else (*v.other, *v.cipher)
+                tally(f"link {i} secrets vs receiver {3 - i} alone", (b, h[0]), feat)
 
     rows.extend(_mi_row(condition, counts, len(runs)) for condition, counts in tallies.items())
     return rows
@@ -451,9 +525,10 @@ def collusion_mask_accounting(run: ProtocolRun) -> dict:
     if rec["sprime"] is not None:
         y1 = rec["y_phase1"][rec["order"]]
         out["sprime_inside_phase1_erasures"] = bool((y1[rec["sprime"]] == ERASED).all())
+    block = _Block([run], run.params)
     for link in (1, 2):
-        pair = _global_sets(run, link)
-        if pair is not None:
-            known = _knowledge(run, 3 - link)
-            out["per_link"][link] = {j: _count_known(known, s) for j, s in enumerate(pair)}
+        rows, pairs = block.sets(link)
+        if rows.size:
+            counts = _known_on_sets(block.known[rows, 2 - link], pairs)[0].tolist()
+            out["per_link"][link] = dict(enumerate(counts))
     return out

@@ -50,22 +50,25 @@ def as_bits(bits) -> np.ndarray:
 
 
 def transmit_bec(x: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
-    """Send a bit vector through a BEC(p): each position erased independently with probability p."""
+    """Send a bit vector through a BEC(p): each position erased independently with probability p.
+
+    A one-dimensional uint8 block (what the executors send) takes one range
+    check and no copy; any other input goes through `as_bits`.
+    """
     if not 0.0 <= float(p) <= 1.0:
         raise ValueError(f"erasure probability must lie in [0, 1], got {p}")
-    x = as_bits(x)
+    if not (isinstance(x, np.ndarray) and x.dtype == np.uint8 and x.ndim == 1 and _all_bits(x)):
+        x = as_bits(x)
     y = x.astype(np.int8)
-    erase = rng.random(x.size) < p
-    y[erase] = ERASED
+    y[rng.random(x.size) < p] = ERASED
     return y
 
 
 def erasure_partition(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split positions of an observation into (erased E, non-erased Ebar)."""
-    y = np.asarray(y)
-    e = np.flatnonzero(y == ERASED).astype(np.int64)
-    ebar = np.flatnonzero(y != ERASED).astype(np.int64)
-    return e, ebar
+    """Split positions of an observation into (erased E, non-erased Ebar), both int64."""
+    erased = np.asarray(y) == ERASED
+    return np.flatnonzero(erased).astype(np.int64, copy=False), \
+        np.flatnonzero(~erased).astype(np.int64, copy=False)
 
 
 def erasure_count(y: np.ndarray) -> tuple[int, int]:

@@ -24,7 +24,12 @@ EXACT_GUARD_BITS = 20
 
 @dataclass(frozen=True, eq=False)
 class LinearHash:
-    """A GF(2) linear map given by a k x m bit matrix; output = matrix . input mod 2."""
+    """A GF(2) linear map given by a k x m bit matrix; output = matrix . input mod 2.
+
+    A matrix given from outside is checked; `sample_linear_hash` builds its
+    own draws through `_drawn`, unchecked. Calling the hash applies it to a
+    vector the caller vouches for; `apply` checks the vector first.
+    """
 
     matrix: np.ndarray
 
@@ -35,6 +40,21 @@ class LinearHash:
         if not _all_bits(m):
             raise ValueError("hash matrix entries must be bits")
         object.__setattr__(self, "matrix", m.astype(np.uint8, copy=False))
+
+    @classmethod
+    def _drawn(cls, matrix: np.ndarray) -> LinearHash:
+        """The hash of a two-dimensional uint8 bit matrix the caller drew itself."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "matrix", matrix)
+        return h
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """matrix . x over GF(2) for a uint8 bit vector of length cols.
+
+        The product stays in uint8: its sums wrap modulo 256, which is even,
+        so their low bit is still the parity.
+        """
+        return (self.matrix @ x) & 1
 
     @property
     def rows(self) -> int:
@@ -67,19 +87,15 @@ def sample_linear_hash(m: int, k: int, rng: np.random.Generator) -> LinearHash:
     """Draw a uniformly random k x m GF(2) matrix (every entry i.i.d. uniform)."""
     if m < 0 or k < 0:
         raise ValueError("hash dimensions must be nonnegative")
-    return LinearHash(rng.integers(0, 2, size=(k, m), dtype=np.uint8))
+    return LinearHash._drawn(rng.integers(0, 2, size=(k, m), dtype=np.uint8))
 
 
 def apply(h: LinearHash, x) -> np.ndarray:
-    """Apply the linear map: output = h.matrix . x over GF(2).
-
-    The product stays in uint8: its sums wrap modulo 256, which is even, so
-    their low bit is still the parity.
-    """
+    """Apply the linear map to a checked bit vector: output = h.matrix . x over GF(2)."""
     x = as_bits(x)
     if x.size != h.cols:
         raise ValueError(f"input length {x.size} does not match hash input length {h.cols}")
-    return (h.matrix @ x) & 1
+    return h(x)
 
 
 def _even_parity_row_counts(m: int) -> np.ndarray:

@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ERASED, as_bits, erasure_partition, restrict
-from .hashing import LinearHash, apply, sample_linear_hash
+from .channel import ERASED, as_bits, erasure_partition
+from .hashing import LinearHash, sample_linear_hash
 
 __all__ = [
     "ParamError",
@@ -385,18 +385,30 @@ def check_run_inputs(params: ProtocolParams, variant: str, messages, z) -> tuple
 # --- core operations ----------------------------------------------------------
 
 
-def sample_subset(pool: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform size-subset of an int64 pool via a seeded partial Fisher-Yates shuffle, sorted."""
-    if size > pool.size:
-        raise AbortSignal(OtCode.SET_SHORTFALL, f"cannot draw {size} indices from a pool of {pool.size}")
-    # one draw of all swap offsets; it consumes the stream exactly as one
-    # rng.integers(0, pool.size - j) call per swap j would
-    offsets = rng.integers(0, pool.size - np.arange(size)).tolist()
-    a = pool.tolist()
+# A bounded int64 draw below 2**32 takes the generator's 32-bit words one
+# value at a time (a rejected word is followed by the next), and the
+# generator keeps its spare half-word between calls, so one rng.integers call
+# over a list of bounds consumes the stream exactly as one call per bound
+# would. The steps below draw consecutive bounded values in one call.
+
+
+def _shuffled_prefix(pool: list, offsets: list) -> np.ndarray:
+    """The sorted prefix a partial Fisher-Yates shuffle leaves: swap j takes j + offsets[j]."""
     for j, offset in enumerate(offsets):
         t = j + offset
-        a[j], a[t] = a[t], a[j]
-    return np.sort(np.array(a[:size], dtype=np.int64))
+        pool[j], pool[t] = pool[t], pool[j]
+    return np.array(sorted(pool[:len(offsets)]), dtype=np.int64)
+
+
+def sample_subset(pool: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform size-subset of an int64 pool via a seeded partial Fisher-Yates shuffle, sorted.
+
+    Swap j's offset is one rng.integers(0, pool.size - j) draw; all of them
+    are drawn in one call.
+    """
+    if size > pool.size:
+        raise AbortSignal(OtCode.SET_SHORTFALL, f"cannot draw {size} indices from a pool of {pool.size}")
+    return _shuffled_prefix(pool.tolist(), rng.integers(0, pool.size - np.arange(size)).tolist())
 
 
 def select_subsets(
@@ -406,21 +418,24 @@ def select_subsets(
     non-erased positions, the other from the erased ones.
 
     z is a choice bit the run boundary checked. Draw order is fixed (chosen
-    set first) so runs replay identically.
+    set first) so runs replay identically: the draw is that of
+    sample_subset(ebar, size) followed by sample_subset(e, size), in one call.
     """
     if ebar.size < size or e.size < size:
         raise AbortSignal(
             OtCode.SET_SHORTFALL,
             f"cannot host index sets of size {size}: |Ebar| = {ebar.size}, |E| = {e.size}"
         )
-    s_chosen = sample_subset(ebar, size, rng)
-    s_other = sample_subset(e, size, rng)
+    offsets = rng.integers(0, [*range(ebar.size, ebar.size - size, -1),
+                               *range(e.size, e.size - size, -1)]).tolist()
+    s_chosen = _shuffled_prefix(ebar.tolist(), offsets[:size])
+    s_other = _shuffled_prefix(e.tolist(), offsets[size:])
     return (s_chosen, s_other) if z == 0 else (s_other, s_chosen)
 
 
 def encrypt(m: np.ndarray, kappa: LinearHash, key_material: np.ndarray) -> np.ndarray:
-    """One-time-pad a checked message of kappa's output length: m xor kappa(key)."""
-    return (m ^ apply(kappa, key_material)).astype(np.uint8)
+    """One-time-pad a checked uint8 message of kappa's output length: m xor kappa(key)."""
+    return m ^ kappa(key_material)
 
 
 def decode_chosen(
@@ -437,13 +452,13 @@ def decode_chosen(
     exactly, so decoding is a direct read-off followed by the verification-hash
     equality check against the commitment. All inputs are the run's own arrays.
     """
-    picked = restrict(y, s_z)
-    if (picked == ERASED).any():
+    picked = y[s_z]
+    if ERASED in picked:
         raise DecodeError(OtCode.ERASED_CHOSEN, "erased position in the chosen index set")
     x_hat = picked.astype(np.uint8)
-    if not np.array_equal(apply(h_z, x_hat), h_commitment):
+    if (h_z(x_hat) != h_commitment).any():
         raise DecodeError(OtCode.HASH_MISMATCH, "verification hash mismatch")
-    return (ciphertext ^ apply(kappa_z, x_hat)).astype(np.uint8)
+    return ciphertext ^ kappa_z(x_hat)
 
 
 # --- the string-OT link step --------------------------------------------------
@@ -489,12 +504,13 @@ def send_link(
     x is the run's uint8 block and messages the link's checked pair. Returns
     ({"h": h pair, "kappa": kappa pair}, commitments, ciphertexts).
     """
-    mask = pair[0].size
-    h_pair = tuple(sample_linear_hash(mask, verify_bits, rng) for _ in range(2))
-    kappa_pair = tuple(sample_linear_hash(mask, messages[0].size, rng) for _ in range(2))
-    keys = tuple(restrict(x, pair[j]) for j in (0, 1))
-    commit = tuple(apply(h_pair[j], keys[j]) for j in (0, 1))
-    cipher = tuple(encrypt(messages[j], kappa_pair[j], keys[j]) for j in (0, 1))
+    mask, k = pair[0].size, messages[0].size
+    h_pair = (sample_linear_hash(mask, verify_bits, rng), sample_linear_hash(mask, verify_bits, rng))
+    kappa_pair = (sample_linear_hash(mask, k, rng), sample_linear_hash(mask, k, rng))
+    keys = (x[pair[0]], x[pair[1]])
+    commit = (h_pair[0](keys[0]), h_pair[1](keys[1]))
+    cipher = (encrypt(messages[0], kappa_pair[0], keys[0]),
+              encrypt(messages[1], kappa_pair[1], keys[1]))
     return {"h": h_pair, "kappa": kappa_pair}, commit, cipher
 
 
@@ -508,5 +524,4 @@ def receive_link(
                                 commitments[z], ciphertexts[z])
     except DecodeError as err:
         return err.outcome()
-    return OtOutcome(OtCode.COMPLETED, decoded,
-                     {"correct": bool(np.array_equal(decoded, messages[z]))})
+    return OtOutcome(OtCode.COMPLETED, decoded, {"correct": not (decoded != messages[z]).any()})

@@ -6,9 +6,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from otbec import adversary_audit
 from otbec.adversary_audit import (
     FEATURE_MAP_VERSION,
-    _knowledge,
+    _blocks,
     condition_suite,
     generate_runs,
     guess_choice_bit,
@@ -138,6 +139,29 @@ def test_attack_reports_reproducible_from_seeds(p1_params):
     assert a == b
 
 
+@pytest.mark.parametrize("variant", ["p1", "p2"])
+def test_analysis_results_do_not_depend_on_the_block_size(variant, monkeypatch, request):
+    # the analysis reads runs back in blocks; each attack draws its rng per run
+    # in run order and every sum runs in run order, so any block size gives
+    # the same reports, down to the last float bit
+    runs = request.getfixturevalue(f"{variant}_runs")[:700]
+
+    def analyse():
+        rng = np.random.default_rng(4)
+        reports = [guess_unchosen_message(runs, attacker=attacker, link=link, rng=rng)
+                   for attacker in ("single-receiver", "pooled-receivers", "wiretapper")
+                   for link in (1, 2)]
+        reports += [guess_choice_bit(runs, attacker=attacker, link=link, rng=rng)
+                    for attacker in ("alice", "alice-plus-other-receiver", "wiretapper")
+                    for link in (1, 2)]
+        return reports, condition_suite(runs), rng.integers(0, 2**32)
+
+    monkeypatch.setattr(adversary_audit, "_CHUNK", len(runs))
+    whole = analyse()
+    monkeypatch.setattr(adversary_audit, "_CHUNK", 7)
+    assert analyse() == whole
+
+
 def test_attack_input_validation(p1_runs):
     with pytest.raises(ValueError):
         guess_unchosen_message(p1_runs, attacker="martian", rng=np.random.default_rng(0))
@@ -184,10 +208,13 @@ def test_knowledge_map_is_what_the_receiver_observed(case, p1_runs, p2_params):
         runs = generate_runs(p2_params, 300, master_seed=43,
                              visibility=VisibilityModel(visibility, visibility))
     both_phases = 0
-    for run in runs:
+    # the analysis reads the maps back per block of runs, one (2, n) pair per run
+    maps = [pair for block in _blocks(runs, runs[0].params) for pair in block.known]
+    assert len(maps) == len(runs)
+    for run, pair in zip(runs, maps):
         x = run.record["x"]
         for i in (1, 2):
-            known = _knowledge(run, i)
+            known = pair[i - 1]
             assert known.shape == x.shape
             hit = known != ERASED
             assert np.array_equal(known[hit], x[hit])
