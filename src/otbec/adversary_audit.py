@@ -275,7 +275,8 @@ def guess_unchosen_message(
         positions = pairs[np.arange(rows.size), unchosen]
         mask = positions.shape[1]
         known = np.take_along_axis(block.coalition(receivers)[rows], positions, axis=1)
-        # every run's uniform fill in one draw, in run order
+        # every run's uniform fill in one draw, in run order (one call is the
+        # stream of one call per run; see protocol_core on bounded int64 draws)
         fill = rng.integers(0, 2, size=known.size).reshape(known.shape)
         x_hat = np.where(known != ERASED, known, fill).astype(np.uint8)
         kappa, cipher, message = block.published(link, rows, unchosen)
@@ -344,7 +345,8 @@ def guess_choice_bit(
             if attacker == "alice-plus-other-receiver":
                 scores += _known_on_sets(block.known[rows, 2 - link], pairs)
         guess = (scores[:, 1] > scores[:, 0]).astype(np.int64)
-        # the coins of the block's ties in one draw, in run order
+        # the coins of the block's ties in one draw, in run order (one call is
+        # the stream of one call per tie; see protocol_core on bounded int64 draws)
         ties = np.flatnonzero(scores[:, 0] == scores[:, 1])
         guess[ties] = rng.integers(0, 2, size=ties.size)
         successes += int((guess == block.z[rows, link - 1]).sum())
