@@ -467,7 +467,7 @@ def condition_suite(runs) -> list[ConditionRow]:
     total_links = counted + aborted_links
     rows.append(ConditionRow(
         "abort rate",
-        "empirical abort rate over links",
+        "empirical abort rate over the links the parameters run",
         aborted_links / total_links if total_links else 0.0,
         clopper_pearson(aborted_links, total_links) if total_links else None,
         total_links, "informational", 0.0,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # every run draws from it: load it with the package, not in the first trial
 
 __all__ = [
     "ERASED",

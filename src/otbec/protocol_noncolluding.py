@@ -6,9 +6,10 @@ the broadcast block is common to both links, everything else is per-link.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ._stats import binom_cdf
 from .channel import transmit_bec
 from .protocol_core import (
     AbortSignal,
@@ -82,17 +83,21 @@ def exact_abort_probability(n: int, p: float, r) -> float:
     """Exact abort probability: a two-sided Binomial(n, p) tail.
 
     The partition aborts when fewer than r*n positions are erased or fewer than
-    r*n are intact, so the survival region is r*n <= |E| <= n - r*n.
+    r*n are intact, so the survival region is r*n <= |E| <= n - r*n. Both tails
+    are summed in integers on the exact p = a/b (0.3 is 3/10); the division by
+    b^n is the one rounding.
     """
     if not (isinstance(n, int) and n >= 1):
         raise ParamError("block length", f"n must be a positive integer, got {n}")
-    if not 0 <= as_fraction(p) <= 1:
+    exact_p = as_fraction(p)
+    if not 0 <= exact_p <= 1:
         raise ParamError("erasure probability", f"p = {p} not in [0, 1]")
     need = as_fraction(r) * n
     if need.denominator != 1 or need < 1:
         raise ParamError("set size integrality", f"r*n = {float(need)} is not a positive integer")
     need = need.numerator
-    if need > n:
+    if 2 * need > n:  # the two tails cover every count
         return 1.0
-    inside = binom_cdf(n - need, n, float(p)) - binom_cdf(need - 1, n, float(p))
-    return float(min(1.0, max(0.0, 1.0 - inside)))
+    a, b = exact_p.numerator, exact_p.denominator
+    counts = (*range(need), *range(n - need + 1, n + 1))
+    return sum(math.comb(n, j) * a**j * (b - a) ** (n - j) for j in counts) / b**n
