@@ -197,12 +197,15 @@ def generate_runs(
     trials: int,
     master_seed: int,
     visibility: VisibilityModel | None = None,
+    start: int = 0,
 ) -> list[ProtocolRun]:
     """Execute independent protocol runs with uniform messages and choice bits.
 
-    Trial t uses the generator derived from (master_seed, t) and draws, in
-    order: z1, z2, the four messages, then the protocol's own randomness, so
-    any run can be reproduced in isolation.
+    The runs are trials start, ..., start + trials - 1 of the campaign: trial
+    t uses the generator derived from (master_seed, t) and draws, in order:
+    z1, z2, the four messages, then the protocol's own randomness, so any run
+    can be reproduced in isolation and a campaign split into consecutive
+    ranges yields the same runs.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -215,7 +218,7 @@ def generate_runs(
         execute = functools.partial(
             run_protocol2, visibility=DEFAULT_VISIBILITY if visibility is None else visibility)
     runs = []
-    for t in range(trials):
+    for t in range(start, start + trials):
         rng = trial_rng(master_seed, t)
         # z and the messages in one call, the stream of one call per bit or message
         # (see protocol_core on bounded int64 draws)

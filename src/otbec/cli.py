@@ -15,13 +15,21 @@ import json
 import os
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
+from ._fanout import fan_out
 from ._stats import clopper_pearson
-from .adversary_audit import condition_suite, generate_runs, guess_choice_bit, guess_unchosen_message
+from .adversary_audit import (
+    _CHUNK,
+    condition_suite,
+    generate_runs,
+    guess_choice_bit,
+    guess_unchosen_message,
+)
 from .exact_oracle import (
     BudgetError,
     TinyParams,
@@ -202,32 +210,37 @@ def _abort_key(params, link: int, code: OtCode) -> str:
     return "phase-2"
 
 
-def _simulate_stats(runs) -> dict:
-    trials = len(runs)
-    statuses = ("completed", "aborted", "decode-error", "no-second-phase")
-    counts = {i: dict.fromkeys(statuses, 0) for i in (1, 2)}
-    matches = {1: 0, 2: 0}
-    any_abort = 0
-    reason_counts: dict = {}
+def _simulate_counts(runs) -> Counter:
+    """The campaign's integer tallies over the runs; the tallies of disjoint runs add up."""
+    tally = Counter(trials=len(runs))
     for run in runs:
         # a link the parameters never run (no-second-phase) did not abort
         if any(out.status == "aborted" for out in run.outcomes):
-            any_abort += 1
+            tally["any-abort"] += 1
         for link, out in zip((1, 2), run.outcomes):
-            counts[link][out.status] += 1
+            tally[link, out.status] += 1
             # receive_link compared the decoded message with the chosen one
             if out.status == "completed" and out.diagnostics["correct"]:
-                matches[link] += 1
+                tally[link, "match"] += 1
             elif out.status in ("aborted", "no-second-phase"):
-                key = _abort_key(run.params, link, out.code)
-                reason_counts[key] = reason_counts.get(key, 0) + 1
+                tally["reason", _abort_key(run.params, link, out.code)] += 1
+    return tally
+
+
+def _simulate_stats(tally: Counter) -> dict:
+    """The results block of a campaign from its summed tallies."""
+    trials = tally["trials"]
+    statuses = ("completed", "aborted", "decode-error", "no-second-phase")
+    counts = {i: {status: tally[i, status] for status in statuses} for i in (1, 2)}
+    matches = {i: tally[i, "match"] for i in (1, 2)}
     decided = {i: counts[i]["completed"] + counts[i]["decode-error"] for i in (1, 2)}
     all_decided = decided[1] + decided[2]
     return {
         "trials": trials,
         "correctness_rate": (matches[1] + matches[2]) / all_decided if all_decided else None,
-        "abort_rate": _rate_ci(any_abort, trials),
-        "abort_reasons": reason_counts,
+        "abort_rate": _rate_ci(tally["any-abort"], trials),
+        "abort_reasons": {key[1]: n for key, n in tally.items()
+                          if isinstance(key, tuple) and key[0] == "reason"},
         "per_link": {
             str(i): {
                 "counts": counts[i],
@@ -243,9 +256,19 @@ def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params, adjustments = _build_params(args)
     visibility = _visibility(args)
-    runs = generate_runs(params, args.trials, seed, visibility)
+
+    def chunk(start: int) -> Counter:
+        size = min(_CHUNK, args.trials - start)
+        return _simulate_counts(generate_runs(params, size, seed, visibility, start=start))
+
+    # the campaign streams through chunks of trials, so memory does not grow
+    # with the trial count; generate_runs refuses a count below one, so a
+    # campaign of none still runs its one chunk to say so
+    tally = Counter()
+    for part in fan_out(chunk, range(0, args.trials, _CHUNK) or [0]):
+        tally.update(part)
     report = _report_shell("simulate", _config_payload(args, params, adjustments), seed)
-    report["results"] = _simulate_stats(runs)
+    report["results"] = _simulate_stats(tally)
     _emit(args, report, seed)
     return 0
 
@@ -286,6 +309,32 @@ def cmd_audit(args) -> int:
 # --- oracle -------------------------------------------------------------------
 
 
+def _oracle_row(name: str, tiny: TinyParams, compare_mc: int, seed: int) -> dict:
+    """One spec's row of the oracle report."""
+    variant, secret, view = _ORACLE_SPECS[name]
+    joint = enumerate_protocol(variant, tiny, view, secret)
+    mi = exact_mi(joint)
+    mi_success = exact_mi_given_success(joint)
+    row = {
+        "spec": name,
+        "variant": variant,
+        "secret": secret,
+        "view": view,
+        "mi": float(mi),
+        "mi_exact": str(mi) if isinstance(mi, int) else None,
+        "mi_given_success": float(mi_success),
+        "mi_given_success_exact": str(mi_success) if isinstance(mi_success, int) else None,
+        "arithmetic": "rational",
+        "abort_mass": float(joint.abort_mass),
+        "abort_mass_exact": str(joint.abort_mass),
+        "states": joint.states,
+        "description": joint.description,
+    }
+    if compare_mc:
+        row["mc"] = oracle_vs_montecarlo(joint, trials=compare_mc, master_seed=seed)
+    return row
+
+
 def cmd_oracle(args) -> int:
     seed = _resolve_seed(args)
     tiny = TinyParams(
@@ -294,30 +343,8 @@ def cmd_oracle(args) -> int:
         phase1_size=args.phase1_size, sprime_size=args.sprime_size,
     )
     names = args.spec or ["choice-vs-sets", "choice-pair-vs-sets"]
-    rows = []
-    for name in names:
-        variant, secret, view = _ORACLE_SPECS[name]
-        joint = enumerate_protocol(variant, tiny, view, secret)
-        mi = exact_mi(joint)
-        mi_success = exact_mi_given_success(joint)
-        row = {
-            "spec": name,
-            "variant": variant,
-            "secret": secret,
-            "view": view,
-            "mi": float(mi),
-            "mi_exact": str(mi) if isinstance(mi, int) else None,
-            "mi_given_success": float(mi_success),
-            "mi_given_success_exact": str(mi_success) if isinstance(mi_success, int) else None,
-            "arithmetic": "rational",
-            "abort_mass": float(joint.abort_mass),
-            "abort_mass_exact": str(joint.abort_mass),
-            "states": joint.states,
-            "description": joint.description,
-        }
-        if args.compare_mc:
-            row["mc"] = oracle_vs_montecarlo(joint, trials=args.compare_mc, master_seed=seed)
-        rows.append(row)
+    # every spec's row is worked out on its own, its Monte Carlo check from the master seed
+    rows = fan_out(lambda name: _oracle_row(name, tiny, args.compare_mc, seed), names)
     config = {
         "tiny": dataclasses.asdict(tiny),
         "specs": names,

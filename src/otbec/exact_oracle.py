@@ -70,7 +70,12 @@ class BudgetError(Exception):
 
     def __init__(self, message: str, estimate: int):
         super().__init__(f"{message} (estimated states: {estimate})")
+        self.message = message
         self.estimate = estimate
+
+    def __reduce__(self):
+        """Pickle by the fields, which rebuild the text: a worker process sends it back."""
+        return type(self), (self.message, self.estimate)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ __all__ = [
     "LinearHash",
     "CollisionEstimate",
     "sample_linear_hash",
+    "sample_linear_hashes",
     "apply",
     "collision_probability",
     "joint_collision_probability",
@@ -88,6 +89,28 @@ def sample_linear_hash(m: int, k: int, rng: np.random.Generator) -> LinearHash:
     if m < 0 or k < 0:
         raise ValueError("hash dimensions must be nonnegative")
     return LinearHash._drawn(rng.integers(0, 2, size=(k, m), dtype=np.uint8))
+
+
+def sample_linear_hashes(shapes, rng: np.random.Generator) -> tuple[LinearHash, ...]:
+    """One hash per (rows, cols) shape, in one draw: the matrices and the stream
+    of one `sample_linear_hash(cols, rows, rng)` call per shape, in order.
+
+    numpy draws a uint8 in {0, 1} as the top bit of one byte of a 32-bit word
+    (its Lemire path for a range of two never rejects), takes a call's bytes
+    from its words in little-endian order, and drops the unused bytes of the
+    call's last word. So ceil(rows * cols / 4) words per shape, drawn in one
+    uint32 call, give each matrix from the top bits of the first rows * cols
+    bytes of its words. The shapes are the caller's, unchecked.
+    """
+    sizes = [rows * cols for rows, cols in shapes]
+    spans = [-(-size // 4) * 4 for size in sizes]
+    words = rng.integers(0, 2**32, size=sum(spans) // 4, dtype=np.uint32)
+    draws = words.astype("<u4", copy=False).view(np.uint8)
+    hashes, at = [], 0
+    for (rows, cols), size, span in zip(shapes, sizes, spans):
+        hashes.append(LinearHash._drawn((draws[at:at + size] >> 7).reshape(rows, cols)))
+        at += span
+    return tuple(hashes)
 
 
 def apply(h: LinearHash, x) -> np.ndarray:

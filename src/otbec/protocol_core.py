@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from .channel import ERASED, as_bits, erasure_partition
-from .hashing import LinearHash, sample_linear_hash
+from .hashing import LinearHash, sample_linear_hashes
 
 __all__ = [
     "ParamError",
@@ -44,6 +44,10 @@ class ParamError(ValueError):
         self.constraint = constraint
         self.message = message
 
+    def __reduce__(self):
+        """Pickle by the fields, which rebuild the text: a worker process sends it back."""
+        return type(self), (self.constraint, self.message)
+
 
 class OtCode(Enum):
     """Structured outcome of one OT link; callers branch on it, never on reason text."""
@@ -71,6 +75,10 @@ class _LinkStop(Exception):
         super().__init__(reason)
         self.code = code
         self.reason = reason
+
+    def __reduce__(self):
+        """Pickle by the fields, which rebuild the text: a worker process sends it back."""
+        return type(self), (self.code, self.reason)
 
     def outcome(self) -> OtOutcome:
         return OtOutcome(self.code, None, {"reason": self.reason})
@@ -505,8 +513,8 @@ def send_link(
     ({"h": h pair, "kappa": kappa pair}, commitments, ciphertexts).
     """
     mask, k = pair[0].size, messages[0].size
-    h_pair = (sample_linear_hash(mask, verify_bits, rng), sample_linear_hash(mask, verify_bits, rng))
-    kappa_pair = (sample_linear_hash(mask, k, rng), sample_linear_hash(mask, k, rng))
+    h0, h1, kappa0, kappa1 = sample_linear_hashes(((verify_bits, mask),) * 2 + ((k, mask),) * 2, rng)
+    h_pair, kappa_pair = (h0, h1), (kappa0, kappa1)
     keys = (x[pair[0]], x[pair[1]])
     commit = (h_pair[0](keys[0]), h_pair[1](keys[1]))
     cipher = (encrypt(messages[0], kappa_pair[0], keys[0]),

@@ -12,6 +12,7 @@ from otbec.hashing import (
     collision_probability,
     joint_collision_probability,
     sample_linear_hash,
+    sample_linear_hashes,
 )
 
 
@@ -101,3 +102,23 @@ def test_joint_collision_of_two_single_bit_hashes():
 def test_joint_collision_identical_component_collides_surely():
     assert joint_collision_probability(2, 1, 2, 1, identical1=True) == Fraction(1, 2)
     assert joint_collision_probability(2, 1, 2, 2, identical1=True, identical2=True) == 1
+
+
+def test_one_draw_of_a_links_hashes_is_the_stream_of_one_call_each():
+    # random shapes, some with k * m not a multiple of 4, from generator states
+    # with and without a spare 32-bit half word; the draws after must agree too
+    meta = np.random.default_rng(16)
+    for _ in range(300):
+        shapes = [tuple(int(v) for v in meta.integers(0, 9, size=2)) for _ in range(4)]
+        seed, spare = int(meta.integers(2**32)), int(meta.integers(0, 3))
+        one_each, merged = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (one_each, merged):
+            rng.integers(0, 2**32, size=spare, dtype=np.uint32)
+        expected = [sample_linear_hash(cols, rows, one_each) for rows, cols in shapes]
+        drawn = sample_linear_hashes(shapes, merged)
+        assert [h.matrix.shape for h in drawn] == [tuple(shape) for shape in shapes]
+        assert all(h.matrix.dtype == np.uint8 for h in drawn)
+        assert list(drawn) == expected, shapes
+        assert one_each.bit_generator.state == merged.bit_generator.state
+        assert np.array_equal(one_each.integers(0, 2, size=7, dtype=np.uint8),
+                              merged.integers(0, 2, size=7, dtype=np.uint8))
