@@ -108,7 +108,8 @@ def sample_linear_hashes(shapes, rng: np.random.Generator) -> tuple[LinearHash, 
     draws = words.astype("<u4", copy=False).view(np.uint8)
     hashes, at = [], 0
     for (rows, cols), size, span in zip(shapes, sizes, spans):
-        hashes.append(LinearHash._drawn((draws[at:at + size] >> 7).reshape(rows, cols)))
+        # shifting the reshaped view leaves each matrix one array that owns its bytes
+        hashes.append(LinearHash._drawn(draws[at:at + size].reshape(rows, cols) >> 7))
         at += span
     return tuple(hashes)
 
