@@ -513,8 +513,8 @@ def send_link(
     ({"h": h pair, "kappa": kappa pair}, commitments, ciphertexts).
     """
     mask, k = pair[0].size, messages[0].size
-    h0, h1, kappa0, kappa1 = sample_linear_hashes(((verify_bits, mask),) * 2 + ((k, mask),) * 2, rng)
-    h_pair, kappa_pair = (h0, h1), (kappa0, kappa1)
+    drawn = sample_linear_hashes(((verify_bits, mask),) * 2 + ((k, mask),) * 2, rng)
+    h_pair, kappa_pair = drawn[:2], drawn[2:]
     keys = (x[pair[0]], x[pair[1]])
     commit = (h_pair[0](keys[0]), h_pair[1](keys[1]))
     cipher = (encrypt(messages[0], kappa_pair[0], keys[0]),
