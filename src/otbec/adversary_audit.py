@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -20,7 +21,7 @@ import numpy as np
 from ._stats import chi2_ppf, clopper_pearson
 from .channel import ERASED, trial_rng
 from .entropy import mutual_information_of
-from .protocol_core import ProtocolParams, ProtocolRun
+from .protocol_core import OtCode, ProtocolParams, ProtocolRun
 from .protocol_colluding import VisibilityModel, DEFAULT_VISIBILITY, run_protocol2
 from .protocol_noncolluding import run_protocol1
 
@@ -228,6 +229,38 @@ def generate_runs(
     return runs
 
 
+def _abort_key(params, link: int, code: OtCode) -> str:
+    """abort_reasons key of one link that never published: the phase that lost it."""
+    if params.variant == "noncolluding":
+        return "single-phase"
+    if code is OtCode.NO_SECOND_PHASE:
+        return "no-second-phase"
+    if link == params.order or code is OtCode.UPSTREAM_ABORT:
+        return "phase-1"
+    return "phase-2"
+
+
+def _outcome_counts(runs) -> Counter:
+    """The runs' integer link-outcome tallies; the tallies of disjoint runs add up.
+
+    Keys: "trials", "any-abort", (link, status), (link, "match") for a
+    completed link that decoded its chosen message, and ("reason", abort key).
+    """
+    tally = Counter(trials=len(runs))
+    for run in runs:
+        # a link the parameters never run (no-second-phase) did not abort
+        if any(out.status == "aborted" for out in run.outcomes):
+            tally["any-abort"] += 1
+        for link, out in zip((1, 2), run.outcomes):
+            tally[link, out.status] += 1
+            # receive_link compared the decoded message with the chosen one
+            if out.status == "completed" and out.diagnostics["correct"]:
+                tally[link, "match"] += 1
+            elif out.status in ("aborted", "no-second-phase"):
+                tally["reason", _abort_key(run.params, link, out.code)] += 1
+    return tally
+
+
 def _shared_params(runs) -> ProtocolParams:
     """The parameters every run in the batch was produced with; rejects mixed batches."""
     if not runs:
@@ -237,6 +270,29 @@ def _shared_params(runs) -> ProtocolParams:
         if run.params is not params and run.params != params:
             raise ValueError("runs must share parameters")
     return params
+
+
+def _attack_params(runs, attacker: str, attackers: tuple, link: int,
+                   rng: np.random.Generator | None, rng_use: str) -> ProtocolParams:
+    """The runs' shared parameters, once the attacker, the link and the rng are checked."""
+    if attacker not in attackers:
+        raise ValueError(f"unknown attacker {attacker!r}")
+    if link not in (1, 2):
+        raise ValueError("link must be 1 or 2")
+    if rng is None:
+        raise ValueError(f"{rng_use} needs an rng")
+    return _shared_params(runs)
+
+
+def _attack_report(target: str, strategy: str, successes: int, used: int,
+                   baseline: float, extras: dict) -> AttackReport:
+    """The report of an attack that won successes of used runs, against a blind-guess baseline."""
+    rate = successes / used
+    lo, hi = clopper_pearson(successes, used)
+    advantage = rate - baseline
+    ci = (lo - baseline, hi - baseline)
+    return AttackReport(target=target, strategy=strategy, advantage=advantage, ci=ci,
+                        trials=used, extras=extras, verdict=_verdict(advantage, ci))
 
 
 def guess_unchosen_message(
@@ -255,13 +311,7 @@ def guess_unchosen_message(
     probability 2^-k, so blind success is 2^-mask + (1 - 2^-mask) 2^-k, not
     plain 2^-k. Aborted links are skipped (nothing was published).
     """
-    if attacker not in MESSAGE_ATTACKERS:
-        raise ValueError(f"unknown attacker {attacker!r}")
-    if link not in (1, 2):
-        raise ValueError("link must be 1 or 2")
-    if rng is None:
-        raise ValueError("the uniform-fill step needs an rng")
-    params = _shared_params(runs)
+    params = _attack_params(runs, attacker, MESSAGE_ATTACKERS, link, rng, "the uniform-fill step")
     k = params.key_len(link)
     receivers = {"single-receiver": (link,), "pooled-receivers": (1, 2), "wiretapper": ()}[attacker]
     successes = 0
@@ -293,22 +343,10 @@ def guess_unchosen_message(
         raise ValueError("no completed runs to attack")
     blind_hit = 2.0 ** (-mask)
     baseline = blind_hit + (1.0 - blind_hit) * 2.0 ** (-k)
-    rate = successes / used
-    lo, hi = clopper_pearson(successes, used)
-    advantage = rate - baseline
-    ci = (lo - baseline, hi - baseline)
-    return AttackReport(
-        target=f"unchosen message, link {link}",
-        strategy=f"{attacker} read-off with uniform fill",
-        advantage=advantage,
-        ci=ci,
-        trials=used,
-        extras={
-            "knowledge_rate": known_fraction / used,
-            "baseline": baseline,
-            "skipped_aborts": skipped,
-        },
-        verdict=_verdict(advantage, ci),
+    return _attack_report(
+        f"unchosen message, link {link}", f"{attacker} read-off with uniform fill",
+        successes, used, baseline,
+        {"knowledge_rate": known_fraction / used, "baseline": baseline, "skipped_aborts": skipped},
     )
 
 
@@ -326,13 +364,7 @@ def guess_choice_bit(
     statistic) and guesses the higher-scoring label, flipping a coin on ties.
     The rule is label-equivariant, so it cannot exploit label names.
     """
-    if attacker not in CHOICE_ATTACKERS:
-        raise ValueError(f"unknown attacker {attacker!r}")
-    if link not in (1, 2):
-        raise ValueError("link must be 1 or 2")
-    if rng is None:
-        raise ValueError("tie-breaking needs an rng")
-    params = _shared_params(runs)
+    params = _attack_params(runs, attacker, CHOICE_ATTACKERS, link, rng, "tie-breaking")
     successes = 0
     used = 0
     skipped = 0
@@ -356,19 +388,8 @@ def guess_choice_bit(
         used += rows.size
     if used == 0:
         raise ValueError("no completed runs to attack")
-    rate = successes / used
-    lo, hi = clopper_pearson(successes, used)
-    advantage = rate - 0.5
-    ci = (lo - 0.5, hi - 0.5)
-    return AttackReport(
-        target=f"choice bit, link {link}",
-        strategy=f"{attacker} set scoring",
-        advantage=advantage,
-        ci=ci,
-        trials=used,
-        extras={"skipped_aborts": skipped},
-        verdict=_verdict(advantage, ci),
-    )
+    return _attack_report(f"choice bit, link {link}", f"{attacker} set scoring",
+                          successes, used, 0.5, {"skipped_aborts": skipped})
 
 
 # --- condition table ------------------------------------------------------------
@@ -444,22 +465,12 @@ def condition_suite(runs) -> list[ConditionRow]:
 
     rows: list[ConditionRow] = []
 
-    counted = 0
-    errors = 0
-    aborted_links = 0
     # correctness over published links; the abort rate over links the
     # parameters run, so no-second-phase links count in neither
-    for run in runs:
-        for outcome in run.outcomes:
-            status = outcome.status
-            if status == "no-second-phase":
-                continue
-            if status == "aborted":
-                aborted_links += 1
-                continue
-            counted += 1
-            if status != "completed" or not outcome.diagnostics.get("correct", False):
-                errors += 1
+    tally = _outcome_counts(runs)
+    counted = sum(tally[i, "completed"] + tally[i, "decode-error"] for i in (1, 2))
+    errors = counted - tally[1, "match"] - tally[2, "match"]
+    aborted_links = tally[1, "aborted"] + tally[2, "aborted"]
     rate = errors / counted if counted else 0.0
     rows.append(ConditionRow(
         "chosen-message correctness",

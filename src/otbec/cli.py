@@ -25,12 +25,14 @@ from ._fanout import fan_out
 from ._stats import clopper_pearson
 from .adversary_audit import (
     _CHUNK,
+    _outcome_counts,
     condition_suite,
     generate_runs,
     guess_choice_bit,
     guess_unchosen_message,
 )
 from .exact_oracle import (
+    SPECS,
     BudgetError,
     TinyParams,
     enumerate_protocol,
@@ -39,7 +41,7 @@ from .exact_oracle import (
     oracle_vs_montecarlo,
 )
 from .protocol_colluding import VisibilityModel
-from .protocol_core import OtCode, ParamError, snap_params
+from .protocol_core import ParamError, snap_params
 from .rates import REGIONS, ChannelSpec, containment_note, general_upper_bounds, vertices
 
 __all__ = ["DEFAULT_SEED", "SCHEMA_VERSION", "parse_prob", "main"]
@@ -48,15 +50,6 @@ DEFAULT_SEED = 101
 SCHEMA_VERSION = "1"
 
 _VARIANTS = {"p1": "noncolluding", "p2": "colluding"}
-
-_ORACLE_SPECS = {
-    "choice-vs-sets": ("noncolluding", "z1", "announced-sets-1"),
-    "choice-pair-vs-sets": ("noncolluding", "z-pair", "announced-sets-both"),
-    "unchosen-vs-own": ("noncolluding", "m1-unchosen", "own-receiver-1"),
-    "unchosen-vs-pooled": ("noncolluding", "m1-unchosen", "pooled-receivers-1"),
-    "phase2-unchosen-vs-pooled": ("colluding", "m2-unchosen", "pooled-receivers-2-phase2"),
-    "phase1-cross-knowledge": ("colluding", "x-sprime", "first-receiver-phase1"),
-}
 
 _ATTACKER_MAP = {
     "single": ("single-receiver", "alice"),
@@ -199,34 +192,6 @@ def _rate_ci(successes: int, trials: int) -> dict:
     }
 
 
-def _abort_key(params, link: int, code: OtCode) -> str:
-    """abort_reasons key of one link that never published: the phase that lost it."""
-    if params.variant == "noncolluding":
-        return "single-phase"
-    if code is OtCode.NO_SECOND_PHASE:
-        return "no-second-phase"
-    if link == params.order or code is OtCode.UPSTREAM_ABORT:
-        return "phase-1"
-    return "phase-2"
-
-
-def _simulate_counts(runs) -> Counter:
-    """The campaign's integer tallies over the runs; the tallies of disjoint runs add up."""
-    tally = Counter(trials=len(runs))
-    for run in runs:
-        # a link the parameters never run (no-second-phase) did not abort
-        if any(out.status == "aborted" for out in run.outcomes):
-            tally["any-abort"] += 1
-        for link, out in zip((1, 2), run.outcomes):
-            tally[link, out.status] += 1
-            # receive_link compared the decoded message with the chosen one
-            if out.status == "completed" and out.diagnostics["correct"]:
-                tally[link, "match"] += 1
-            elif out.status in ("aborted", "no-second-phase"):
-                tally["reason", _abort_key(run.params, link, out.code)] += 1
-    return tally
-
-
 def _simulate_stats(tally: Counter) -> dict:
     """The results block of a campaign from its summed tallies."""
     trials = tally["trials"]
@@ -259,7 +224,7 @@ def cmd_simulate(args) -> int:
 
     def chunk(start: int) -> Counter:
         size = min(_CHUNK, args.trials - start)
-        return _simulate_counts(generate_runs(params, size, seed, visibility, start=start))
+        return _outcome_counts(generate_runs(params, size, seed, visibility, start=start))
 
     # the campaign streams through chunks of trials, so memory does not grow
     # with the trial count; generate_runs refuses a count below one, so a
@@ -311,10 +276,11 @@ def cmd_audit(args) -> int:
 
 def _oracle_row(name: str, tiny: TinyParams, compare_mc: int, seed: int) -> dict:
     """One spec's row of the oracle report."""
-    variant, secret, view = _ORACLE_SPECS[name]
+    variant, secret, view = SPECS[name]
     joint = enumerate_protocol(variant, tiny, view, secret)
     mi = exact_mi(joint)
-    mi_success = exact_mi_given_success(joint)
+    # a joint that always aborts has nothing to condition on
+    mi_success = None if joint.abort_mass == 1 else exact_mi_given_success(joint)
     row = {
         "spec": name,
         "variant": variant,
@@ -322,7 +288,7 @@ def _oracle_row(name: str, tiny: TinyParams, compare_mc: int, seed: int) -> dict
         "view": view,
         "mi": float(mi),
         "mi_exact": str(mi) if isinstance(mi, int) else None,
-        "mi_given_success": float(mi_success),
+        "mi_given_success": None if mi_success is None else float(mi_success),
         "mi_given_success_exact": str(mi_success) if isinstance(mi_success, int) else None,
         "arithmetic": "rational",
         "abort_mass": float(joint.abort_mass),
@@ -492,7 +458,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     orc.add_argument("--key-bits", type=int, default=1)
     orc.add_argument("--phase1-size", type=int, default=1)
     orc.add_argument("--sprime-size", type=int, default=2)
-    orc.add_argument("--spec", action="append", choices=tuple(_ORACLE_SPECS),
+    orc.add_argument("--spec", action="append", choices=tuple(SPECS),
                      help="repeatable; default: choice-vs-sets and choice-pair-vs-sets")
     orc.add_argument("--compare-mc", type=int, default=0,
                      help="also sample this many Monte Carlo trials per spec")

@@ -43,6 +43,7 @@ __all__ = [
     "BudgetError",
     "TinyParams",
     "ExactJoint",
+    "SPECS",
     "SUPPORTED_SPECS",
     "enumerate_protocol",
     "exact_mi",
@@ -145,14 +146,16 @@ class ExactJoint:
         return Fraction(self._split[1], self.denominator)
 
 
-SUPPORTED_SPECS = (
-    ("noncolluding", "z1", "announced-sets-1"),
-    ("noncolluding", "z-pair", "announced-sets-both"),
-    ("noncolluding", "m1-unchosen", "own-receiver-1"),
-    ("noncolluding", "m1-unchosen", "pooled-receivers-1"),
-    ("colluding", "m2-unchosen", "pooled-receivers-2-phase2"),
-    ("colluding", "x-sprime", "first-receiver-phase1"),
-)
+# every declared spec: its CLI name and its (variant, secret, view)
+SPECS = {
+    "choice-vs-sets": ("noncolluding", "z1", "announced-sets-1"),
+    "choice-pair-vs-sets": ("noncolluding", "z-pair", "announced-sets-both"),
+    "unchosen-vs-own": ("noncolluding", "m1-unchosen", "own-receiver-1"),
+    "unchosen-vs-pooled": ("noncolluding", "m1-unchosen", "pooled-receivers-1"),
+    "phase2-unchosen-vs-pooled": ("colluding", "m2-unchosen", "pooled-receivers-2-phase2"),
+    "phase1-cross-knowledge": ("colluding", "x-sprime", "first-receiver-phase1"),
+}
+SUPPORTED_SPECS = tuple(SPECS.values())
 
 _ABORT_MARKERS = ("abort", "abort-phase-1", "abort-phase-2", "no-sprime")
 # a marker, or a marker view, as one top-level part of a view
@@ -177,16 +180,9 @@ def _bit_positions(pattern: int, n: int) -> tuple[list, list]:
     return ones, zeros
 
 
-def _kappa_images(rows: tuple, x: int) -> tuple:
-    return tuple(bin(row & x).count("1") & 1 for row in rows)
-
-
-def _xor_bits(a: tuple, b: tuple) -> tuple:
-    return tuple(x ^ y for x, y in zip(a, b))
-
-
-def _int_to_bits(v: int, width: int) -> tuple:
-    return tuple((v >> t) & 1 for t in range(width))
+def _kappa_image(rows: tuple, x: int) -> int:
+    """kappa(x) as a packed int: bit t is the parity of packed row t AND packed x."""
+    return sum((bin(row & x).count("1") & 1) << t for t, row in enumerate(rows))
 
 
 def _has_abort(view) -> bool:
@@ -227,12 +223,12 @@ def _estimate_states(tiny: TinyParams, view_spec: str) -> int:
     raise ValueError(f"unknown view spec {view_spec!r}")
 
 
-def _check_budget(tiny: TinyParams, view_spec: str, budget: EnumerationBudget) -> int:
+def _check_budget(tiny: TinyParams, variant: str, view_spec: str, budget: EnumerationBudget) -> int:
     estimate = _estimate_states(tiny, view_spec)
     if tiny.n > budget.max_n:
         raise BudgetError(f"n = {tiny.n} exceeds budget n <= {budget.max_n}", estimate)
     sizes = [tiny.set_size]
-    if view_spec in ("pooled-receivers-2-phase2", "first-receiver-phase1"):
+    if variant == "colluding":  # the two-phase specs also draw a phase-1 pair and S'
         sizes.append(tiny.phase1_size)
         if tiny.sprime_size > budget.max_hash_in:
             raise BudgetError(
@@ -250,9 +246,10 @@ def _check_budget(tiny: TinyParams, view_spec: str, budget: EnumerationBudget) -
 
 
 def _link_structures(n: int, p: Fraction, size: int):
-    """(denominator, iterator of (z, announced pair or abort marker, numerator)) for one link.
+    """(denominator, iterator of (z, announced pair or abort marker, numerator, e, ebar)) for one link.
 
-    The denominator is b^n for the pattern, 2 for z and the pair-pool lcm.
+    e and ebar list the erasure pattern's erased and kept positions. The
+    denominator is b^n for the pattern, 2 for z and the pair-pool lcm.
     """
     pattern_num, pattern_den = _pattern_law(p, n)
     pool = _pair_lcm(n, size)
@@ -263,7 +260,7 @@ def _link_structures(n: int, p: Fraction, size: int):
             w_pat = pattern_num[len(e)]
             for z in (0, 1):
                 if len(ebar) < size or len(e) < size:
-                    yield z, ("abort",), w_pat * pool
+                    yield z, ("abort",), w_pat * pool, e, ebar
                     continue
                 chosen_pool = list(itertools.combinations(ebar, size))
                 other_pool = list(itertools.combinations(e, size))
@@ -271,7 +268,7 @@ def _link_structures(n: int, p: Fraction, size: int):
                 for sc in chosen_pool:
                     for so in other_pool:
                         pair = (sc, so) if z == 0 else (so, sc)
-                        yield z, pair, w_sub
+                        yield z, pair, w_sub, e, ebar
 
     return pattern_den * 2 * pool, items()
 
@@ -287,7 +284,7 @@ def _accumulate(items) -> tuple[dict, int]:
 
 def _enum_sets_link(tiny: TinyParams, p: Fraction):
     denominator, structures = _link_structures(tiny.n, p, tiny.set_size)
-    agg, states = _accumulate(((z, pair), w) for z, pair, w in structures)
+    agg, states = _accumulate(((z, pair), w) for z, pair, w, _, _ in structures)
     return agg, states, denominator
 
 
@@ -307,19 +304,19 @@ def _message_cells(s: int, k: int, x: int, head: tuple, tail: tuple, w: int):
 
     x holds the input bits at the unchosen set, in set order; the view is head,
     the uniform hash matrix kappa, the ciphertext m xor kappa(x), then tail.
+    Messages, ciphertexts and kappa rows are packed ints (bit t = entry t).
     """
     for rows in itertools.product(range(1 << s), repeat=k):
         kappa = ("kappa", rows)
-        kx = _kappa_images(rows, x)
+        kx = _kappa_image(rows, x)
         for m in range(1 << k):
-            mbits = _int_to_bits(m, k)
-            yield (mbits, (*head, kappa, _xor_bits(mbits, kx), *tail)), w
+            yield (m, (*head, kappa, m ^ kx, *tail)), w
 
 
 def _abort_cells(k: int, view: tuple, w: int):
     """Every message under an abort view, each of weight w: nothing was published."""
     for m in range(1 << k):
-        yield (_int_to_bits(m, k), view), w
+        yield (m, view), w
 
 
 def _enum_message_link1(tiny: TinyParams, pooled: bool):
@@ -339,7 +336,7 @@ def _enum_message_link1(tiny: TinyParams, pooled: bool):
     abort_scale = y_den << (s + s * k)
 
     def items():
-        for z, pair, w in structures:
+        for z, pair, w, _, _ in structures:
             if pair == ("abort",):
                 yield from _abort_cells(k, pair, w * abort_scale)
                 continue
@@ -399,7 +396,7 @@ def _enum_phase2_message(tiny: TinyParams):
                     for sp in sprime_pool:
                         assert all(i in e for i in sp)
                         for x in range(1 << q):  # input bits at the retransmitted set
-                            for z2, pair2, w2 in link2:
+                            for z2, pair2, w2, _, _ in link2:
                                 if pair2 == ("abort",):
                                     yield from _abort_cells(
                                         k, ("abort-phase-2",), (w_sp * w2) << (s * k))
@@ -424,47 +421,46 @@ def _enum_phase1_cross(tiny: TinyParams):
     enumeration checks branch by branch; the joint therefore factors exactly.
     """
     n, m1, q = tiny.n, tiny.phase1_size, tiny.sprime_size
-    pat_num, pat_den = _pattern_law(tiny.p1, n)
-    pair_pool = _pair_lcm(n, m1)
+    link_den, structures = _link_structures(n, tiny.p1, m1)
     # S' and the free input bits (non-erased plus S') are one uniform draw
     # from C(e - m1, q) * 2^(n - e + q) outcomes
     sp_pool = math.lcm(*(math.comb(e - m1, q) << (n - e + q)
                          for e in range(m1 + q, n - m1 + 1)))
 
     def items():
-        for pattern in range(1 << n):
-            e, ebar = _bit_positions(pattern, n)
+        for z1, pair, w_pair, e, ebar in structures:
+            if pair == ("abort",):
+                yield ((), ("abort-phase-1",)), w_pair * sp_pool
+                continue
+            leftover = [i for i in e if i not in pair[1 - z1]]
+            if len(leftover) < q:
+                yield ((), (z1, pair, "no-sprime")), w_pair * sp_pool
+                continue
+            sprime_pool = list(itertools.combinations(leftover, q))
+            w_x = w_pair * (sp_pool // (len(sprime_pool) << (len(ebar) + q)))
             ebar_set = set(ebar)
-            w_pat = pat_num[len(e)]
-            for z1 in (0, 1):
-                if len(ebar) < m1 or len(e) < m1:
-                    yield ((), ("abort-phase-1",)), w_pat * pair_pool * sp_pool
-                    continue
-                chosen_pool = list(itertools.combinations(ebar, m1))
-                other_pool = list(itertools.combinations(e, m1))
-                w_pair = w_pat * (pair_pool // (len(chosen_pool) * len(other_pool)))
-                for sc in chosen_pool:
-                    for so in other_pool:
-                        pair = (sc, so) if z1 == 0 else (so, sc)
-                        leftover = [i for i in e if i not in so]
-                        if len(leftover) < q:
-                            yield ((), (z1, pair, "no-sprime")), w_pair * sp_pool
-                            continue
-                        sprime_pool = list(itertools.combinations(leftover, q))
-                        w_x = w_pair * (sp_pool // (len(sprime_pool) << (len(ebar) + q)))
-                        for sp in sprime_pool:
-                            assert all(i in e for i in sp)
-                            free = list(ebar) + list(sp)
-                            for bits in range(1 << len(free)):
-                                assign = {pos: (bits >> t) & 1 for t, pos in enumerate(free)}
-                                obs = tuple(
-                                    assign[i] if i in ebar_set else "e" for i in range(n)
-                                )
-                                secret = tuple(assign[i] for i in sp)
-                                yield (secret, (z1, pair, sp, obs)), w_x
+            for sp in sprime_pool:
+                assert all(i in e for i in sp)
+                free = ebar + list(sp)
+                for bits in range(1 << len(free)):
+                    assign = {pos: (bits >> t) & 1 for t, pos in enumerate(free)}
+                    obs = tuple(assign[i] if i in ebar_set else "e" for i in range(n))
+                    secret = tuple(assign[i] for i in sp)
+                    yield (secret, (z1, pair, sp, obs)), w_x
 
     agg, states = _accumulate(items())
-    return agg, states, pat_den * 2 * pair_pool * sp_pool
+    return agg, states, link_den * sp_pool
+
+
+# each view's enumerator: (weights, states, denominator) of its joint
+_ENUMERATORS = {
+    "announced-sets-1": lambda tiny: _enum_sets_link(tiny, tiny.p1),
+    "announced-sets-both": _enum_sets_both,
+    "own-receiver-1": lambda tiny: _enum_message_link1(tiny, pooled=False),
+    "pooled-receivers-1": lambda tiny: _enum_message_link1(tiny, pooled=True),
+    "pooled-receivers-2-phase2": _enum_phase2_message,
+    "first-receiver-phase1": _enum_phase1_cross,
+}
 
 
 def enumerate_protocol(
@@ -485,19 +481,8 @@ def enumerate_protocol(
     if combo not in SUPPORTED_SPECS:
         supported = ", ".join(str(c) for c in SUPPORTED_SPECS)
         raise ValueError(f"unsupported spec {combo}; supported: {supported}")
-    _check_budget(tiny, view_spec, budget)
-    if view_spec == "announced-sets-1":
-        agg, states, denominator = _enum_sets_link(tiny, tiny.p1)
-    elif view_spec == "announced-sets-both":
-        agg, states, denominator = _enum_sets_both(tiny)
-    elif view_spec == "own-receiver-1":
-        agg, states, denominator = _enum_message_link1(tiny, pooled=False)
-    elif view_spec == "pooled-receivers-1":
-        agg, states, denominator = _enum_message_link1(tiny, pooled=True)
-    elif view_spec == "first-receiver-phase1":
-        agg, states, denominator = _enum_phase1_cross(tiny)
-    else:
-        agg, states, denominator = _enum_phase2_message(tiny)
+    _check_budget(tiny, variant, view_spec, budget)
+    agg, states, denominator = _ENUMERATORS[view_spec](tiny)
     if any(w < 0 for w in agg.values()):
         raise ValueError("enumerated weights must be nonnegative")
     total = sum(agg.values())
@@ -537,12 +522,9 @@ def _tuple_set(arr) -> tuple:
     return tuple(int(v) for v in arr)
 
 
-def _kappa_symbol(h) -> tuple:
-    rows = tuple(
-        int(sum(int(h.matrix[r, t]) << t for t in range(h.cols)))
-        for r in range(h.rows)
-    )
-    return ("kappa", rows)
+def _packed(bits) -> int:
+    """The 0/1 vector as one int, bit t = entry t: the enumerator's form of a bit string."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def _obs_symbol(values) -> tuple:
@@ -572,7 +554,8 @@ def _sample_once(tiny: TinyParams, view_spec: str, rng: np.random.Generator):
 
     def unchosen_view(bits, pair, z, messages):
         hashes, _, cipher = send_link(bits, pair, messages, verify_bits, rng)
-        return _kappa_symbol(hashes["kappa"][1 - z]), _tuple_set(cipher[1 - z])
+        kappa = hashes["kappa"][1 - z].matrix
+        return ("kappa", tuple(_packed(row) for row in kappa)), _packed(cipher[1 - z])
 
     if view_spec in ("announced-sets-1", "announced-sets-both"):
         z1, v1, _, _, _ = announced(x, tiny.p1, s)
@@ -585,16 +568,16 @@ def _sample_once(tiny: TinyParams, view_spec: str, rng: np.random.Generator):
         y2 = transmit_bec(x, float(tiny.p2), rng) if view_spec == "pooled-receivers-1" else None
         messages = _message_pair(tiny.key_bits, rng)
         if pair is None:
-            return _tuple_set(messages[1 - z]), view
+            return _packed(messages[1 - z]), view
         view = (z, view, *unchosen_view(x, pair, z, messages))
         if y2 is not None:
             view += (_obs_symbol(restrict(y2, pair[1 - z])),)
-        return _tuple_set(messages[1 - z]), view
+        return _packed(messages[1 - z]), view
     # both two-phase specs share phase 1 and the S' draw
     z1, pairview, y1, pair1, e1 = announced(x, tiny.p1, tiny.phase1_size)
     phase2 = view_spec == "pooled-receivers-2-phase2"
     messages = _message_pair(tiny.key_bits, rng) if phase2 else None
-    secret = _tuple_set(messages[0]) if phase2 else ()
+    secret = _packed(messages[0]) if phase2 else ()
     if pair1 is None:
         return secret, ("abort-phase-1",)
     try:
@@ -606,9 +589,9 @@ def _sample_once(tiny: TinyParams, view_spec: str, rng: np.random.Generator):
     x_sp = restrict(x, sp)
     z2, view2, _, pair2, _ = announced(x_sp, tiny.p2, s)
     if pair2 is None:
-        return _tuple_set(messages[1 - z2]), ("abort-phase-2",)
+        return _packed(messages[1 - z2]), ("abort-phase-2",)
     view = (z2, _tuple_set(sp), view2, *unchosen_view(x_sp, pair2, z2, messages), ("e",) * s)
-    return _tuple_set(messages[1 - z2]), view
+    return _packed(messages[1 - z2]), view
 
 
 def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -> dict:

@@ -204,7 +204,6 @@ def joint_collision_probability(
     k1: int,
     m2: int,
     k2: int,
-    mode: str = "exact",
     identical1: bool = False,
     identical2: bool = False,
 ) -> Fraction:
@@ -214,8 +213,6 @@ def joint_collision_probability(
     of the per-family exact maxima. A component whose input pair is identical
     collides with probability 1, reducing the joint to the other component.
     """
-    if mode != "exact":
-        raise ValueError("joint collision probability is implemented exactly only")
     for m, k in ((m1, k1), (m2, k2)):
         if m * k > EXACT_GUARD_BITS:
             raise ValueError(f"exact enumeration rejected: m*k = {m * k} exceeds guard {EXACT_GUARD_BITS}")

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from otbec.cli import DEFAULT_SEED, main, parse_prob
+from otbec import exact_oracle
+from otbec.cli import DEFAULT_SEED, build_parser, main, parse_prob
 
 SIM_FLAGS = [
     "--variant", "p1", "--n", "64", "--p1", "0.5", "--p2", "0.5",
@@ -194,6 +195,29 @@ def test_oracle_decimal_probabilities_are_exact(tmp_path, capsys):
     assert reports[0]["config"]["tiny"]["p1"] == "1/2"
     assert [row["mi_exact"] for row in reports[0]["results"]] == ["0", "0"]
     assert reports[0]["results"][0]["abort_mass_exact"] == "1/8"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--spec", "choice-vs-sets", "--p1", "1"),
+    ("--spec", "phase1-cross-knowledge", "--p1", "0"),
+    ("--spec", "choice-vs-sets", "--n", "2", "--set-size", "2"),
+])
+def test_oracle_all_abort_instance_reports_no_conditioned_mi(tmp_path, capsys, flags):
+    # every branch aborts, so the information given success is undefined, not an error
+    out = tmp_path / "oracle.json"
+    code, _, _ = run(capsys, "oracle", *flags, "--out", str(out))
+    assert code == 0
+    (row,) = json.loads(out.read_text())["results"]
+    assert row["abort_mass_exact"] == "1"
+    assert row["mi_exact"] == "0"
+    assert row["mi_given_success"] is None
+    assert row["mi_given_success_exact"] is None
+
+
+def test_oracle_spec_choices_are_the_oracle_specs():
+    _, registry = build_parser()
+    (spec,) = [action for action in registry["oracle"]._actions if action.dest == "spec"]
+    assert tuple(spec.choices) == tuple(exact_oracle.SPECS)
 
 
 def test_oracle_compare_mc(tmp_path, capsys):

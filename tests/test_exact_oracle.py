@@ -11,6 +11,7 @@ from otbec.exact_oracle import (
     BudgetError,
     EnumerationBudget,
     ExactJoint,
+    SPECS,
     SUPPORTED_SPECS,
     TinyParams,
     enumerate_protocol,
@@ -160,10 +161,12 @@ def test_exact_mi_on_handmade_joints():
     assert exact_mi(j2) == pytest.approx(1.0)
 
 
-def test_montecarlo_matches_exact_within_band():
-    exact = enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "z1")
+@pytest.mark.parametrize("spec", SUPPORTED_SPECS, ids=list(SPECS))
+def test_montecarlo_matches_exact_within_band(spec):
+    variant, secret, view = spec
+    exact = enumerate_protocol(variant, tiny(), view, secret)
     res = oracle_vs_montecarlo(exact, trials=4000, master_seed=11)
-    assert res["within_band"]
+    assert res["within_band"], res
     assert res["max_deviation"] <= res["band"]
     assert res["band"] == pytest.approx(math.sqrt(math.log(2 / 0.01) / (2 * 4000)))
 
