@@ -96,72 +96,64 @@ _CHUNK = 256
 
 
 class _Block:
-    """Consecutive runs of one parameter set read back as stacked arrays.
+    """Consecutive runs of one parameter set as the arrays the analyses read, without the runs.
 
-    Axis 0 of every array is the run within the block. `known` holds what
-    each receiver knows of the input block, `sets` a link's announced index
-    pairs in input-block coordinates; both are built on first use.
+    Axis 0 is the run in the block, so a worker sends a block back cheaply.
+    `known[:, i - 1]` is receiver i's knowledge map, `messages[i - 1]` link
+    i's (c, 2, k) message pairs, `tally` the runs' `_outcome_counts`, and
+    `links[i - 1]` link i's (rows, pairs, kappa, cipher): the (u,) rows that
+    announced on it, their (u, 2, size) index pairs in input-block
+    coordinates, (u, 2, k, size) κ matrices and (u, 2, k) ciphertexts, the
+    label on axis 1 (None but rows if u = 0).
     """
 
     def __init__(self, runs, params: ProtocolParams):
-        self.params = params
-        self.records = [run.record for run in runs]
-        self.z = np.array([rec["z"] for rec in self.records], dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    @functools.cached_property
-    def x(self) -> np.ndarray:
-        return np.stack([rec["x"] for rec in self.records])
-
-    @functools.cached_property
-    def known(self) -> np.ndarray:
-        """(c, 2, n) int8: receiver i's knowledge map at [:, i - 1], ERASED where it holds nothing.
-
-        A phase-2 observation is mapped through S'.
-        """
-        known = np.full((len(self), 2, self.params.n), ERASED, dtype=np.int8)
-        for r, rec in enumerate(self.records):
+        records = [run.record for run in runs]
+        self.tally = _outcome_counts(runs)
+        self.z = np.array([rec["z"] for rec in records], dtype=np.int64)
+        self.x = np.stack([rec["x"] for rec in records])
+        self.messages = tuple(np.array([rec["messages"][i] for rec in records]) for i in (0, 1))
+        # (c, 2, n) int8, ERASED where the receiver holds nothing; a phase-2
+        # observation is mapped through S'
+        self.known = np.full((len(records), 2, params.n), ERASED, dtype=np.int8)
+        for r, rec in enumerate(records):
             for i, y in rec["y_phase1"].items():
                 if y is not None:
-                    known[r, i - 1] = y
+                    self.known[r, i - 1] = y
         for i in (1, 2):
-            rows = [r for r, rec in enumerate(self.records) if rec["y_phase2"][i] is not None]
+            rows = [r for r, rec in enumerate(records) if rec["y_phase2"][i] is not None]
             if rows:
-                seen = np.stack([self.records[r]["y_phase2"][i] for r in rows])
+                seen = np.stack([records[r]["y_phase2"][i] for r in rows])
                 at = (np.array(rows)[:, None], i - 1,
-                      np.stack([self.records[r]["sprime"] for r in rows]))
-                known[at] = np.where(seen != ERASED, seen, known[at])
-        return known
+                      np.stack([records[r]["sprime"] for r in rows]))
+                self.known[at] = np.where(seen != ERASED, seen, self.known[at])
+        self.links = tuple(_announced(records, params, link) for link in (1, 2))
+
+    def __len__(self) -> int:
+        return len(self.z)
 
     def coalition(self, receivers) -> np.ndarray:
         """(c, n): what the receivers know together, the elementwise union of their maps."""
-        known = np.full((len(self), self.params.n), ERASED, dtype=np.int8)
+        known = np.full((len(self), self.known.shape[2]), ERASED, dtype=np.int8)
         for i in receivers:
             known = np.where(known != ERASED, known, self.known[:, i - 1])
         return known
 
-    def sets(self, link: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """(rows, pairs): the block rows whose run announced on the link, and
-        their (u, 2, size) index pairs in input-block coordinates (None if u = 0)."""
-        rows = [r for r, rec in enumerate(self.records) if link in rec["sets"]]
-        if not rows:
-            return np.empty(0, dtype=np.int64), None
-        pairs = np.array([self.records[r]["sets"][link] for r in rows])
-        # only the second link of the two-phase variant announces inside S'
-        if self.params.variant == "colluding" and link != self.params.order:
-            sprime = np.stack([self.records[r]["sprime"] for r in rows])
-            pairs = np.take_along_axis(sprime[:, None, :], pairs, axis=2)
-        return np.array(rows), pairs
 
-    def published(self, link: int, rows: np.ndarray, labels: np.ndarray) -> tuple:
-        """(kappa, ciphertext, message) of the given label per row, stacked:
-        (u, k, mask), (u, k) and (u, k)."""
-        picked = [(self.records[r], j) for r, j in zip(rows.tolist(), labels.tolist())]
-        return (np.stack([rec["hashes"][link]["kappa"][j].matrix for rec, j in picked]),
-                np.stack([rec["ciphertexts"][link][j] for rec, j in picked]),
-                np.stack([rec["messages"][link - 1][j] for rec, j in picked]))
+def _announced(records, params: ProtocolParams, link: int) -> tuple:
+    """A block's links entry: what the link announced and published in the records' runs."""
+    rows = [r for r, rec in enumerate(records) if link in rec["sets"]]
+    if not rows:
+        return np.empty(0, dtype=np.int64), None, None, None
+    announced = [records[r] for r in rows]
+    pairs = np.array([rec["sets"][link] for rec in announced])
+    # only the second link of the two-phase variant announces inside S'
+    if params.variant == "colluding" and link != params.order:
+        sprime = np.stack([rec["sprime"] for rec in announced])
+        pairs = np.take_along_axis(sprime[:, None, :], pairs, axis=2)
+    return (np.array(rows), pairs,
+            np.array([[h.matrix for h in rec["hashes"][link]["kappa"]] for rec in announced]),
+            np.array([rec["ciphertexts"][link] for rec in announced]))
 
 
 def _blocks(runs, params: ProtocolParams):
@@ -178,11 +170,6 @@ def _on_sets(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
 def _known_on_sets(known: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     """(u, 2): per row, how many positions of each label's set the (u, n) map knows."""
     return (_on_sets(known, pairs) != ERASED).sum(axis=2)
-
-
-def _heads(pairs) -> np.ndarray:
-    """(u, 2): the first bit of both vectors of each of u (label 0, label 1) pairs."""
-    return np.stack([np.stack([pair[j] for pair in pairs])[:, 0] for j in (0, 1)], axis=1)
 
 
 def _verdict(advantage: float, ci: tuple[float, float]) -> str:
@@ -312,6 +299,11 @@ def guess_unchosen_message(
     plain 2^-k. Aborted links are skipped (nothing was published).
     """
     params = _attack_params(runs, attacker, MESSAGE_ATTACKERS, link, rng, "the uniform-fill step")
+    return _message_attack(_blocks(runs, params), params, attacker, link, rng)
+
+
+def _message_attack(blocks, params: ProtocolParams, attacker: str, link: int, rng) -> AttackReport:
+    """guess_unchosen_message on the runs' blocks, in run order."""
     k = params.key_len(link)
     receivers = {"single-receiver": (link,), "pooled-receivers": (1, 2), "wiretapper": ()}[attacker]
     successes = 0
@@ -319,22 +311,22 @@ def guess_unchosen_message(
     skipped = 0
     known_fraction = 0.0
     mask = None
-    for block in _blocks(runs, params):
-        rows, pairs = block.sets(link)
+    for block in blocks:
+        rows, pairs, kappa, cipher = block.links[link - 1]
         skipped += len(block) - rows.size
         if not rows.size:
             continue
         unchosen = 1 - block.z[rows, link - 1]
-        positions = pairs[np.arange(rows.size), unchosen]
+        picked = (np.arange(rows.size), unchosen)
+        positions = pairs[picked]
         mask = positions.shape[1]
         known = np.take_along_axis(block.coalition(receivers)[rows], positions, axis=1)
         # every run's uniform fill in one draw, in run order (one call is the
         # stream of one call per run; see protocol_core on bounded int64 draws)
         fill = rng.integers(0, 2, size=known.size).reshape(known.shape)
         x_hat = np.where(known != ERASED, known, fill).astype(np.uint8)
-        kappa, cipher, message = block.published(link, rows, unchosen)
-        m_hat = cipher ^ (np.matmul(kappa, x_hat[:, :, None])[:, :, 0] & 1)
-        successes += int((m_hat == message).all(axis=1).sum())
+        m_hat = cipher[picked] ^ (np.matmul(kappa[picked], x_hat[:, :, None])[:, :, 0] & 1)
+        successes += int((m_hat == block.messages[link - 1][rows, unchosen]).all(axis=1).sum())
         # summed run by run, in run order
         for share in ((known != ERASED).sum(axis=1) / mask).tolist():
             known_fraction += share
@@ -365,11 +357,16 @@ def guess_choice_bit(
     The rule is label-equivariant, so it cannot exploit label names.
     """
     params = _attack_params(runs, attacker, CHOICE_ATTACKERS, link, rng, "tie-breaking")
+    return _choice_attack(_blocks(runs, params), attacker, link, rng)
+
+
+def _choice_attack(blocks, attacker: str, link: int, rng) -> AttackReport:
+    """guess_choice_bit on the runs' blocks, in run order."""
     successes = 0
     used = 0
     skipped = 0
-    for block in _blocks(runs, params):
-        rows, pairs = block.sets(link)
+    for block in blocks:
+        rows, pairs = block.links[link - 1][:2]
         skipped += len(block) - rows.size
         if not rows.size:
             continue
@@ -431,17 +428,17 @@ class _LinkView(NamedTuple):
 def _link_views(block: _Block, link: int, pooled: np.ndarray) -> list:
     """Per block row, the link's _LinkView, or None where the link published nothing."""
     views = [None] * len(block)
-    rows, pairs = block.sets(link)
+    rows, pairs, _, cipher = block.links[link - 1]
     if not rows.size:
         return views
-    low = (pairs < block.params.n // 2).sum(axis=2)
+    low = (pairs < pooled.shape[1] // 2).sum(axis=2)
     ones = _on_sets(block.x[rows], pairs).sum(axis=2, dtype=np.int64)
     own = _known_on_sets(block.known[rows, link - 1], pairs)
     other = _known_on_sets(block.known[rows, 2 - link], pairs)
     columns = (
         np.sign(low[:, 0] - low[:, 1]), own, other, np.sign(other[:, 0] - other[:, 1]),
         _known_on_sets(pooled[rows], pairs), np.sign(ones[:, 0] - ones[:, 1]),
-        _heads([block.records[r]["ciphertexts"][link] for r in rows.tolist()]),
+        cipher[:, :, 0],
     )
     for r, view in zip(rows.tolist(), zip(*(column.tolist() for column in columns))):
         views[r] = _LinkView(*view)
@@ -462,46 +459,26 @@ def condition_suite(runs) -> list[ConditionRow]:
     """
     runs = list(runs)
     params = _shared_params(runs)
+    return _condition_rows(_blocks(runs, params), params)
 
-    rows: list[ConditionRow] = []
 
-    # correctness over published links; the abort rate over links the
-    # parameters run, so no-second-phase links count in neither
-    tally = _outcome_counts(runs)
-    counted = sum(tally[i, "completed"] + tally[i, "decode-error"] for i in (1, 2))
-    errors = counted - tally[1, "match"] - tally[2, "match"]
-    aborted_links = tally[1, "aborted"] + tally[2, "aborted"]
-    rate = errors / counted if counted else 0.0
-    rows.append(ConditionRow(
-        "chosen-message correctness",
-        "empirical decode error rate over published links",
-        rate, clopper_pearson(errors, counted) if counted else None,
-        counted, "holds" if errors == 0 else "violated", 0.0,
-    ))
-    total_links = counted + aborted_links
-    rows.append(ConditionRow(
-        "abort rate",
-        "empirical abort rate over the links the parameters run",
-        aborted_links / total_links if total_links else 0.0,
-        clopper_pearson(aborted_links, total_links) if total_links else None,
-        total_links, "informational", 0.0,
-    ))
-
-    # one pass over blocks of runs: each block's index pairs in input-block
-    # coordinates and its knowledge maps are worked out as arrays, then every
-    # secrecy row tallies its (secret, feature) samples run by run, in run
-    # order; rows keep first-tally order
+def _condition_rows(blocks, params: ProtocolParams) -> list[ConditionRow]:
+    """condition_suite on the runs' blocks, in run order."""
+    # one pass over the blocks: the outcome tallies add up, and every secrecy
+    # row tallies its (secret, feature) samples run by run, in run order, from
+    # the block's arrays; rows keep first-tally order
+    outcomes = Counter()
     tallies: dict = {}
 
     def tally(condition, secret, feat):
         counts = tallies.setdefault(condition, {})
         counts[secret, feat] = counts.get((secret, feat), 0) + 1
 
-    for block in _blocks(runs, params):
+    for block in blocks:
+        outcomes.update(block.tally)
         pooled = block.coalition((1, 2))
         link_views = [_link_views(block, i, pooled) for i in (1, 2)]
-        link_heads = [_heads([rec["messages"][i - 1] for rec in block.records]).tolist()
-                      for i in (1, 2)]
+        link_heads = [messages[:, :, 0].tolist() for messages in block.messages]
         for z, views, heads in zip(block.z.tolist(), zip(*link_views), zip(*link_heads)):
             unchosen = tuple(h[1 - b] for h, b in zip(heads, z))
             sender = (tuple(z), tuple("abort" if v is None else v.half for v in views))
@@ -524,8 +501,29 @@ def condition_suite(runs) -> list[ConditionRow]:
                 feat = ("abort",) if v is None else (*v.other, *v.cipher)
                 tally(f"link {i} secrets vs receiver {3 - i} alone", (b, h[0]), feat)
 
-    rows.extend(_mi_row(condition, counts, len(runs)) for condition, counts in tallies.items())
-    return rows
+    # correctness over published links; the abort rate over links the
+    # parameters run, so no-second-phase links count in neither
+    counted = sum(outcomes[i, "completed"] + outcomes[i, "decode-error"] for i in (1, 2))
+    errors = counted - outcomes[1, "match"] - outcomes[2, "match"]
+    aborted_links = outcomes[1, "aborted"] + outcomes[2, "aborted"]
+    total_links = counted + aborted_links
+    return [
+        ConditionRow(
+            "chosen-message correctness",
+            "empirical decode error rate over published links",
+            errors / counted if counted else 0.0,
+            clopper_pearson(errors, counted) if counted else None,
+            counted, "holds" if errors == 0 else "violated", 0.0,
+        ),
+        ConditionRow(
+            "abort rate",
+            "empirical abort rate over the links the parameters run",
+            aborted_links / total_links if total_links else 0.0,
+            clopper_pearson(aborted_links, total_links) if total_links else None,
+            total_links, "informational", 0.0,
+        ),
+        *(_mi_row(condition, counts, outcomes["trials"]) for condition, counts in tallies.items()),
+    ]
 
 
 def collusion_mask_accounting(run: ProtocolRun) -> dict:
@@ -543,7 +541,7 @@ def collusion_mask_accounting(run: ProtocolRun) -> dict:
         out["sprime_inside_phase1_erasures"] = bool((y1[rec["sprime"]] == ERASED).all())
     block = _Block([run], run.params)
     for link in (1, 2):
-        rows, pairs = block.sets(link)
+        rows, pairs = block.links[link - 1][:2]
         if rows.size:
             counts = _known_on_sets(block.known[rows, 2 - link], pairs)[0].tolist()
             out["per_link"][link] = dict(enumerate(counts))

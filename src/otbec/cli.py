@@ -25,11 +25,12 @@ from ._fanout import fan_out
 from ._stats import clopper_pearson
 from .adversary_audit import (
     _CHUNK,
+    _Block,
+    _choice_attack,
+    _condition_rows,
+    _message_attack,
     _outcome_counts,
-    condition_suite,
     generate_runs,
-    guess_choice_bit,
-    guess_unchosen_message,
 )
 from .exact_oracle import (
     SPECS,
@@ -159,12 +160,6 @@ def _build_params(args):
     )
 
 
-def _visibility(args) -> VisibilityModel | None:
-    if _VARIANTS[args.variant] != "colluding":
-        return None
-    return VisibilityModel(args.visibility_phase1, args.visibility_phase2)
-
-
 def _config_payload(args, params, adjustments, extra: dict | None = None) -> dict:
     payload = {
         "variant": args.variant,
@@ -217,21 +212,27 @@ def _simulate_stats(tally: Counter) -> dict:
     }
 
 
+def _campaign(args, params, seed: int, fold) -> list:
+    """fold(runs) of each _CHUNK-trial chunk of the campaign, in chunk order, over fan_out.
+
+    A chunk's runs are dropped once folded, so memory does not grow with the
+    trial count; generate_runs refuses a count below one, so a campaign of
+    none still runs its one chunk to say so.
+    """
+    visibility = (VisibilityModel(args.visibility_phase1, args.visibility_phase2)
+                  if _VARIANTS[args.variant] == "colluding" else None)
+
+    def chunk(start: int):
+        size = min(_CHUNK, args.trials - start)
+        return fold(generate_runs(params, size, seed, visibility, start=start))
+
+    return fan_out(chunk, range(0, args.trials, _CHUNK) or [0])
+
+
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params, adjustments = _build_params(args)
-    visibility = _visibility(args)
-
-    def chunk(start: int) -> Counter:
-        size = min(_CHUNK, args.trials - start)
-        return _outcome_counts(generate_runs(params, size, seed, visibility, start=start))
-
-    # the campaign streams through chunks of trials, so memory does not grow
-    # with the trial count; generate_runs refuses a count below one, so a
-    # campaign of none still runs its one chunk to say so
-    tally = Counter()
-    for part in fan_out(chunk, range(0, args.trials, _CHUNK) or [0]):
-        tally.update(part)
+    tally = sum(_campaign(args, params, seed, _outcome_counts), Counter())
     report = _report_shell("simulate", _config_payload(args, params, adjustments), seed)
     report["results"] = _simulate_stats(tally)
     _emit(args, report, seed)
@@ -244,17 +245,17 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     seed = _resolve_seed(args)
     params, adjustments = _build_params(args)
-    visibility = _visibility(args)
-    runs = generate_runs(params, args.trials, seed, visibility)
+    # each chunk comes back as the arrays the analyses read, without its runs
+    blocks = _campaign(args, params, seed, lambda runs: _Block(runs, params))
     message_attacker, choice_attacker = _ATTACKER_MAP[args.attacker]
+    # one generator: the message attack's fills over every block, then the
+    # choice attack's tie coins
     attack_rng = np.random.default_rng(seed)
-    attacks = []
-    if message_attacker:
-        attacks.append(guess_unchosen_message(
-            runs, attacker=message_attacker, link=args.link, rng=attack_rng))
-    attacks.append(guess_choice_bit(
-        runs, attacker=choice_attacker, link=args.link, rng=attack_rng))
-    rows = condition_suite(runs)
+    attacks = [
+        _message_attack(blocks, params, message_attacker, args.link, attack_rng),
+        _choice_attack(blocks, choice_attacker, args.link, attack_rng),
+    ]
+    rows = _condition_rows(blocks, params)
     extra = {"attacker": args.attacker, "link": args.link}
     report = _report_shell("audit", _config_payload(args, params, adjustments, extra), seed)
     report["results"] = {

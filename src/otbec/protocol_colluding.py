@@ -86,24 +86,26 @@ def run_protocol2(
     )
 
     sets, hashes, commitments, ciphertexts = {}, {}, {}, {}
-    aborts: dict[int, AbortSignal] = {}
+    # outcomes, not signals: a signal's traceback would keep the caller's frames alive
+    aborts = {}
     sprime = x_sprime = w_second = w_first = None
 
     try:
         sets[first], e = announce_sets(y_first, z[first - 1], params.phase1_size(first), rng)
     except AbortSignal as sig:
-        aborts[first] = sig
-        aborts[second] = AbortSignal(OtCode.UPSTREAM_ABORT, f"phase-1 abort upstream: {sig.reason}")
+        aborts[first] = sig.outcome()
+        aborts[second] = AbortSignal(
+            OtCode.UPSTREAM_ABORT, f"phase-1 abort upstream: {sig.reason}").outcome()
     else:
         target = params.sprime_size()
         if target == 0:
-            aborts[second] = AbortSignal(OtCode.NO_SECOND_PHASE,
-                                         "no leftover erasure set, second link cannot run")
+            aborts[second] = AbortSignal(
+                OtCode.NO_SECOND_PHASE, "no leftover erasure set, second link cannot run").outcome()
         else:
             try:
                 sprime = draw_sprime(e, sets[first][1 - z[first - 1]], target, rng)
             except AbortSignal as sig:
-                aborts[second] = sig
+                aborts[second] = sig.outcome()
         hashes[first], commitments[first], ciphertexts[first] = send_link(
             x, sets[first], messages[first - 1], params.verify_bits(first), rng)
 
@@ -118,14 +120,14 @@ def run_protocol2(
                 # indices local to S'
                 sets[second], _ = announce_sets(w_second, z[second - 1], params.mask_size(second), rng)
             except AbortSignal as sig:
-                aborts[second] = sig
+                aborts[second] = sig.outcome()
             else:
                 hashes[second], commitments[second], ciphertexts[second] = send_link(
                     x_sprime, sets[second], messages[second - 1], params.verify_bits(second), rng)
 
     observed = {first: y_first, second: w_second}
     outcomes = tuple(
-        aborts[i].outcome() if i in aborts else receive_link(
+        aborts[i] if i in aborts else receive_link(
             observed[i], sets[i], z[i - 1], hashes[i], commitments[i], ciphertexts[i],
             messages[i - 1])
         for i in (1, 2)
@@ -137,6 +139,7 @@ def run_protocol2(
         "sprime": sprime, "x_sprime": x_sprime,
         "y_phase2": {first: w_first, second: w_second},
         "sets": sets, "hashes": hashes, "commitments": commitments,
-        "ciphertexts": ciphertexts, "aborted": {i: sig.reason for i, sig in aborts.items()},
+        "ciphertexts": ciphertexts,
+        "aborted": {i: out.diagnostics["reason"] for i, out in aborts.items()},
     }
     return ProtocolRun(params, outcomes, record)

@@ -54,7 +54,8 @@ def run_protocol1(
         try:
             sets[i], _ = announce_sets(observations[i], z[i - 1], params.mask_size(i), rng)
         except AbortSignal as sig:
-            aborts[i] = sig
+            # the outcome, not the signal: its traceback would keep the caller's frames alive
+            aborts[i] = sig.outcome()
 
     hashes, commitments, ciphertexts = {}, {}, {}
     for i in sets:
@@ -62,7 +63,7 @@ def run_protocol1(
             x, sets[i], messages[i - 1], params.verify_bits(i), rng)
 
     outcomes = tuple(
-        aborts[i].outcome() if i in aborts else receive_link(
+        aborts[i] if i in aborts else receive_link(
             observations[i], sets[i], z[i - 1], hashes[i], commitments[i], ciphertexts[i],
             messages[i - 1])
         for i in (1, 2)
@@ -74,7 +75,8 @@ def run_protocol1(
         "y_phase1": observations, "sprime": None, "x_sprime": None,
         "y_phase2": {1: None, 2: None},
         "sets": sets, "hashes": hashes, "commitments": commitments,
-        "ciphertexts": ciphertexts, "aborted": {i: sig.reason for i, sig in aborts.items()},
+        "ciphertexts": ciphertexts,
+        "aborted": {i: out.diagnostics["reason"] for i, out in aborts.items()},
     }
     return ProtocolRun(params, outcomes, record)
 

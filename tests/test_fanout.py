@@ -1,16 +1,19 @@
 """Worker fan-out: task order, errors, reaping, identical reports for any worker count, memory."""
 
+import gc
 import os
 import pickle
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from otbec import _fanout, cli
+from otbec.adversary_audit import generate_runs
 from otbec.cli import main
 from otbec.exact_oracle import BudgetError
-from otbec.protocol_core import AbortSignal, DecodeError, OtCode, ParamError
+from otbec.protocol_core import AbortSignal, DecodeError, OtCode, ParamError, snap_params
 
 ORACLE_SPECS = ("choice-vs-sets", "choice-pair-vs-sets", "unchosen-vs-own", "unchosen-vs-pooled",
                 "phase2-unchosen-vs-pooled", "phase1-cross-knowledge")
@@ -90,7 +93,9 @@ def test_a_budget_refusal_in_a_worker_still_exits_3(monkeypatch, tmp_path, capsy
     assert_no_child_left()
 
 
-def test_a_failing_chunk_in_a_worker_exits_2_and_leaves_no_child(monkeypatch, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "audit"])
+def test_a_failing_chunk_in_a_worker_exits_2_and_leaves_no_child(command, monkeypatch, tmp_path,
+                                                                 capsys):
     workers(monkeypatch, 2)
     generate_runs = cli.generate_runs
 
@@ -101,7 +106,7 @@ def test_a_failing_chunk_in_a_worker_exits_2_and_leaves_no_child(monkeypatch, tm
 
     monkeypatch.setattr(cli, "generate_runs", failing)
     out = tmp_path / "r.json"
-    code = main(["simulate", "--n", "64", "--r1", "1/8", "--r2", "1/8", "--lambda-prime", "1/16",
+    code = main([command, "--n", "64", "--r1", "1/8", "--r2", "1/8", "--lambda-prime", "1/16",
                  "--trials", "600", "--out", str(out)])
     assert code == 2
     assert "error: chunk at 256 refused" in capsys.readouterr().err
@@ -116,6 +121,11 @@ CAMPAIGNS = {
                      "--r1", "3/32", "--r2", "3/32", "--lambda", "1/16", "--lambda-prime", "1/32",
                      "--visibility-phase1", "broadcast-both",
                      "--visibility-phase2", "broadcast-both", "--trials", "600"],
+    "audit-p1": ["audit", "--variant", "p1", "--trials", "600"],
+    "audit-p2-broadcast-wiretapper": [
+        "audit", "--variant", "p2", "--p1", "0.75", "--p2", "0.75",
+        "--visibility-phase1", "broadcast-both", "--visibility-phase2", "broadcast-both",
+        "--attacker", "wiretapper", "--link", "2", "--trials", "600"],
     "oracle": ["oracle", *(arg for spec in ORACLE_SPECS for arg in ("--spec", spec)),
                "--compare-mc", "100"],
 }
@@ -135,11 +145,11 @@ def test_reports_are_identical_for_any_worker_count(name, monkeypatch, tmp_path,
     assert_no_child_left()
 
 
-def test_campaign_memory_stays_bounded_as_trials_grow(monkeypatch, tmp_path, capsys):
-    # one worker: every chunk runs here, one after another
+@pytest.mark.parametrize("name", ["p1", "audit-p1", "audit-p2-broadcast-wiretapper"])
+def test_campaign_memory_stays_bounded_as_trials_grow(name, monkeypatch, tmp_path, capsys):
+    # one worker: every chunk runs here, one after another; the later --trials wins
     workers(monkeypatch, 1)
-    argv = ["simulate", "--n", "64", "--r1", "1/8", "--r2", "1/8", "--lambda-prime", "1/16",
-            "--out", str(tmp_path / "r.json")]
+    argv = [*CAMPAIGNS[name], "--out", str(tmp_path / "r.json")]
     peaks = []
     tracemalloc.start()
     try:
@@ -151,3 +161,20 @@ def test_campaign_memory_stays_bounded_as_trials_grow(monkeypatch, tmp_path, cap
         tracemalloc.stop()
     capsys.readouterr()
     assert peaks[1] <= Fraction(3, 2) * peaks[0], peaks
+
+
+@pytest.mark.parametrize("variant, rate", [("noncolluding", Fraction(3, 16)),
+                                           ("colluding", Fraction(1, 8))], ids=["p1", "p2"])
+def test_runs_die_with_their_list_even_when_links_abort(variant, rate):
+    # with the cycle collector off, only reference counts free the runs: an
+    # aborted link must keep no frame of generate_runs, and so its list, alive
+    params, _ = snap_params(64, 0.75, 0.75, rate, rate, 0.05, Fraction(1, 16), variant=variant)
+    gc.disable()
+    try:
+        runs = generate_runs(params, 300, master_seed=3)
+        assert sum(run.record["aborted"] != {} for run in runs) > 20
+        blocks = [weakref.ref(run.record["x"]) for run in runs]
+        del runs
+        assert all(block() is None for block in blocks)
+    finally:
+        gc.enable()
