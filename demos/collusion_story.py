@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from otbec.adversary_audit import condition_suite, generate_runs, guess_unchosen_message
+from otbec.adversary_audit import RunBlock, condition_suite, generate_runs, guess_unchosen_message
 from otbec.protocol_core import snap_params
 
 TRIALS = 4000
@@ -19,15 +19,15 @@ SEED = 2026
 
 
 def attack(params, label):
-    runs = generate_runs(params, TRIALS, master_seed=SEED)
-    report = guess_unchosen_message(runs, attacker="pooled-receivers", link=1,
+    blocks = [RunBlock(generate_runs(params, TRIALS, master_seed=SEED))]
+    report = guess_unchosen_message(blocks, attacker="pooled-receivers", link=1,
                                     rng=np.random.default_rng(SEED + 1))
     lo, hi = report.ci
     print(label)
     print("  guessing the unchosen link-1 message from both receivers' views")
     print(f"  advantage over blind baseline: {report.advantage:+.4f}"
           f"  (95% CI [{lo:+.4f}, {hi:+.4f}])  -> {report.verdict}")
-    return runs, report
+    return blocks, report
 
 
 def main():
@@ -39,11 +39,11 @@ def main():
 
     p2_params, _ = snap_params(48, 0.75, 0.75, Fraction(3, 32), Fraction(3, 32),
                                Fraction(1, 16), Fraction(1, 32), variant="colluding")
-    runs, _ = attack(p2_params, "two-phase variant, n=48, p=0.75")
+    blocks, _ = attack(p2_params, "two-phase variant, n=48, p=0.75")
     print("  phase-2 pads live inside positions erased for receiver 2, so pooling adds nothing\n")
 
     print("full condition table for the two-phase variant:")
-    for row in condition_suite(runs):
+    for row in condition_suite(blocks):
         print(f"  {row.condition:<45} {row.verdict}")
 
 

@@ -8,7 +8,7 @@ the secrets leak into each party's view. Zero means zero, not "below noise".
 from fractions import Fraction
 
 from otbec.exact_oracle import (
-    SUPPORTED_SPECS,
+    SPECS,
     TinyParams,
     enumerate_protocol,
     exact_mi,
@@ -44,12 +44,12 @@ def main():
                       phase1_size=1, sprime_size=2)
     print("exact enumeration at n=4, p=1/2, rational mass arithmetic throughout")
     print("(a zero is the integer 0: the joint distribution factors exactly)")
-    for variant, secret, view in SUPPORTED_SPECS:
-        joint = enumerate_protocol(variant, tiny, view, secret)
+    for name, spec in SPECS.items():
+        joint = enumerate_protocol(name, tiny)
         mi = exact_mi(joint)
         cond = exact_mi_given_success(joint)
         fmt = lambda v: v if not isinstance(v, float) else f"{v:.4f}"
-        print(f"  {variant:<13} I({secret}; {view})"
+        print(f"  {spec.variant:<13} I({spec.secret}; {spec.view})"
               f" = {fmt(mi)}   given no abort: {fmt(cond)}")
 
 

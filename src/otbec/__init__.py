@@ -57,11 +57,13 @@ from .protocol_noncolluding import (
 from .adversary_audit import (
     AttackReport,
     ConditionRow,
+    RunBlock,
     collusion_mask_accounting,
     condition_suite,
     generate_runs,
     guess_choice_bit,
     guess_unchosen_message,
+    outcome_counts,
     public_messages,
 )
 from .rates import (
@@ -121,11 +123,13 @@ __all__ = [
     "run_protocol1",
     "AttackReport",
     "ConditionRow",
+    "RunBlock",
     "collusion_mask_accounting",
     "condition_suite",
     "generate_runs",
     "guess_choice_bit",
     "guess_unchosen_message",
+    "outcome_counts",
     "public_messages",
     "ChannelSpec",
     "RateRegion",

@@ -29,7 +29,9 @@ __all__ = [
     "FEATURE_MAP_VERSION",
     "AttackReport",
     "ConditionRow",
+    "RunBlock",
     "public_messages",
+    "outcome_counts",
     "collusion_mask_accounting",
     "generate_runs",
     "guess_unchosen_message",
@@ -89,27 +91,25 @@ def public_messages(run: ProtocolRun) -> dict:
             ("sets", "hashes", "commitments", "ciphertexts", "aborted", "sprime", "order")}
 
 
-# The analysis reads runs back in blocks of this many: numpy then works on
-# whole blocks, while the stacked copies stay a small share of the runs' own
-# memory.
-_CHUNK = 256
-
-
-class _Block:
+class RunBlock:
     """Consecutive runs of one parameter set as the arrays the analyses read, without the runs.
 
-    Axis 0 is the run in the block, so a worker sends a block back cheaply.
-    `known[:, i - 1]` is receiver i's knowledge map, `messages[i - 1]` link
-    i's (c, 2, k) message pairs, `tally` the runs' `_outcome_counts`, and
-    `links[i - 1]` link i's (rows, pairs, kappa, cipher): the (u,) rows that
-    announced on it, their (u, 2, size) index pairs in input-block
-    coordinates, (u, 2, k, size) κ matrices and (u, 2, k) ciphertexts, the
-    label on axis 1 (None but rows if u = 0).
+    The attacks and the condition suite take a list of blocks and read them
+    in order, so a campaign can drop each chunk's runs once its block is
+    built. Axis 0 is the run in the block, so a worker sends a block back
+    cheaply. `params` holds the runs' shared parameters, `known[:, i - 1]`
+    receiver i's knowledge map, `messages[i - 1]` link i's (c, 2, k) message
+    pairs, `tally` the runs' `outcome_counts`, and `links[i - 1]` link i's
+    (rows, pairs, kappa, cipher): the (u,) rows that announced on it, their
+    (u, 2, size) index pairs in input-block coordinates, (u, 2, k, size) κ
+    matrices and (u, 2, k) ciphertexts, the label on axis 1 (None but rows
+    if u = 0).
     """
 
-    def __init__(self, runs, params: ProtocolParams):
+    def __init__(self, runs):
+        self.params = params = _shared_params(runs)
         records = [run.record for run in runs]
-        self.tally = _outcome_counts(runs)
+        self.tally = outcome_counts(runs)
         self.z = np.array([rec["z"] for rec in records], dtype=np.int64)
         self.x = np.stack([rec["x"] for rec in records])
         self.messages = tuple(np.array([rec["messages"][i] for rec in records]) for i in (0, 1))
@@ -154,12 +154,6 @@ def _announced(records, params: ProtocolParams, link: int) -> tuple:
     return (np.array(rows), pairs,
             np.array([[h.matrix for h in rec["hashes"][link]["kappa"]] for rec in announced]),
             np.array([rec["ciphertexts"][link] for rec in announced]))
-
-
-def _blocks(runs, params: ProtocolParams):
-    """The runs as consecutive blocks of at most _CHUNK, in run order."""
-    for start in range(0, len(runs), _CHUNK):
-        yield _Block(runs[start:start + _CHUNK], params)
 
 
 def _on_sets(values: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -227,7 +221,7 @@ def _abort_key(params, link: int, code: OtCode) -> str:
     return "phase-2"
 
 
-def _outcome_counts(runs) -> Counter:
+def outcome_counts(runs) -> Counter:
     """The runs' integer link-outcome tallies; the tallies of disjoint runs add up.
 
     Keys: "trials", "any-abort", (link, status), (link, "match") for a
@@ -249,7 +243,7 @@ def _outcome_counts(runs) -> Counter:
 
 
 def _shared_params(runs) -> ProtocolParams:
-    """The parameters every run in the batch was produced with; rejects mixed batches."""
+    """The parameters every run (or block of runs) was produced with; rejects mixed batches."""
     if not runs:
         raise ValueError("need at least one run")
     params = runs[0].params
@@ -259,16 +253,16 @@ def _shared_params(runs) -> ProtocolParams:
     return params
 
 
-def _attack_params(runs, attacker: str, attackers: tuple, link: int,
+def _attack_params(blocks, attacker: str, attackers: tuple, link: int,
                    rng: np.random.Generator | None, rng_use: str) -> ProtocolParams:
-    """The runs' shared parameters, once the attacker, the link and the rng are checked."""
+    """The blocks' shared parameters, once the attacker, the link and the rng are checked."""
     if attacker not in attackers:
         raise ValueError(f"unknown attacker {attacker!r}")
     if link not in (1, 2):
         raise ValueError("link must be 1 or 2")
     if rng is None:
         raise ValueError(f"{rng_use} needs an rng")
-    return _shared_params(runs)
+    return _shared_params(blocks)
 
 
 def _attack_report(target: str, strategy: str, successes: int, used: int,
@@ -283,7 +277,7 @@ def _attack_report(target: str, strategy: str, successes: int, used: int,
 
 
 def guess_unchosen_message(
-    runs,
+    blocks,
     attacker: str = "pooled-receivers",
     link: int = 1,
     rng: np.random.Generator | None = None,
@@ -296,14 +290,10 @@ def guess_unchosen_message(
     baseline: with zero mask knowledge the fill is right with probability
     2^-mask, and a wrong fill still collides under the published hash with
     probability 2^-k, so blind success is 2^-mask + (1 - 2^-mask) 2^-k, not
-    plain 2^-k. Aborted links are skipped (nothing was published).
+    plain 2^-k. Aborted links are skipped (nothing was published). The
+    blocks are read in order, and so are the runs in each.
     """
-    params = _attack_params(runs, attacker, MESSAGE_ATTACKERS, link, rng, "the uniform-fill step")
-    return _message_attack(_blocks(runs, params), params, attacker, link, rng)
-
-
-def _message_attack(blocks, params: ProtocolParams, attacker: str, link: int, rng) -> AttackReport:
-    """guess_unchosen_message on the runs' blocks, in run order."""
+    params = _attack_params(blocks, attacker, MESSAGE_ATTACKERS, link, rng, "the uniform-fill step")
     k = params.key_len(link)
     receivers = {"single-receiver": (link,), "pooled-receivers": (1, 2), "wiretapper": ()}[attacker]
     successes = 0
@@ -343,7 +333,7 @@ def _message_attack(blocks, params: ProtocolParams, attacker: str, link: int, rn
 
 
 def guess_choice_bit(
-    runs,
+    blocks,
     attacker: str = "alice",
     link: int = 1,
     rng: np.random.Generator | None = None,
@@ -354,14 +344,10 @@ def guess_choice_bit(
     sender compares the sets against her known input block; a pooled receiver
     adds its erasure-pattern overlap; the wiretapper falls back to an index
     statistic) and guesses the higher-scoring label, flipping a coin on ties.
-    The rule is label-equivariant, so it cannot exploit label names.
+    The rule is label-equivariant, so it cannot exploit label names. The
+    blocks are read in order, and so are the runs in each.
     """
-    params = _attack_params(runs, attacker, CHOICE_ATTACKERS, link, rng, "tie-breaking")
-    return _choice_attack(_blocks(runs, params), attacker, link, rng)
-
-
-def _choice_attack(blocks, attacker: str, link: int, rng) -> AttackReport:
-    """guess_choice_bit on the runs' blocks, in run order."""
+    _attack_params(blocks, attacker, CHOICE_ATTACKERS, link, rng, "tie-breaking")
     successes = 0
     used = 0
     skipped = 0
@@ -425,7 +411,7 @@ class _LinkView(NamedTuple):
     cipher: list  # first ciphertext bit
 
 
-def _link_views(block: _Block, link: int, pooled: np.ndarray) -> list:
+def _link_views(block: RunBlock, link: int, pooled: np.ndarray) -> list:
     """Per block row, the link's _LinkView, or None where the link published nothing."""
     views = [None] * len(block)
     rows, pairs, _, cipher = block.links[link - 1]
@@ -445,8 +431,8 @@ def _link_views(block: _Block, link: int, pooled: np.ndarray) -> list:
     return views
 
 
-def condition_suite(runs) -> list[ConditionRow]:
-    """Estimate every security condition applicable to the runs' variant.
+def condition_suite(blocks) -> list[ConditionRow]:
+    """Estimate every security condition applicable to the blocks' variant.
 
     Correctness is an empirical error rate over published links. Each secrecy
     condition becomes a plug-in MI estimate between a coarsened secret and the
@@ -457,13 +443,7 @@ def condition_suite(runs) -> list[ConditionRow]:
     quantities: leakage verdicts are conclusive, absence verdicts cover the
     declared features only.
     """
-    runs = list(runs)
-    params = _shared_params(runs)
-    return _condition_rows(_blocks(runs, params), params)
-
-
-def _condition_rows(blocks, params: ProtocolParams) -> list[ConditionRow]:
-    """condition_suite on the runs' blocks, in run order."""
+    params = _shared_params(blocks)
     # one pass over the blocks: the outcome tallies add up, and every secrecy
     # row tallies its (secret, feature) samples run by run, in run order, from
     # the block's arrays; rows keep first-tally order
@@ -539,7 +519,7 @@ def collusion_mask_accounting(run: ProtocolRun) -> dict:
     if rec["sprime"] is not None:
         y1 = rec["y_phase1"][rec["order"]]
         out["sprime_inside_phase1_erasures"] = bool((y1[rec["sprime"]] == ERASED).all())
-    block = _Block([run], run.params)
+    block = RunBlock([run])
     for link in (1, 2):
         rows, pairs = block.links[link - 1][:2]
         if rows.size:

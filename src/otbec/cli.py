@@ -24,13 +24,12 @@ from . import __version__
 from ._fanout import fan_out
 from ._stats import clopper_pearson
 from .adversary_audit import (
-    _CHUNK,
-    _Block,
-    _choice_attack,
-    _condition_rows,
-    _message_attack,
-    _outcome_counts,
+    RunBlock,
+    condition_suite,
     generate_runs,
+    guess_choice_bit,
+    guess_unchosen_message,
+    outcome_counts,
 )
 from .exact_oracle import (
     SPECS,
@@ -51,6 +50,10 @@ DEFAULT_SEED = 101
 SCHEMA_VERSION = "1"
 
 _VARIANTS = {"p1": "noncolluding", "p2": "colluding"}
+
+# A campaign runs, and folds, its trials in chunks of this many: numpy then
+# works on whole blocks, while a chunk's runs stay a small share of memory.
+_CHUNK = 256
 
 _ATTACKER_MAP = {
     "single": ("single-receiver", "alice"),
@@ -232,7 +235,7 @@ def _campaign(args, params, seed: int, fold) -> list:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params, adjustments = _build_params(args)
-    tally = sum(_campaign(args, params, seed, _outcome_counts), Counter())
+    tally = sum(_campaign(args, params, seed, outcome_counts), Counter())
     report = _report_shell("simulate", _config_payload(args, params, adjustments), seed)
     report["results"] = _simulate_stats(tally)
     _emit(args, report, seed)
@@ -245,17 +248,22 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     seed = _resolve_seed(args)
     params, adjustments = _build_params(args)
+    if params.variant == "colluding" and args.link != params.order and not params.sprime_size():
+        # every run would end the link no-second-phase, leaving nothing to attack
+        raise ParamError("second phase", (
+            f"link {args.link} never runs: receiver {params.order}'s phase-1 erasures leave "
+            f"no leftover set at p{params.order} = {params.p(params.order)} (no-second-phase)"))
     # each chunk comes back as the arrays the analyses read, without its runs
-    blocks = _campaign(args, params, seed, lambda runs: _Block(runs, params))
+    blocks = _campaign(args, params, seed, RunBlock)
     message_attacker, choice_attacker = _ATTACKER_MAP[args.attacker]
     # one generator: the message attack's fills over every block, then the
     # choice attack's tie coins
     attack_rng = np.random.default_rng(seed)
     attacks = [
-        _message_attack(blocks, params, message_attacker, args.link, attack_rng),
-        _choice_attack(blocks, choice_attacker, args.link, attack_rng),
+        guess_unchosen_message(blocks, message_attacker, args.link, attack_rng),
+        guess_choice_bit(blocks, choice_attacker, args.link, attack_rng),
     ]
-    rows = _condition_rows(blocks, params)
+    rows = condition_suite(blocks)
     extra = {"attacker": args.attacker, "link": args.link}
     report = _report_shell("audit", _config_payload(args, params, adjustments, extra), seed)
     report["results"] = {
@@ -277,16 +285,16 @@ def cmd_audit(args) -> int:
 
 def _oracle_row(name: str, tiny: TinyParams, compare_mc: int, seed: int) -> dict:
     """One spec's row of the oracle report."""
-    variant, secret, view = SPECS[name]
-    joint = enumerate_protocol(variant, tiny, view, secret)
+    spec = SPECS[name]
+    joint = enumerate_protocol(name, tiny)
     mi = exact_mi(joint)
     # a joint that always aborts has nothing to condition on
     mi_success = None if joint.abort_mass == 1 else exact_mi_given_success(joint)
     row = {
         "spec": name,
-        "variant": variant,
-        "secret": secret,
-        "view": view,
+        "variant": spec.variant,
+        "secret": spec.secret,
+        "view": spec.view,
         "mi": float(mi),
         "mi_exact": str(mi) if isinstance(mi, int) else None,
         "mi_given_success": None if mi_success is None else float(mi_success),

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,8 +44,8 @@ __all__ = [
     "BudgetError",
     "TinyParams",
     "ExactJoint",
+    "Spec",
     "SPECS",
-    "SUPPORTED_SPECS",
     "enumerate_protocol",
     "exact_mi",
     "exact_mi_given_success",
@@ -117,15 +118,15 @@ class ExactJoint:
 
     weights maps each (secret, view) cell to its integer numerator over the
     common integer denominator; abort_mass turns the abort cells' share into
-    a Fraction on demand. spec (variant, secret_spec, view_spec) and tiny
-    name what was enumerated; both are None for a hand-built joint.
+    a Fraction on demand. spec (the SPECS name) and tiny name what was
+    enumerated; both are None for a hand-built joint.
     """
 
     weights: dict
     denominator: int
     states: int
     description: str
-    spec: tuple | None
+    spec: str | None
     tiny: TinyParams | None
 
     @cached_property
@@ -145,17 +146,6 @@ class ExactJoint:
         """Probability that the protocol aborts (any view carrying an abort marker)."""
         return Fraction(self._split[1], self.denominator)
 
-
-# every declared spec: its CLI name and its (variant, secret, view)
-SPECS = {
-    "choice-vs-sets": ("noncolluding", "z1", "announced-sets-1"),
-    "choice-pair-vs-sets": ("noncolluding", "z-pair", "announced-sets-both"),
-    "unchosen-vs-own": ("noncolluding", "m1-unchosen", "own-receiver-1"),
-    "unchosen-vs-pooled": ("noncolluding", "m1-unchosen", "pooled-receivers-1"),
-    "phase2-unchosen-vs-pooled": ("colluding", "m2-unchosen", "pooled-receivers-2-phase2"),
-    "phase1-cross-knowledge": ("colluding", "x-sprime", "first-receiver-phase1"),
-}
-SUPPORTED_SPECS = tuple(SPECS.values())
 
 _ABORT_MARKERS = ("abort", "abort-phase-1", "abort-phase-2", "no-sprime")
 # a marker, or a marker view, as one top-level part of a view
@@ -197,38 +187,12 @@ def _has_abort(view) -> bool:
     return view in _ABORT_PARTS
 
 
-def _estimate_states(tiny: TinyParams, view_spec: str) -> int:
-    n, s, k = tiny.n, tiny.set_size, tiny.key_bits
-    pairs = math.comb(n, s) ** 2
-    if view_spec == "announced-sets-1":
-        return (1 << n) * 2 * pairs
-    if view_spec == "announced-sets-both":
-        return 2 * (1 << n) * 2 * pairs
-    if view_spec in ("own-receiver-1", "pooled-receivers-1"):
-        est = (1 << n) * 2 * pairs * (1 << s) * (1 << (s * k)) * (1 << k)
-        if view_spec == "pooled-receivers-1":
-            est *= 1 << s
-        return est
-    if view_spec == "pooled-receivers-2-phase2":
-        m1, q = tiny.phase1_size, tiny.sprime_size
-        return (
-            (1 << n) * 2 * math.comb(n, m1) * math.comb(n, q)
-            * (1 << q) * (1 << q) * 2 * math.comb(q, s) ** 2
-            * (1 << (s * k)) * (1 << k)
-        )
-    if view_spec == "first-receiver-phase1":
-        m1, q = tiny.phase1_size, tiny.sprime_size
-        # free input bits (non-erased plus retransmitted) never exceed n
-        return (1 << n) * 2 * math.comb(n, m1) ** 2 * math.comb(n, q) * (1 << n)
-    raise ValueError(f"unknown view spec {view_spec!r}")
-
-
-def _check_budget(tiny: TinyParams, variant: str, view_spec: str, budget: EnumerationBudget) -> int:
-    estimate = _estimate_states(tiny, view_spec)
+def _check_budget(tiny: TinyParams, spec: Spec, budget: EnumerationBudget) -> None:
+    estimate = spec.states(tiny)
     if tiny.n > budget.max_n:
         raise BudgetError(f"n = {tiny.n} exceeds budget n <= {budget.max_n}", estimate)
     sizes = [tiny.set_size]
-    if variant == "colluding":  # the two-phase specs also draw a phase-1 pair and S'
+    if spec.variant == "colluding":  # the two-phase specs also draw a phase-1 pair and S'
         sizes.append(tiny.phase1_size)
         if tiny.sprime_size > budget.max_hash_in:
             raise BudgetError(
@@ -242,7 +206,6 @@ def _check_budget(tiny: TinyParams, variant: str, view_spec: str, budget: Enumer
         raise BudgetError(f"hash output {tiny.key_bits} exceeds budget {budget.max_hash_out}", estimate)
     if estimate > budget.max_states:
         raise BudgetError("state estimate exceeds budget", estimate)
-    return estimate
 
 
 def _link_structures(n: int, p: Fraction, size: int):
@@ -452,37 +415,74 @@ def _enum_phase1_cross(tiny: TinyParams):
     return agg, states, link_den * sp_pool
 
 
-# each view's enumerator: (weights, states, denominator) of its joint
-_ENUMERATORS = {
-    "announced-sets-1": lambda tiny: _enum_sets_link(tiny, tiny.p1),
-    "announced-sets-both": _enum_sets_both,
-    "own-receiver-1": lambda tiny: _enum_message_link1(tiny, pooled=False),
-    "pooled-receivers-1": lambda tiny: _enum_message_link1(tiny, pooled=True),
-    "pooled-receivers-2-phase2": _enum_phase2_message,
-    "first-receiver-phase1": _enum_phase1_cross,
+class Spec(NamedTuple):
+    """One oracle spec: its variant, its (secret, view) pair, the enumerator of its joint's
+    (weights, states, denominator), and the state estimate the budget checks first."""
+
+    variant: str
+    secret: str
+    view: str
+    enumerate: Callable
+    states: Callable
+
+
+def _sets_states(n: int, size: int) -> int:
+    """Estimated states of one link's announced sets: erasure pattern, choice bit, pair."""
+    return (1 << n) * 2 * math.comb(n, size) ** 2
+
+
+def _published_states(t: TinyParams, before: int, free_bits: int) -> int:
+    """before states, times a published link's free input and look bits, matrix and message."""
+    return before << (free_bits + t.set_size * t.key_bits + t.key_bits)
+
+
+def _phase2_states(t: TinyParams) -> int:
+    # phase-1 pattern, z1, unchosen set and S', then the link over S' with its input bits
+    before = (1 << t.n) * 2 * math.comb(t.n, t.phase1_size) * math.comb(t.n, t.sprime_size)
+    return _published_states(t, before * _sets_states(t.sprime_size, t.set_size), t.sprime_size)
+
+
+def _phase1_states(t: TinyParams) -> int:
+    # the free input bits (non-erased plus S') never exceed n
+    return _sets_states(t.n, t.phase1_size) * math.comb(t.n, t.sprime_size) << t.n
+
+
+# every declared spec by its CLI name
+SPECS = {
+    "choice-vs-sets": Spec(
+        "noncolluding", "z1", "announced-sets-1",
+        lambda t: _enum_sets_link(t, t.p1), lambda t: _sets_states(t.n, t.set_size)),
+    "choice-pair-vs-sets": Spec(
+        "noncolluding", "z-pair", "announced-sets-both",
+        _enum_sets_both, lambda t: 2 * _sets_states(t.n, t.set_size)),
+    "unchosen-vs-own": Spec(
+        "noncolluding", "m1-unchosen", "own-receiver-1", lambda t: _enum_message_link1(t, False),
+        lambda t: _published_states(t, _sets_states(t.n, t.set_size), t.set_size)),
+    "unchosen-vs-pooled": Spec(
+        "noncolluding", "m1-unchosen", "pooled-receivers-1", lambda t: _enum_message_link1(t, True),
+        lambda t: _published_states(t, _sets_states(t.n, t.set_size), 2 * t.set_size)),
+    "phase2-unchosen-vs-pooled": Spec(
+        "colluding", "m2-unchosen", "pooled-receivers-2-phase2",
+        _enum_phase2_message, _phase2_states),
+    "phase1-cross-knowledge": Spec(
+        "colluding", "x-sprime", "first-receiver-phase1", _enum_phase1_cross, _phase1_states),
 }
 
 
-def enumerate_protocol(
-    variant: str,
-    tiny: TinyParams,
-    view_spec: str,
-    secret_spec: str,
-    budget: EnumerationBudget = DEFAULT_BUDGET,
-) -> ExactJoint:
-    """Build the exact (secret, view) joint for one supported declared spec.
+def enumerate_protocol(name: str, tiny: TinyParams,
+                       budget: EnumerationBudget = DEFAULT_BUDGET) -> ExactJoint:
+    """Build the exact (secret, view) joint of the SPECS entry `name`.
 
     Every realization is weighted by the product of its uniform input bits,
     erasure probabilities, uniform subset draws, uniform matrix entries, and
     uniform messages; abort realizations keep their mass under marker views, so
     the joint always sums to one: the numerators sum to the denominator exactly.
     """
-    combo = (variant, secret_spec, view_spec)
-    if combo not in SUPPORTED_SPECS:
-        supported = ", ".join(str(c) for c in SUPPORTED_SPECS)
-        raise ValueError(f"unsupported spec {combo}; supported: {supported}")
-    _check_budget(tiny, variant, view_spec, budget)
-    agg, states, denominator = _ENUMERATORS[view_spec](tiny)
+    if name not in SPECS:
+        raise ValueError(f"unknown spec {name!r}; known: {', '.join(SPECS)}")
+    spec = SPECS[name]
+    _check_budget(tiny, spec, budget)
+    agg, states, denominator = spec.enumerate(tiny)
     if any(w < 0 for w in agg.values()):
         raise ValueError("enumerated weights must be nonnegative")
     total = sum(agg.values())
@@ -492,8 +492,8 @@ def enumerate_protocol(
         weights=agg,
         denominator=denominator,
         states=states,
-        description=f"{variant}: {secret_spec} vs {view_spec} at n={tiny.n}",
-        spec=combo,
+        description=f"{spec.variant}: {spec.secret} vs {spec.view} at n={tiny.n}",
+        spec=name,
         tiny=tiny,
     )
 
@@ -607,7 +607,7 @@ def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -
         raise ValueError("trials must be positive")
     if exact.spec is None:
         raise ValueError("the joint has no enumerated spec to sample")
-    view_spec = exact.spec[2]
+    view_spec = SPECS[exact.spec].view
     counts: dict = {}
     for t in range(trials):
         rng = trial_rng(master_seed, t)

@@ -184,6 +184,8 @@ def collision_probability(
         raise ValueError("monte-carlo mode needs an rng")
     if m < 1:
         raise ValueError("collision probability needs at least one input bit")
+    if trials < 1 or sample_pairs < 1:
+        raise ValueError("monte-carlo mode needs at least one trial and one sample pair")
     # Fixed test pairs, encoded by their nonzero differences.
     n_pairs = min(sample_pairs, (1 << m) - 1)
     diffs = 1 + rng.permutation((1 << m) - 1)[:n_pairs]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from otbec.adversary_audit import generate_runs
+from otbec.adversary_audit import RunBlock, generate_runs
 from otbec.protocol_core import snap_params
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -49,3 +49,13 @@ def p1_runs(p1_params):
 @pytest.fixture(scope="session")
 def p2_runs(p2_params):
     return generate_runs(p2_params, 3000, master_seed=78)
+
+
+@pytest.fixture(scope="session")
+def p1_blocks(p1_runs):
+    return [RunBlock(p1_runs)]
+
+
+@pytest.fixture(scope="session")
+def p2_blocks(p2_runs):
+    return [RunBlock(p2_runs)]

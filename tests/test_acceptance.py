@@ -149,7 +149,7 @@ def test_criterion_05_two_phase_collusion_resistance(workdir, capsys):
     half = Fraction(1, 2)
     tiny = TinyParams(n=4, p1=half, p2=half, set_size=1, key_bits=1,
                       phase1_size=1, sprime_size=2)
-    joint = enumerate_protocol("colluding", tiny, "first-receiver-phase1", "x-sprime")
+    joint = enumerate_protocol("phase1-cross-knowledge", tiny)
     cross = exact_mi_given_success(joint)
     assert cross == 0
     assert not isinstance(cross, float)

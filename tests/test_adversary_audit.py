@@ -6,10 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from otbec import adversary_audit
 from otbec.adversary_audit import (
     FEATURE_MAP_VERSION,
-    _blocks,
+    RunBlock,
     condition_suite,
     generate_runs,
     guess_choice_bit,
@@ -39,32 +38,32 @@ P2_ROWS = {
 }
 
 
-def test_pooled_attack_extracts_protocol1_unchosen_message(p1_runs):
-    report = guess_unchosen_message(p1_runs, attacker="pooled-receivers", link=1,
+def test_pooled_attack_extracts_protocol1_unchosen_message(p1_blocks):
+    report = guess_unchosen_message(p1_blocks, attacker="pooled-receivers", link=1,
                                     rng=np.random.default_rng(1))
     assert report.verdict == "advantage detected"
     assert report.ci[0] > 0
     assert report.advantage > 0.05
 
 
-def test_single_receiver_gains_nothing_on_protocol1(p1_runs):
+def test_single_receiver_gains_nothing_on_protocol1(p1_blocks):
     # the security claim is one-sided: no positive advantage; a small negative
     # excursion of the estimate is sampling noise around the blind baseline
-    report = guess_unchosen_message(p1_runs, attacker="single-receiver", link=1,
+    report = guess_unchosen_message(p1_blocks, attacker="single-receiver", link=1,
                                     rng=np.random.default_rng(2))
     assert report.ci[0] <= 0
     assert abs(report.advantage) < 0.02
 
 
-def test_wiretapper_gains_nothing(p1_runs):
-    report = guess_unchosen_message(p1_runs, attacker="wiretapper", link=1,
+def test_wiretapper_gains_nothing(p1_blocks):
+    report = guess_unchosen_message(p1_blocks, attacker="wiretapper", link=1,
                                     rng=np.random.default_rng(3))
     assert report.ci[0] <= 0 <= report.ci[1]
 
 
-def test_pooled_knowledge_rate_tracks_other_channel(p1_runs):
-    params = p1_runs[0].params
-    report = guess_unchosen_message(p1_runs, attacker="pooled-receivers", link=1,
+def test_pooled_knowledge_rate_tracks_other_channel(p1_blocks):
+    params = p1_blocks[0].params
+    report = guess_unchosen_message(p1_blocks, attacker="pooled-receivers", link=1,
                                     rng=np.random.default_rng(4))
     expected = 1 - float(params.p2)
     mask = params.mask_size(1)
@@ -72,24 +71,24 @@ def test_pooled_knowledge_rate_tracks_other_channel(p1_runs):
     assert abs(report.extras["knowledge_rate"] - expected) <= 3 * sigma
 
 
-def test_pooled_attack_fails_on_protocol2(p2_runs):
-    report = guess_unchosen_message(p2_runs, attacker="pooled-receivers", link=1,
+def test_pooled_attack_fails_on_protocol2(p2_blocks):
+    report = guess_unchosen_message(p2_blocks, attacker="pooled-receivers", link=1,
                                     rng=np.random.default_rng(5))
     assert report.ci[0] <= 0 <= report.ci[1]
 
 
-def test_blind_baseline_counts_both_hit_routes(p1_runs):
-    report = guess_unchosen_message(p1_runs, attacker="wiretapper", link=1,
+def test_blind_baseline_counts_both_hit_routes(p1_blocks):
+    report = guess_unchosen_message(p1_blocks, attacker="wiretapper", link=1,
                                     rng=np.random.default_rng(6))
-    params = p1_runs[0].params
+    params = p1_blocks[0].params
     mask, k = params.mask_size(1), params.key_len(1)
     expected = 2.0 ** -mask + (1 - 2.0 ** -mask) * 2.0 ** -k
     assert report.extras["baseline"] == pytest.approx(expected)
 
 
-def test_choice_bit_attacks_are_blind(p1_runs, p2_runs):
-    for runs, attacker in ((p1_runs, "alice"), (p2_runs, "alice-plus-other-receiver")):
-        report = guess_choice_bit(runs, attacker=attacker, link=1,
+def test_choice_bit_attacks_are_blind(p1_blocks, p2_blocks):
+    for blocks, attacker in ((p1_blocks, "alice"), (p2_blocks, "alice-plus-other-receiver")):
+        report = guess_choice_bit(blocks, attacker=attacker, link=1,
                                   rng=np.random.default_rng(7))
         assert report.ci[0] <= 0 <= report.ci[1]
 
@@ -124,59 +123,64 @@ def test_choice_attack_is_label_equivariant(p1_runs):
             untied.append(run)
     assert len(untied) > 300
     relabeled = [_relabel_link1(r) for r in untied]
-    a = guess_choice_bit(untied, attacker="alice", link=1, rng=np.random.default_rng(8))
-    b = guess_choice_bit(relabeled, attacker="alice", link=1, rng=np.random.default_rng(8))
+    a = guess_choice_bit([RunBlock(untied)], attacker="alice", link=1,
+                         rng=np.random.default_rng(8))
+    b = guess_choice_bit([RunBlock(relabeled)], attacker="alice", link=1,
+                         rng=np.random.default_rng(8))
     assert a.advantage == b.advantage
     assert a.ci == b.ci
 
 
 def test_attack_reports_reproducible_from_seeds(p1_params):
     def once():
-        runs = generate_runs(p1_params, 400, master_seed=55)
-        return guess_unchosen_message(runs, attacker="pooled-receivers", link=1,
+        blocks = [RunBlock(generate_runs(p1_params, 400, master_seed=55))]
+        return guess_unchosen_message(blocks, attacker="pooled-receivers", link=1,
                                       rng=np.random.default_rng(9))
     a, b = once(), once()
     assert a == b
 
 
 @pytest.mark.parametrize("variant", ["p1", "p2"])
-def test_analysis_results_do_not_depend_on_the_block_size(variant, monkeypatch, request):
-    # the analysis reads runs back in blocks; each attack draws its rng per run
+def test_analysis_results_do_not_depend_on_the_block_size(variant, request):
+    # the analyses read the blocks in order; each attack draws its rng per run
     # in run order and every sum runs in run order, so any block size gives
     # the same reports, down to the last float bit
     runs = request.getfixturevalue(f"{variant}_runs")[:700]
 
-    def analyse():
+    def analyse(size):
+        blocks = [RunBlock(runs[start:start + size]) for start in range(0, len(runs), size)]
         rng = np.random.default_rng(4)
-        reports = [guess_unchosen_message(runs, attacker=attacker, link=link, rng=rng)
+        reports = [guess_unchosen_message(blocks, attacker=attacker, link=link, rng=rng)
                    for attacker in ("single-receiver", "pooled-receivers", "wiretapper")
                    for link in (1, 2)]
-        reports += [guess_choice_bit(runs, attacker=attacker, link=link, rng=rng)
+        reports += [guess_choice_bit(blocks, attacker=attacker, link=link, rng=rng)
                     for attacker in ("alice", "alice-plus-other-receiver", "wiretapper")
                     for link in (1, 2)]
-        return reports, condition_suite(runs), rng.integers(0, 2**32)
+        return reports, condition_suite(blocks), rng.integers(0, 2**32)
 
-    monkeypatch.setattr(adversary_audit, "_CHUNK", len(runs))
-    whole = analyse()
-    monkeypatch.setattr(adversary_audit, "_CHUNK", 7)
-    assert analyse() == whole
+    assert analyse(7) == analyse(len(runs))
 
 
-def test_attack_input_validation(p1_runs):
+def test_attack_input_validation(p1_blocks):
     with pytest.raises(ValueError):
-        guess_unchosen_message(p1_runs, attacker="martian", rng=np.random.default_rng(0))
+        guess_unchosen_message(p1_blocks, attacker="martian", rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        guess_unchosen_message(p1_runs, link=3, rng=np.random.default_rng(0))
+        guess_unchosen_message(p1_blocks, link=3, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        guess_choice_bit(p1_runs, attacker="alice", link=1)  # tie-breaking needs an rng
+        guess_choice_bit(p1_blocks, attacker="alice", link=1)  # tie-breaking needs an rng
 
 
 def test_attacks_reject_mixed_parameters(p1_runs, p2_runs):
-    mixed = list(p1_runs[:20]) + list(p2_runs[:20])
+    # within one block, and across the blocks an analysis reads
+    with pytest.raises(ValueError, match="share parameters"):
+        RunBlock(list(p1_runs[:20]) + list(p2_runs[:20]))
+    mixed = [RunBlock(p1_runs[:20]), RunBlock(p2_runs[:20])]
     with pytest.raises(ValueError, match="share parameters"):
         guess_unchosen_message(mixed, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match="share parameters"):
         guess_choice_bit(mixed, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="share parameters"):
+        condition_suite(mixed)
 
 
 def test_public_messages_are_the_same_fields_for_both_variants(p1_runs, p2_runs):
@@ -208,8 +212,8 @@ def test_knowledge_map_is_what_the_receiver_observed(case, p1_runs, p2_params):
         runs = generate_runs(p2_params, 300, master_seed=43,
                              visibility=VisibilityModel(visibility, visibility))
     both_phases = 0
-    # the analysis reads the maps back per block of runs, one (2, n) pair per run
-    maps = [pair for block in _blocks(runs, runs[0].params) for pair in block.known]
+    # the analyses read the maps from a block of the runs, one (2, n) pair per run
+    maps = list(RunBlock(runs).known)
     assert len(maps) == len(runs)
     for run, pair in zip(runs, maps):
         x = run.record["x"]
@@ -228,8 +232,8 @@ def test_knowledge_map_is_what_the_receiver_observed(case, p1_runs, p2_params):
     assert both_phases > 0 if case == "p2 broadcast-both" else both_phases == 0
 
 
-def test_condition_suite_rows_protocol1(p1_runs):
-    rows = condition_suite(p1_runs)
+def test_condition_suite_rows_protocol1(p1_blocks):
+    rows = condition_suite(p1_blocks)
     assert {r.condition for r in rows} == P1_ROWS
     by_name = {r.condition: r for r in rows}
     assert by_name["chosen-message correctness"].verdict == "holds"
@@ -239,8 +243,8 @@ def test_condition_suite_rows_protocol1(p1_runs):
         assert by_name[name].estimate <= by_name[name].threshold
 
 
-def test_condition_suite_rows_protocol2(p2_runs):
-    rows = condition_suite(p2_runs)
+def test_condition_suite_rows_protocol2(p2_blocks):
+    rows = condition_suite(p2_blocks)
     assert {r.condition for r in rows} == P2_ROWS
     by_name = {r.condition: r for r in rows}
     assert by_name["chosen-message correctness"].verdict == "holds"
@@ -256,13 +260,14 @@ def test_condition_suite_abort_rate_skips_links_never_run():
     runs = generate_runs(params, 40, master_seed=5)
     assert all(run.outcomes[1].status == "no-second-phase" for run in runs)
     first_aborts = sum(run.outcomes[0].status == "aborted" for run in runs)
-    row = {r.condition: r for r in condition_suite(runs)}["abort rate"]
+    row = {r.condition: r for r in condition_suite([RunBlock(runs)])}["abort rate"]
     assert row.trials == len(runs)
     assert row.estimate == first_aborts / len(runs)
 
 
 def test_condition_suite_estimates_nonnegative(p1_runs, p2_runs):
-    for rows in (condition_suite(p1_runs[:800]), condition_suite(p2_runs[:800])):
+    for rows in (condition_suite([RunBlock(p1_runs[:800])]),
+                 condition_suite([RunBlock(p2_runs[:800])])):
         for row in rows:
             assert row.estimate >= 0.0
             assert row.threshold >= 0.0
@@ -270,10 +275,13 @@ def test_condition_suite_estimates_nonnegative(p1_runs, p2_runs):
 
 
 def test_condition_suite_input_validation(p1_runs, p2_runs):
+    # no blocks, a block of no runs, and a block of mixed runs
     with pytest.raises(ValueError):
         condition_suite([])
     with pytest.raises(ValueError):
-        condition_suite([p1_runs[0], p2_runs[0]])
+        RunBlock([])
+    with pytest.raises(ValueError):
+        RunBlock([p1_runs[0], p2_runs[0]])
 
 
 def test_feature_map_version_is_pinned():

@@ -1,11 +1,12 @@
 """Command-line surface: argument handling, report artifacts, exit codes."""
 
 import json
+import os
 from fractions import Fraction
 
 import pytest
 
-from otbec import exact_oracle
+from otbec import cli, exact_oracle
 from otbec.cli import DEFAULT_SEED, build_parser, main, parse_prob
 
 SIM_FLAGS = [
@@ -283,6 +284,47 @@ def test_audit_wiretapper_reads_nothing(tmp_path, capsys):
     assert row["verdict"] != "advantage detected"
     assert row["ci"][0] <= 0.0 <= row["ci"][1]
     assert results["summary"]["conditions_clean"] is True
+
+
+@pytest.mark.parametrize("flags", [
+    ["--order", "1", "--link", "2"],
+    ["--order", "2", "--p2", "0.5", "--link", "1"],
+])
+def test_audit_of_a_link_the_parameters_never_run_exits_2_before_any_trial(
+        tmp_path, capsys, monkeypatch, flags):
+    # the phase-1 receiver's p <= 1/2 leaves no leftover set, so the other link never runs
+    def never(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "generate_runs", never)
+    out = tmp_path / "aud.json"
+    code, _, stderr = run(capsys, "audit", *SIM_FLAGS, "--variant", "p2", *flags,
+                          "--trials", "50", "--out", str(out))
+    assert code == 2
+    assert "second phase violated" in stderr and "no-second-phase" in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["simulate", *SIM_FLAGS, "--trials", "5"], "generate_runs"),
+    (["audit", *SIM_FLAGS, "--trials", "60"], "generate_runs"),
+    (["oracle"], "enumerate_protocol"),
+])
+def test_each_run_path_calls_its_work_function_through_the_cli_binding(
+        tmp_path, capsys, monkeypatch, argv, work):
+    # a timing harness ends set-up at the first call of cli.generate_runs (campaigns,
+    # audits) or cli.enumerate_protocol (oracle) made in the calling process
+    calls = []
+    original = getattr(cli, work)
+
+    def counted(*args, **kwargs):
+        calls.append(os.getpid())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, work, counted)
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    assert os.getpid() in calls
 
 
 def test_seed_env_override(tmp_path, capsys, monkeypatch):

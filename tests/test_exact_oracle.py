@@ -12,7 +12,6 @@ from otbec.exact_oracle import (
     EnumerationBudget,
     ExactJoint,
     SPECS,
-    SUPPORTED_SPECS,
     TinyParams,
     enumerate_protocol,
     exact_mi,
@@ -31,89 +30,89 @@ def tiny(**overrides):
 
 # regression goldens, frozen from the first computation of each instance
 GOLDEN_MI = {
-    ("noncolluding", "m1-unchosen", "own-receiver-1"): 0.4375,
-    ("noncolluding", "m1-unchosen", "pooled-receivers-1"): 0.65625,
-    ("colluding", "m2-unchosen", "pooled-receivers-2-phase2"): 0.0625,
+    "unchosen-vs-own": 0.4375,
+    "unchosen-vs-pooled": 0.65625,
+    "phase2-unchosen-vs-pooled": 0.0625,
 }
 
 
 def test_budget_rejects_large_block():
     with pytest.raises(BudgetError) as err:
-        enumerate_protocol("noncolluding", tiny(n=9), "announced-sets-1", "z1")
+        enumerate_protocol("choice-vs-sets", tiny(n=9))
     assert err.value.estimate > DEFAULT_BUDGET.max_states or "n" in str(err.value)
 
 
 def test_budget_rejects_large_set_size():
     with pytest.raises(BudgetError):
-        enumerate_protocol("noncolluding", tiny(set_size=3), "announced-sets-1", "z1")
+        enumerate_protocol("choice-vs-sets", tiny(set_size=3))
 
 
 def test_budget_object_is_honored():
     strict = EnumerationBudget(max_n=4, max_set_size=2, max_hash_in=4, max_hash_out=2,
                                max_states=10)
     with pytest.raises(BudgetError):
-        enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "z1", budget=strict)
+        enumerate_protocol("choice-vs-sets", tiny(), budget=strict)
 
 
 def test_unknown_spec_rejected():
-    with pytest.raises(ValueError):
-        enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "m2-unchosen")
+    with pytest.raises(ValueError, match="unknown spec 'choice-vs-messages'"):
+        enumerate_protocol("choice-vs-messages", tiny())
 
 
 def test_mass_conservation_all_specs():
-    for variant, secret, view in SUPPORTED_SPECS:
-        j = enumerate_protocol(variant, tiny(), view, secret)
+    for name in SPECS:
+        j = enumerate_protocol(name, tiny())
         total = Fraction(sum(j.weights.values()), j.denominator)
-        assert total == 1, (variant, secret, view)
+        assert total == 1, name
         assert all(type(w) is int for w in j.weights.values())
 
 
 def test_mass_conservation_float_arithmetic():
     # float probabilities no longer fork to float arithmetic: the mass is exact
-    j = enumerate_protocol("noncolluding", tiny(p1=0.3, p2=0.3), "announced-sets-1", "z1")
+    j = enumerate_protocol("choice-vs-sets", tiny(p1=0.3, p2=0.3))
     assert j.tiny.p1 == Fraction(3, 10)
     assert all(type(w) is int for w in j.weights.values())
     assert Fraction(sum(j.weights.values()), j.denominator) == 1
 
 
-@pytest.mark.parametrize("spec", SUPPORTED_SPECS)
+@pytest.mark.parametrize("spec", SPECS.items())
 def test_float_arithmetic_agrees_with_rational_on_the_same_binary_values(spec):
     # 0.25 and 0.75 print as the binary values they hold, so the float and
     # the Fraction inputs name the same law and must enumerate it identically
-    variant, secret, view = spec
-    fl = enumerate_protocol(variant, tiny(p1=0.25, p2=0.75), view, secret)
-    ex = enumerate_protocol(variant, tiny(p1=Fraction(0.25), p2=Fraction(0.75)), view, secret)
+    name, _ = spec
+    fl = enumerate_protocol(name, tiny(p1=0.25, p2=0.75))
+    ex = enumerate_protocol(name, tiny(p1=Fraction(0.25), p2=Fraction(0.75)))
     assert (fl.weights, fl.denominator, fl.states) == (ex.weights, ex.denominator, ex.states)
     assert fl.abort_mass == ex.abort_mass
     assert exact_mi(fl) == exact_mi(ex)
     assert exact_mi_given_success(fl) == exact_mi_given_success(ex)
 
 
-@pytest.mark.parametrize("spec", SUPPORTED_SPECS)
+@pytest.mark.parametrize("spec", SPECS.items())
 def test_float_params_enumerate_as_their_decimal_fraction(spec):
     # a float is read as the decimal its repr prints (0.3 is 3/10), not as the
     # binary value Fraction(0.3) holds, so typing a decimal keeps the joint exact
-    variant, secret, view = spec
-    fl = enumerate_protocol(variant, tiny(p1=0.3, p2=0.7), view, secret)
-    ex = enumerate_protocol(variant, tiny(p1=Fraction(3, 10), p2=Fraction(7, 10)), view, secret)
+    name, _ = spec
+    fl = enumerate_protocol(name, tiny(p1=0.3, p2=0.7))
+    ex = enumerate_protocol(name, tiny(p1=Fraction(3, 10), p2=Fraction(7, 10)))
     assert fl.tiny == ex.tiny
     assert (fl.weights, fl.denominator, fl.states) == (ex.weights, ex.denominator, ex.states)
 
 
 def test_choice_bit_mi_is_exactly_zero():
-    j = enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "z1")
+    j = enumerate_protocol("choice-vs-sets", tiny())
     mi = exact_mi(j)
     assert mi == 0 and not isinstance(mi, float)
 
 
 def test_choice_pair_mi_is_exactly_zero():
-    j = enumerate_protocol("noncolluding", tiny(), "announced-sets-both", "z-pair")
+    j = enumerate_protocol("choice-pair-vs-sets", tiny())
     assert exact_mi(j) == 0
 
 
 def test_exchange_symmetry_of_choice_joint():
     # flipping z and swapping the announced pair leaves the joint invariant
-    j = enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "z1")
+    j = enumerate_protocol("choice-vs-sets", tiny())
     mass = j.weights
     for (z, view), w in mass.items():
         if view == ("abort",):
@@ -125,27 +124,26 @@ def test_exchange_symmetry_of_choice_joint():
 
 
 def test_golden_leak_values_frozen():
-    for (variant, secret, view), expected in GOLDEN_MI.items():
-        j = enumerate_protocol(variant, tiny(), view, secret)
-        assert exact_mi(j) == pytest.approx(expected, abs=1e-12), (variant, secret, view)
+    for name, expected in GOLDEN_MI.items():
+        j = enumerate_protocol(name, tiny())
+        assert exact_mi(j) == pytest.approx(expected, abs=1e-12), name
 
 
 def test_pooling_never_loses_information():
-    own = exact_mi(enumerate_protocol("noncolluding", tiny(), "own-receiver-1", "m1-unchosen"))
-    pooled = exact_mi(enumerate_protocol("noncolluding", tiny(), "pooled-receivers-1", "m1-unchosen"))
+    own = exact_mi(enumerate_protocol("unchosen-vs-own", tiny()))
+    pooled = exact_mi(enumerate_protocol("unchosen-vs-pooled", tiny()))
     assert pooled >= own - 1e-15
 
 
 def test_phase1_cross_knowledge_is_exactly_zero():
-    j = enumerate_protocol("colluding", tiny(), "first-receiver-phase1", "x-sprime")
+    j = enumerate_protocol("phase1-cross-knowledge", tiny())
     mi = exact_mi_given_success(j)
     assert mi == 0 and not isinstance(mi, float)
 
 
 def test_conditioning_needs_completed_branches():
     # p1 = 0 erases nothing, so the erased side can never host a set: all abort
-    j = enumerate_protocol("colluding", tiny(p1=Fraction(0), p2=HALF),
-                           "first-receiver-phase1", "x-sprime")
+    j = enumerate_protocol("phase1-cross-knowledge", tiny(p1=Fraction(0), p2=HALF))
     assert j.abort_mass == 1
     with pytest.raises(ValueError):
         exact_mi_given_success(j)
@@ -161,10 +159,9 @@ def test_exact_mi_on_handmade_joints():
     assert exact_mi(j2) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("spec", SUPPORTED_SPECS, ids=list(SPECS))
+@pytest.mark.parametrize("spec", SPECS)
 def test_montecarlo_matches_exact_within_band(spec):
-    variant, secret, view = spec
-    exact = enumerate_protocol(variant, tiny(), view, secret)
+    exact = enumerate_protocol(spec, tiny())
     res = oracle_vs_montecarlo(exact, trials=4000, master_seed=11)
     assert res["within_band"], res
     assert res["max_deviation"] <= res["band"]
@@ -173,23 +170,21 @@ def test_montecarlo_matches_exact_within_band(spec):
 
 def test_montecarlo_deterministic_subcase_has_zero_view_deviation():
     # p1 = 0 forces the abort view on every trial; only the secret coin varies
-    exact = enumerate_protocol("noncolluding", tiny(p1=Fraction(0), p2=HALF),
-                               "announced-sets-1", "z1")
+    exact = enumerate_protocol("choice-vs-sets", tiny(p1=Fraction(0), p2=HALF))
     res = oracle_vs_montecarlo(exact, trials=300, master_seed=2)
     assert res["view_deviation"] == 0.0
     assert res["within_band"]
 
 
 def test_montecarlo_rejects_zero_trials():
-    exact = enumerate_protocol("noncolluding", tiny(), "announced-sets-1", "z1")
+    exact = enumerate_protocol("choice-vs-sets", tiny())
     with pytest.raises(ValueError):
         oracle_vs_montecarlo(exact, trials=0)
 
 
-@pytest.mark.parametrize("spec", [
-    ("noncolluding", "m1-unchosen", "pooled-receivers-1"),
-    ("colluding", "m2-unchosen", "pooled-receivers-2-phase2"),
-])
+# every spec whose view holds a published link: its secret is an unchosen message
+@pytest.mark.parametrize(
+    "spec", [item for item in SPECS.items() if item[1].secret.endswith("unchosen")])
 def test_montecarlo_samples_through_the_executors_send_step(spec, monkeypatch):
     calls = []
     send = exact_oracle.send_link
@@ -199,8 +194,7 @@ def test_montecarlo_samples_through_the_executors_send_step(spec, monkeypatch):
         return send(*args)
 
     monkeypatch.setattr(exact_oracle, "send_link", counted)
-    variant, secret, view = spec
-    exact = enumerate_protocol(variant, tiny(), view, secret)
+    exact = enumerate_protocol(spec[0], tiny())
     res = oracle_vs_montecarlo(exact, trials=3000, master_seed=11)
     assert calls
     assert res["within_band"], res

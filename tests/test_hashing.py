@@ -94,6 +94,14 @@ def test_monte_carlo_mode_brackets_exact(rng):
         collision_probability(3, 2, mode="monte-carlo")
 
 
+@pytest.mark.parametrize("counts", [{"trials": 0}, {"sample_pairs": 0}, {"trials": -1}])
+def test_monte_carlo_mode_refuses_counts_below_one_before_drawing(rng, counts):
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="at least one trial and one sample pair"):
+        collision_probability(3, 2, mode="monte-carlo", rng=rng, **counts)
+    assert rng.bit_generator.state == state
+
+
 def test_joint_collision_of_two_single_bit_hashes():
     assert joint_collision_probability(1, 1, 1, 1) == Fraction(1, 4)
     assert joint_collision_probability(3, 1, 2, 1) == Fraction(1, 4)
