@@ -23,9 +23,7 @@ from .entropy import (
     statistical_distance,
 )
 from .exact_oracle import (
-    DEFAULT_BUDGET,
     BudgetError,
-    EnumerationBudget,
     ExactJoint,
     TinyParams,
     enumerate_protocol,
@@ -95,9 +93,7 @@ __all__ = [
     "mutual_information",
     "smooth_min_entropy",
     "statistical_distance",
-    "DEFAULT_BUDGET",
     "BudgetError",
-    "EnumerationBudget",
     "ExactJoint",
     "TinyParams",
     "enumerate_protocol",

@@ -228,10 +228,10 @@ def _bound(k: int, n: int, tail_prob: float, upper: bool, comb) -> float:
     return _solve(lambda x: _beta_tail(a_b, x, upper, log_target, comb), x, lo, hi, not upper)
 
 
-def clopper_pearson(successes: int, trials: int, alpha: float = 0.05) -> tuple[float, float]:
-    """Exact two-sided 1 - alpha interval for a binomial proportion (Clopper & Pearson, 1934)."""
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact two-sided 95% interval for a binomial proportion (Clopper & Pearson, 1934)."""
     k, n = successes, trials
-    tail_prob = alpha / 2
+    tail_prob = 0.05 / 2  # alpha / 2
     log_tail = math.log(tail_prob)
     if k == 0:
         return 0.0, -math.expm1(log_tail / n)

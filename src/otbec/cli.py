@@ -87,12 +87,6 @@ def parse_prob(text):
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -393,11 +387,9 @@ def cmd_region(args) -> int:
                 "note": note,
             })
         report["results"]["containment"] = checks
-    _write_atomic(args.out, _canonical(report))
+    _emit(args, report, seed)
     csv_path = os.path.splitext(args.out)[0] + ".csv"
     _write_atomic(csv_path, _region_csv(regions))
-    print(f"seed: {seed}")
-    print(f"report: {args.out}")
     print(f"csv: {csv_path}")
     return 0
 
@@ -564,6 +556,10 @@ def main(argv=None) -> int:
             if known.config:
                 registry[subcommand].set_defaults(**_config_overrides(known.config, registry[subcommand]))
         args = parser.parse_args(argv)
+        # refused before the run, not after it: the report is written last
+        out_dir = os.path.dirname(os.path.abspath(args.out))
+        if not os.path.isdir(out_dir):
+            raise FileNotFoundError(f"report directory {out_dir} does not exist")
         return args.func(args)
     except BudgetError as exc:
         print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)

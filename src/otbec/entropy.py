@@ -76,15 +76,12 @@ class FiniteDistribution:
 
 
 class JointDistribution:
-    """Distribution over (x, y) pairs."""
+    """Distribution over (x, y) pairs, from a mapping of each pair to its probability."""
 
     __slots__ = ("_items", "built_as_product")
 
     def __init__(self, pairs_to_probs):
-        if hasattr(pairs_to_probs, "items"):
-            items = list(pairs_to_probs.items())
-        else:
-            items = list(pairs_to_probs)
+        items = list(pairs_to_probs.items())
         for pair, _ in items:
             if not (isinstance(pair, tuple) and len(pair) == 2):
                 raise ValueError("joint outcomes must be (x, y) pairs")

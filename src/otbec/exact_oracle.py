@@ -39,8 +39,6 @@ from .entropy import mutual_information_of
 from .protocol_core import AbortSignal, announce_sets, as_fraction, draw_sprime, send_link
 
 __all__ = [
-    "EnumerationBudget",
-    "DEFAULT_BUDGET",
     "BudgetError",
     "TinyParams",
     "ExactJoint",
@@ -53,18 +51,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
-    """Hard limits checked before any enumeration starts."""
-
-    max_n: int = 8
-    max_set_size: int = 2
-    max_hash_in: int = 4
-    max_hash_out: int = 2
-    max_states: int = 10**9
-
-
-DEFAULT_BUDGET = EnumerationBudget()
+# Hard limits checked before any enumeration starts.
+MAX_N = 8
+MAX_SET_SIZE = 2
+MAX_HASH_IN = 4
+MAX_HASH_OUT = 2
+MAX_STATES = 10**9
 
 
 class BudgetError(Exception):
@@ -187,24 +179,23 @@ def _has_abort(view) -> bool:
     return view in _ABORT_PARTS
 
 
-def _check_budget(tiny: TinyParams, spec: Spec, budget: EnumerationBudget) -> None:
+def _check_budget(tiny: TinyParams, spec: Spec) -> None:
     estimate = spec.states(tiny)
-    if tiny.n > budget.max_n:
-        raise BudgetError(f"n = {tiny.n} exceeds budget n <= {budget.max_n}", estimate)
+    if tiny.n > MAX_N:
+        raise BudgetError(f"n = {tiny.n} exceeds budget n <= {MAX_N}", estimate)
     sizes = [tiny.set_size]
     if spec.variant == "colluding":  # the two-phase specs also draw a phase-1 pair and S'
         sizes.append(tiny.phase1_size)
-        if tiny.sprime_size > budget.max_hash_in:
+        if tiny.sprime_size > MAX_HASH_IN:
             raise BudgetError(
-                f"sprime_size = {tiny.sprime_size} exceeds budget {budget.max_hash_in}", estimate)
+                f"sprime_size = {tiny.sprime_size} exceeds budget {MAX_HASH_IN}", estimate)
+    # a set size within MAX_SET_SIZE is within MAX_HASH_IN, so it needs no hash-input check
     for size in sizes:
-        if size > budget.max_set_size:
-            raise BudgetError(f"set size {size} exceeds budget {budget.max_set_size}", estimate)
-    if tiny.set_size > budget.max_hash_in:
-        raise BudgetError(f"hash input {tiny.set_size} exceeds budget {budget.max_hash_in}", estimate)
-    if tiny.key_bits > budget.max_hash_out:
-        raise BudgetError(f"hash output {tiny.key_bits} exceeds budget {budget.max_hash_out}", estimate)
-    if estimate > budget.max_states:
+        if size > MAX_SET_SIZE:
+            raise BudgetError(f"set size {size} exceeds budget {MAX_SET_SIZE}", estimate)
+    if tiny.key_bits > MAX_HASH_OUT:
+        raise BudgetError(f"hash output {tiny.key_bits} exceeds budget {MAX_HASH_OUT}", estimate)
+    if estimate > MAX_STATES:
         raise BudgetError("state estimate exceeds budget", estimate)
 
 
@@ -469,8 +460,7 @@ SPECS = {
 }
 
 
-def enumerate_protocol(name: str, tiny: TinyParams,
-                       budget: EnumerationBudget = DEFAULT_BUDGET) -> ExactJoint:
+def enumerate_protocol(name: str, tiny: TinyParams) -> ExactJoint:
     """Build the exact (secret, view) joint of the SPECS entry `name`.
 
     Every realization is weighted by the product of its uniform input bits,
@@ -481,7 +471,7 @@ def enumerate_protocol(name: str, tiny: TinyParams,
     if name not in SPECS:
         raise ValueError(f"unknown spec {name!r}; known: {', '.join(SPECS)}")
     spec = SPECS[name]
-    _check_budget(tiny, spec, budget)
+    _check_budget(tiny, spec)
     agg, states, denominator = spec.enumerate(tiny)
     if any(w < 0 for w in agg.values()):
         raise ValueError("enumerated weights must be nonnegative")

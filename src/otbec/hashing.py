@@ -164,7 +164,6 @@ def collision_probability(
     mode: str = "exact",
     rng: np.random.Generator | None = None,
     trials: int = 100_000,
-    sample_pairs: int = 16,
 ) -> CollisionEstimate:
     """Maximum collision probability over distinct input pairs for the k x m family.
 
@@ -184,10 +183,10 @@ def collision_probability(
         raise ValueError("monte-carlo mode needs an rng")
     if m < 1:
         raise ValueError("collision probability needs at least one input bit")
-    if trials < 1 or sample_pairs < 1:
-        raise ValueError("monte-carlo mode needs at least one trial and one sample pair")
-    # Fixed test pairs, encoded by their nonzero differences.
-    n_pairs = min(sample_pairs, (1 << m) - 1)
+    if trials < 1:
+        raise ValueError("monte-carlo mode needs at least one trial")
+    # Up to 16 fixed test pairs, encoded by their nonzero differences.
+    n_pairs = min(16, (1 << m) - 1)
     diffs = 1 + rng.permutation((1 << m) - 1)[:n_pairs]
     d_bits = ((diffs[:, None] >> np.arange(m)[None, :]) & 1).astype(np.int64)
     hits = np.zeros(n_pairs, dtype=np.int64)

@@ -161,6 +161,21 @@ def test_analysis_results_do_not_depend_on_the_block_size(variant, request):
     assert analyse(7) == analyse(len(runs))
 
 
+def test_a_block_that_published_nothing_adds_only_to_the_skipped_count():
+    # at n=16 and p=1/4, 56 of 300 runs abort link 1, so their block publishes nothing there
+    params, _ = snap_params(16, 0.25, 0.25, Fraction(3, 16), Fraction(3, 16), 0.05,
+                            Fraction(1, 16), variant="noncolluding")
+    runs = generate_runs(params, 300, master_seed=101)
+    aborted = [run for run in runs if run.outcomes[0].status == "aborted"]
+    rest = [run for run in runs if run.outcomes[0].status != "aborted"]
+    assert len(aborted) == 56
+    for attack in (guess_unchosen_message, guess_choice_bit):
+        split = attack([RunBlock(aborted), RunBlock(rest)], link=1, rng=np.random.default_rng(3))
+        alone = attack([RunBlock(rest)], link=1, rng=np.random.default_rng(3))
+        assert alone.extras["skipped_aborts"] == 0
+        assert split == dataclasses.replace(alone, extras={**alone.extras, "skipped_aborts": 56})
+
+
 def test_attack_input_validation(p1_blocks):
     with pytest.raises(ValueError):
         guess_unchosen_message(p1_blocks, attacker="martian", rng=np.random.default_rng(0))

@@ -55,6 +55,16 @@ def test_transmit_degenerate_probabilities(rng):
         transmit_bec(x, 1.5, rng)
 
 
+def test_transmit_checks_other_input_and_sends_it_as_the_uint8_block():
+    block = as_bits("10110100")
+    sent = transmit_bec(block, 0.5, np.random.default_rng(4))
+    for other in (block.tolist(), block.astype(np.int64)):
+        assert np.array_equal(transmit_bec(other, 0.5, np.random.default_rng(4)), sent)
+    for bad in ([0, 2], [0.5, 1], [[0, 1]]):
+        with pytest.raises(ValueError):
+            transmit_bec(bad, 0.5, np.random.default_rng(4))
+
+
 def test_transmit_replay_identical():
     x = np.ones(50, dtype=np.uint8)
     y1 = transmit_bec(x, 0.4, np.random.default_rng(9))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from otbec import cli, exact_oracle
+from otbec import cli, exact_oracle, protocol_core
 from otbec.cli import DEFAULT_SEED, build_parser, main, parse_prob
 
 SIM_FLAGS = [
@@ -132,12 +132,49 @@ def test_oracle_budget_exits_3(tmp_path, capsys):
     assert stderr.count("7225344") == 1
 
 
-def test_unwritable_out_exits_4(tmp_path, capsys):
+@pytest.mark.parametrize("argv", [
+    ["simulate", *SIM_FLAGS, "--trials", "5"],
+    ["audit"],
+    ["oracle"],
+    ["region", "--p1", "0.5", "--p2", "0.5"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_4(tmp_path, capsys, monkeypatch, argv):
+    # the report directory is checked before the subcommand starts, not after its run
+    def never(*args, **kwargs):
+        raise AssertionError("the subcommand ran")
+
+    monkeypatch.setattr(cli, f"cmd_{argv[0]}", never)
     target = tmp_path / "missing" / "dir" / "r.json"
-    code, _, stderr = run(capsys, "simulate", *SIM_FLAGS,
-                          "--trials", "5", "--out", str(target))
+    code, stdout, stderr = run(capsys, *argv, "--out", str(target))
     assert code == 4
-    assert "i/o failure" in stderr
+    assert "i/o failure" in stderr and "does not exist" in stderr
+    assert stdout == ""
+
+
+def test_a_decoder_that_always_fails_is_reported_as_decode_errors(tmp_path, capsys, monkeypatch):
+    # no honest run fails to decode, so only a broken decoder shows that a
+    # DecodeError is counted as one, never as a correct or an aborted link
+    def broken(*args):
+        raise protocol_core.DecodeError(protocol_core.OtCode.HASH_MISMATCH, "broken decoder")
+
+    monkeypatch.setattr(protocol_core, "decode_chosen", broken)
+    out = tmp_path / "r.json"
+    code, _, _ = run(capsys, "simulate", *SIM_FLAGS, "--trials", "300", "--out", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    assert results["correctness_rate"] == 0.0
+    for link in ("1", "2"):
+        row = results["per_link"][link]
+        assert row["counts"] == {"completed": 0, "aborted": 0, "decode-error": 300,
+                                 "no-second-phase": 0}
+        assert row["correctness_rate"] == 0.0
+
+    code, _, _ = run(capsys, "audit", *SIM_FLAGS, "--trials", "300", "--out", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    rows = {row["condition"]: row for row in results["conditions"]}
+    assert rows["chosen-message correctness"]["verdict"] == "violated"
+    assert results["summary"]["conditions_clean"] is False
 
 
 def test_two_phase_abort_reasons_count_each_link_under_its_phase(tmp_path, capsys):
@@ -165,6 +202,20 @@ def test_two_phase_abort_reasons_count_each_link_under_its_phase(tmp_path, capsy
     # a link the parameters never run is not an abort
     assert [results["per_link"][link]["abort"]["estimate"] for link in ("1", "2")] == [0.0, 0.0]
     assert results["abort_rate"]["estimate"] == 0.0
+
+
+def test_single_phase_abort_reasons_count_every_aborted_link(tmp_path, capsys):
+    out = tmp_path / "p1.json"
+    code, _, _ = run(capsys, "simulate", "--variant", "p1", "--n", "16", "--p1", "0.25",
+                     "--p2", "0.25", "--r1", "3/16", "--r2", "3/16", "--lambda", "0.05",
+                     "--lambda-prime", "1/16", "--trials", "300", "--seed", "101",
+                     "--out", str(out))
+    assert code == 0
+    results = json.loads(out.read_text())["results"]
+    aborted = [results["per_link"][link]["counts"]["aborted"] for link in ("1", "2")]
+    assert aborted == [56, 55]
+    # both links run in one phase, so each aborted link counts once under it
+    assert results["abort_reasons"] == {"single-phase": 111}
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path, capsys):

@@ -7,9 +7,7 @@ import pytest
 
 from otbec import exact_oracle
 from otbec.exact_oracle import (
-    DEFAULT_BUDGET,
     BudgetError,
-    EnumerationBudget,
     ExactJoint,
     SPECS,
     TinyParams,
@@ -39,7 +37,7 @@ GOLDEN_MI = {
 def test_budget_rejects_large_block():
     with pytest.raises(BudgetError) as err:
         enumerate_protocol("choice-vs-sets", tiny(n=9))
-    assert err.value.estimate > DEFAULT_BUDGET.max_states or "n" in str(err.value)
+    assert err.value.estimate > exact_oracle.MAX_STATES or "n" in str(err.value)
 
 
 def test_budget_rejects_large_set_size():
@@ -47,11 +45,19 @@ def test_budget_rejects_large_set_size():
         enumerate_protocol("choice-vs-sets", tiny(set_size=3))
 
 
-def test_budget_object_is_honored():
-    strict = EnumerationBudget(max_n=4, max_set_size=2, max_hash_in=4, max_hash_out=2,
-                               max_states=10)
-    with pytest.raises(BudgetError):
-        enumerate_protocol("choice-vs-sets", tiny(), budget=strict)
+@pytest.mark.parametrize("spec, overrides, message", [
+    ("phase1-cross-knowledge", {"phase1_size": 3}, "set size 3 exceeds budget 2"),
+    ("phase2-unchosen-vs-pooled", {"sprime_size": 5}, "sprime_size = 5 exceeds budget 4"),
+    ("choice-vs-sets", {"key_bits": 3}, "hash output 3 exceeds budget 2"),
+    # every size at its limit, yet over 10^9 weighted states
+    ("phase1-cross-knowledge",
+     {"n": 8, "set_size": 2, "key_bits": 2, "phase1_size": 2, "sprime_size": 4},
+     "state estimate exceeds budget (estimated states: 7193231360)"),
+])
+def test_each_limit_refuses_with_its_message(spec, overrides, message):
+    with pytest.raises(BudgetError) as err:
+        enumerate_protocol(spec, tiny(**overrides))
+    assert str(err.value).startswith(message)
 
 
 def test_unknown_spec_rejected():

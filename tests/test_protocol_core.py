@@ -24,8 +24,10 @@ from otbec.protocol_core import (
     decode_chosen,
     draw_sprime,
     encrypt,
+    receive_link,
     sample_subset,
     select_subsets,
+    send_link,
     snap_params,
     validate_params,
 )
@@ -321,6 +323,25 @@ def test_decode_rejects_wrong_commitment(rng):
     with pytest.raises(DecodeError) as err:
         decode_chosen(x, s, kappa, h, bad, cipher)
     assert err.value.code is OtCode.HASH_MISMATCH
+
+
+@pytest.mark.parametrize("code", [OtCode.HASH_MISMATCH, OtCode.ERASED_CHOSEN],
+                         ids=["flipped commitment bit", "erased chosen position"])
+def test_receive_link_turns_a_decode_error_into_a_decode_error_outcome(rng, code):
+    x = rng.integers(0, 2, size=8, dtype=np.int64).astype(np.uint8)
+    pair = (np.array([0, 2, 5], dtype=np.int64), np.array([1, 3, 4], dtype=np.int64))
+    messages = (np.array([1, 0], dtype=np.uint8), np.array([0, 1], dtype=np.uint8))
+    hashes, commitments, ciphertexts = send_link(x, pair, messages, 2, rng)
+    y = x.astype(np.int8)
+    outcome = receive_link(y, pair, 0, hashes, commitments, ciphertexts, messages)
+    assert outcome.code is OtCode.COMPLETED and outcome.diagnostics["correct"]
+    if code is OtCode.HASH_MISMATCH:
+        commitments = (commitments[0] ^ np.array([1, 0], dtype=np.uint8), commitments[1])
+    else:
+        y[pair[0][1]] = ERASED
+    outcome = receive_link(y, pair, 0, hashes, commitments, ciphertexts, messages)
+    assert (outcome.code, outcome.status, outcome.decoded) == (code, "decode-error", None)
+    assert outcome.diagnostics["reason"]
 
 
 def test_param_error_carries_parts():

@@ -63,9 +63,16 @@ def test_colluding_region_plugins():
 
 
 def test_degenerate_channels_collapse_to_origin():
-    for region_fn in (region_noncolluding_outer, region_colluding_outer,
-                      region_colluding_inner):
-        assert vertex_set(region_fn(1.0, 1.0)) == {(0.0, 0.0)}
+    # the time-sharing hull of one point is that point
+    for name, region_fn in REGIONS.items():
+        assert vertices(region_fn(1.0, 1.0)) == [(0.0, 0.0)], name
+
+
+def test_a_link_that_erases_everything_leaves_a_segment():
+    # p1 = 1 leaves R1 = 0; the time-sharing hull of a segment is that segment,
+    # the colluding-inner region's
+    for name, region_fn in REGIONS.items():
+        assert vertices(region_fn(1.0, 0.5)) == [(0.0, 0.0), (0.0, 0.5)], name
 
 
 @given(probs, probs)
@@ -79,7 +86,7 @@ def test_every_vertex_is_feasible(p1, p2):
     ]
     for region in regions:
         for x, y in vertices(region):
-            assert region.feasible(x, y, tol=1e-9), (region.label, x, y)
+            assert region.feasible(x, y), (region.label, x, y)
             assert x >= -1e-12 and y >= -1e-12
 
 
@@ -120,7 +127,7 @@ def test_timesharing_boxes_inside_hull():
     box1, box2, hull = region_timesharing(0.6, 0.8)
     for box in (box1, box2):
         for x, y in vertices(box):
-            assert hull.feasible(x, y, tol=1e-9)
+            assert hull.feasible(x, y)
 
 
 def test_general_bounds_match_closed_forms_theorem1():
