@@ -94,7 +94,7 @@ def test_monte_carlo_mode_brackets_exact(rng):
         collision_probability(3, 2, mode="monte-carlo")
 
 
-@pytest.mark.parametrize("counts", [{"trials": 0}, {"trials": -1}])
+@pytest.mark.parametrize("counts", [{"trials": 0}, {"trials": -100_000}, {"trials": -1}])
 def test_monte_carlo_mode_refuses_counts_below_one_before_drawing(rng, counts):
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match="needs at least one trial$"):
