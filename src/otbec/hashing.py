@@ -11,7 +11,6 @@ from .channel import _all_bits, as_bits
 
 __all__ = [
     "LinearHash",
-    "CollisionEstimate",
     "sample_linear_hash",
     "sample_linear_hashes",
     "apply",
@@ -19,7 +18,7 @@ __all__ = [
     "joint_collision_probability",
 ]
 
-# Exact mode enumerates the whole family; 2^(m*k) matrices must stay enumerable.
+# The exact collision probabilities enumerate the whole family; 2^(m*k) matrices must stay enumerable.
 EXACT_GUARD_BITS = 20
 
 
@@ -71,17 +70,6 @@ class LinearHash:
 
     def __hash__(self) -> int:
         return hash((self.matrix.shape, self.matrix.tobytes()))
-
-
-@dataclass(frozen=True)
-class CollisionEstimate:
-    """Maximum collision probability over tested input pairs, with its uncertainty."""
-
-    probability: float
-    ci: tuple[float, float]
-    mode: str
-    trials: int
-    exact: Fraction | None = None
 
 
 def sample_linear_hash(m: int, k: int, rng: np.random.Generator) -> LinearHash:
@@ -158,46 +146,14 @@ def _exact_max_collision(m: int, k: int) -> Fraction:
     return Fraction(best, total)
 
 
-def collision_probability(
-    m: int,
-    k: int,
-    mode: str = "exact",
-    rng: np.random.Generator | None = None,
-    trials: int = 100_000,
-) -> CollisionEstimate:
-    """Maximum collision probability over distinct input pairs for the k x m family.
+def collision_probability(m: int, k: int) -> Fraction:
+    """Exact maximum collision probability over distinct input pairs for the k x m family.
 
-    Exact mode enumerates the whole family (guard m*k <= 20). Monte Carlo mode
-    draws random matrices and reports the worst tested pair with a normal-
-    approximation 95% interval.
+    Enumerates the whole family, so m*k must stay within EXACT_GUARD_BITS.
     """
-    if mode == "exact":
-        if m * k > EXACT_GUARD_BITS:
-            raise ValueError(f"exact enumeration rejected: m*k = {m * k} exceeds guard {EXACT_GUARD_BITS}")
-        p = _exact_max_collision(m, k)
-        v = float(p)
-        return CollisionEstimate(v, (v, v), "exact", 1 << (m * k), exact=p)
-    if mode != "monte-carlo":
-        raise ValueError(f"unknown mode {mode!r}")
-    if rng is None:
-        raise ValueError("monte-carlo mode needs an rng")
-    if m < 1:
-        raise ValueError("collision probability needs at least one input bit")
-    if trials < 1:
-        raise ValueError("monte-carlo mode needs at least one trial")
-    # Up to 16 fixed test pairs, encoded by their nonzero differences.
-    n_pairs = min(16, (1 << m) - 1)
-    diffs = 1 + rng.permutation((1 << m) - 1)[:n_pairs]
-    d_bits = ((diffs[:, None] >> np.arange(m)[None, :]) & 1).astype(np.int64)
-    hits = np.zeros(n_pairs, dtype=np.int64)
-    for _ in range(trials):
-        mat = rng.integers(0, 2, size=(k, m), dtype=np.uint8).astype(np.int64)
-        hits += ((mat @ d_bits.T) % 2 == 0).all(axis=0)
-    rates = hits / trials
-    worst = int(rates.argmax())
-    p_hat = float(rates[worst])
-    sigma = float(np.sqrt(max(p_hat * (1 - p_hat), 1e-12) / trials))
-    return CollisionEstimate(p_hat, (p_hat - 1.96 * sigma, p_hat + 1.96 * sigma), "monte-carlo", trials)
+    if m * k > EXACT_GUARD_BITS:
+        raise ValueError(f"exact enumeration rejected: m*k = {m * k} exceeds guard {EXACT_GUARD_BITS}")
+    return _exact_max_collision(m, k)
 
 
 def joint_collision_probability(

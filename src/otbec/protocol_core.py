@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .channel import ERASED, as_bits, erasure_partition
+from .channel import ERASED, as_bits, erasure_partition, restrict, transmit_bec
 from .hashing import LinearHash, sample_linear_hashes
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "draw_sprime",
     "send_link",
     "receive_link",
+    "execute",
 ]
 
 
@@ -139,16 +140,10 @@ class ProtocolParams:
     r2: float
     lam: float
     lam_prime: float
-    s1: float | None = None
-    s2: float | None = None
+    s1: float
+    s2: float
     variant: str = "noncolluding"
     order: int = 1
-
-    def __post_init__(self) -> None:
-        if self.s1 is None:
-            object.__setattr__(self, "s1", self.lam_prime)
-        if self.s2 is None:
-            object.__setattr__(self, "s2", self.lam_prime)
 
     def p(self, i: int) -> float:
         return self.p1 if i == 1 else self.p2
@@ -339,8 +334,8 @@ class ProtocolRun:
     """Full result of one protocol execution over both links.
 
     `record` is the omniscient trace (inputs, observations, subset draws, hash
-    draws, ciphertexts) and the only copy of the run's data. Both variants
-    write the same keys: `y_phase1` and `y_phase2` map each receiver to what
+    draws, ciphertexts) and the only copy of the run's data; `execute` builds
+    it for both variants. `y_phase1` and `y_phase2` map each receiver to what
     it observed of the input block and of the retransmitted block S' (None
     where it received nothing), and the single-phase variant sets `order`,
     `sprime` and `x_sprime` to None. `adversary_audit.public_messages` gives
@@ -353,8 +348,9 @@ class ProtocolRun:
 
 
 # --- the run boundary --------------------------------------------------------
-# Each executor calls check_run_inputs first. The steps below trust their
-# arrays: the boundary checked the parties' inputs, and the run drew the rest.
+# run_protocol1 and run_protocol2 call check_run_inputs first. execute and the
+# steps below trust their arrays: the boundary checked the parties' inputs, and
+# the run drew the rest.
 
 _EXECUTORS = {"noncolluding": "run_protocol1", "colluding": "run_protocol2"}
 
@@ -533,3 +529,80 @@ def receive_link(
     except DecodeError as err:
         return err.outcome()
     return OtOutcome(OtCode.COMPLETED, decoded, {"correct": not (decoded != messages[z]).any()})
+
+
+# --- the executor ---------------------------------------------------------------
+# A run is a tuple of steps in draw order, over the blocks "x" (the broadcast
+# input) and "sprime" (x restricted to S'):
+#   ("transmit", block, i)        send the block through receiver i's link
+#   ("announce", i, block, size)  receiver i announces link i's label pair from its view
+#   ("rekey", i)                  phase-1 receiver i draws S'; "sprime" becomes x[S']
+#   ("send", i, block)            the sender pads and commits link i on the block
+# One abort rule: a step is skipped when its block was never formed or its
+# link has no sets.
+
+
+def execute(params: ProtocolParams, steps: tuple, messages: tuple, z: tuple,
+            rng: np.random.Generator) -> ProtocolRun:
+    """Draw x, run the steps in order, then receive both links; returns the run.
+
+    messages and z are what check_run_inputs returned. The record's `order`
+    is the rekey step's receiver, None when the steps hold no rekey.
+    """
+    blocks = {"x": rng.integers(0, 2, size=params.n, dtype=np.int64).astype(np.uint8)}
+    seen = {"x": {}, "sprime": {}}
+    sets, erased, link_block, hashes, commitments, ciphertexts = {}, {}, {}, {}, {}, {}
+    # outcomes, not signals: a signal's traceback would keep the caller's frames alive
+    aborts = {}
+    sprime = order = None
+    for step in steps:
+        kind = step[0]
+        if kind == "transmit":
+            _, block, i = step
+            if block in blocks:
+                seen[block][i] = transmit_bec(blocks[block], float(params.p(i)), rng)
+        elif kind == "announce":
+            _, i, block, size = step
+            if block in blocks:
+                try:
+                    sets[i], erased[i] = announce_sets(seen[block][i], z[i - 1], size, rng)
+                    link_block[i] = block
+                except AbortSignal as sig:
+                    aborts[i] = sig.outcome()
+        elif kind == "rekey":
+            order = i = step[1]
+            if i in aborts:
+                aborts[3 - i] = AbortSignal(OtCode.UPSTREAM_ABORT, "phase-1 abort upstream: "
+                                            + aborts[i].diagnostics["reason"]).outcome()
+            elif params.sprime_size() == 0:
+                aborts[3 - i] = AbortSignal(OtCode.NO_SECOND_PHASE,
+                                            "no leftover erasure set, second link cannot run").outcome()
+            else:
+                try:
+                    sprime = draw_sprime(erased[i], sets[i][1 - z[i - 1]], params.sprime_size(), rng)
+                    blocks["sprime"] = restrict(blocks["x"], sprime)
+                except AbortSignal as sig:
+                    aborts[3 - i] = sig.outcome()
+        else:  # send
+            _, i, block = step
+            if i in sets:
+                hashes[i], commitments[i], ciphertexts[i] = send_link(
+                    blocks[block], sets[i], messages[i - 1], params.verify_bits(i), rng)
+
+    outcomes = tuple(
+        aborts[i] if i in aborts else receive_link(
+            seen[link_block[i]][i], sets[i], z[i - 1], hashes[i], commitments[i], ciphertexts[i],
+            messages[i - 1])
+        for i in (1, 2)
+    )
+    receivers = (1, 2) if order is None else (order, 3 - order)
+    record = {
+        "x": blocks["x"], "z": z, "messages": messages, "order": order,
+        "y_phase1": {i: seen["x"].get(i) for i in receivers},
+        "sprime": sprime, "x_sprime": blocks.get("sprime"),
+        "y_phase2": {i: seen["sprime"].get(i) for i in receivers},
+        "sets": sets, "hashes": hashes, "commitments": commitments,
+        "ciphertexts": ciphertexts,
+        "aborted": {i: out.diagnostics["reason"] for i, out in aborts.items()},
+    }
+    return ProtocolRun(params, outcomes, record)

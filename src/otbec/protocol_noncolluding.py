@@ -10,17 +10,13 @@ import math
 
 import numpy as np
 
-from .channel import transmit_bec
 from .protocol_core import (
-    AbortSignal,
     ParamError,
     ProtocolParams,
     ProtocolRun,
     as_fraction,
-    announce_sets,
     check_run_inputs,
-    receive_link,
-    send_link,
+    execute,
 )
 
 __all__ = [
@@ -38,47 +34,16 @@ def run_protocol1(
     """Execute the plain variant once.
 
     messages is ((m10, m11), (m20, m21)) with length-k_i bit vectors, z the two
-    choice bits. Randomness is drawn in a fixed documented order (input block,
-    observations for receiver 1 then 2, subset pairs for link 1 then 2, hash
-    descriptions for link 1 then 2) so a seeded generator replays the run.
-    A link that cannot host its index sets aborts publicly; the other link
-    proceeds on the same broadcast block.
+    choice bits. A link that cannot host its index sets aborts publicly; the
+    other link proceeds on the same broadcast block.
     """
     messages, z = check_run_inputs(params, "noncolluding", messages, z)
-
-    x = rng.integers(0, 2, size=params.n, dtype=np.int64).astype(np.uint8)
-    observations = {i: transmit_bec(x, float(params.p(i)), rng) for i in (1, 2)}
-
-    sets, aborts = {}, {}
-    for i in (1, 2):
-        try:
-            sets[i], _ = announce_sets(observations[i], z[i - 1], params.mask_size(i), rng)
-        except AbortSignal as sig:
-            # the outcome, not the signal: its traceback would keep the caller's frames alive
-            aborts[i] = sig.outcome()
-
-    hashes, commitments, ciphertexts = {}, {}, {}
-    for i in sets:
-        hashes[i], commitments[i], ciphertexts[i] = send_link(
-            x, sets[i], messages[i - 1], params.verify_bits(i), rng)
-
-    outcomes = tuple(
-        aborts[i] if i in aborts else receive_link(
-            observations[i], sets[i], z[i - 1], hashes[i], commitments[i], ciphertexts[i],
-            messages[i - 1])
-        for i in (1, 2)
+    steps = (
+        ("transmit", "x", 1), ("transmit", "x", 2),
+        ("announce", 1, "x", params.mask_size(1)), ("announce", 2, "x", params.mask_size(2)),
+        ("send", 1, "x"), ("send", 2, "x"),
     )
-
-    # the two-phase record's layout: this variant has no phase order and no S'
-    record = {
-        "x": x, "z": z, "messages": messages, "order": None,
-        "y_phase1": observations, "sprime": None, "x_sprime": None,
-        "y_phase2": {1: None, 2: None},
-        "sets": sets, "hashes": hashes, "commitments": commitments,
-        "ciphertexts": ciphertexts,
-        "aborted": {i: out.diagnostics["reason"] for i, out in aborts.items()},
-    }
-    return ProtocolRun(params, outcomes, record)
+    return execute(params, steps, messages, z, rng)
 
 
 def exact_abort_probability(n: int, p: float, r) -> float:

@@ -164,8 +164,7 @@ def test_criterion_06_two_universality():
         for k in range(1, 13):
             if m * k > 12:
                 continue
-            estimate = collision_probability(m, k, mode="exact")
-            assert estimate.exact <= Fraction(1, 2 ** k), (m, k)
+            assert collision_probability(m, k) <= Fraction(1, 2 ** k), (m, k)
     assert joint_collision_probability(1, 1, 1, 1) == Fraction(1, 4)
     announce(6, "every family with m*k <= 12 collides at <= 2^-k; joint 1-bit pair exactly 1/4")
 

@@ -73,33 +73,12 @@ def test_sample_is_seed_deterministic():
 def test_exact_collision_probability_is_two_universal():
     # uniform linear families collide at exactly 2^-k for every nonzero difference
     for m, k in ((1, 1), (2, 1), (2, 2), (3, 2), (4, 3)):
-        est = collision_probability(m, k, mode="exact")
-        assert est.exact == Fraction(1, 2**k)
-        assert est.mode == "exact"
+        assert collision_probability(m, k) == Fraction(1, 2**k)
 
 
 def test_exact_mode_guard():
     with pytest.raises(ValueError):
-        collision_probability(7, 3, mode="exact")
-    with pytest.raises(ValueError):
-        collision_probability(2, 2, mode="nope")
-
-
-def test_monte_carlo_mode_brackets_exact(rng):
-    est = collision_probability(3, 2, mode="monte-carlo", rng=rng, trials=20000)
-    lo, hi = est.ci
-    assert lo <= 0.25 <= hi
-    assert est.exact is None
-    with pytest.raises(ValueError):
-        collision_probability(3, 2, mode="monte-carlo")
-
-
-@pytest.mark.parametrize("counts", [{"trials": 0}, {"trials": -100_000}, {"trials": -1}])
-def test_monte_carlo_mode_refuses_counts_below_one_before_drawing(rng, counts):
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="needs at least one trial$"):
-        collision_probability(3, 2, mode="monte-carlo", rng=rng, **counts)
-    assert rng.bit_generator.state == state
+        collision_probability(7, 3)
 
 
 def test_joint_collision_of_two_single_bit_hashes():

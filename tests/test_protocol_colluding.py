@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from otbec.adversary_audit import collusion_mask_accounting, generate_runs
-from otbec.channel import erasure_partition, trial_rng
+from otbec.channel import erasure_partition, transmit_bec, trial_rng
 from otbec.hashing import apply
 from otbec.protocol_colluding import (
     DEFAULT_VISIBILITY,
     VisibilityModel,
     run_protocol2,
 )
-from otbec.protocol_core import OtCode, ParamError, encrypt, snap_params
+from otbec.protocol_core import (
+    OtCode,
+    ParamError,
+    announce_sets,
+    encrypt,
+    send_link,
+    snap_params,
+)
 
 
 def test_visibility_model_validation():
@@ -232,3 +239,56 @@ def test_replay_identical(p2_params):
         assert [o.status for o in ra.outcomes] == [o.status for o in rb.outcomes]
         if ra.record["sprime"] is not None and rb.record["sprime"] is not None:
             assert np.array_equal(ra.record["sprime"], rb.record["sprime"])
+
+
+_VISIBILITIES = [VisibilityModel("point-to-point", "point-to-point"),
+                 VisibilityModel("broadcast-both", "broadcast-both")]
+
+
+@pytest.mark.parametrize("vis", _VISIBILITIES, ids=lambda v: v.phase1)
+def test_phase1_abort_draws_nothing_after_the_observations(vis):
+    # the skip rule: after the phase-1 announce aborts, no later step draws
+    params, _ = snap_params(
+        40, 0.9, 0.9, Fraction(1, 20), Fraction(1, 20), Fraction(1, 40), Fraction(1, 40),
+        variant="colluding",
+    )
+    messages, observations = _zero_messages(params), 1 + (vis.phase1 == "broadcast-both")
+    for t in range(100):
+        rng = trial_rng(5, t)
+        run = run_protocol2(params, messages, (0, 0), rng, visibility=vis)
+        if run.outcomes[0].code is OtCode.SET_SHORTFALL:
+            break
+    else:
+        pytest.fail("no phase-1 abort in 100 trials")
+    assert run.outcomes[1].code is OtCode.UPSTREAM_ABORT
+    fresh = trial_rng(5, t)
+    fresh.integers(0, 2, size=params.n, dtype=np.int64)
+    for _ in range(observations):
+        fresh.random(params.n)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+@pytest.mark.parametrize("vis", _VISIBILITIES, ids=lambda v: v.phase1)
+def test_no_second_phase_draws_nothing_after_the_first_send(vis):
+    params, _ = snap_params(
+        64, 0.5, 0.5, Fraction(1, 16), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64),
+        variant="colluding",
+    )
+    messages, z = _zero_messages(params), (0, 0)
+    for t in range(100):
+        rng = trial_rng(31, t)
+        run = run_protocol2(params, messages, z, rng, visibility=vis)
+        if run.outcomes[0].code is OtCode.COMPLETED:
+            break
+    else:
+        pytest.fail("no completed first link in 100 trials")
+    assert run.outcomes[1].code is OtCode.NO_SECOND_PHASE
+    # replay the first link with the step functions alone, up to its send
+    fresh = trial_rng(31, t)
+    x = fresh.integers(0, 2, size=params.n, dtype=np.int64).astype(np.uint8)
+    y = transmit_bec(x, params.p1, fresh)
+    if vis.phase1 == "broadcast-both":
+        transmit_bec(x, params.p2, fresh)
+    pair, _ = announce_sets(y, z[0], params.phase1_size(1), fresh)
+    send_link(x, pair, messages[0], params.verify_bits(1), fresh)
+    assert rng.bit_generator.state == fresh.bit_generator.state
