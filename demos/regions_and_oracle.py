@@ -9,10 +9,10 @@ from fractions import Fraction
 
 from otbec.exact_oracle import (
     SPECS,
-    TinyParams,
     enumerate_protocol,
     exact_mi,
     exact_mi_given_success,
+    tiny_plan,
 )
 from otbec.rates import (
     containment_note,
@@ -40,8 +40,8 @@ def main():
         print(f"  note: {note}\n")
 
     half = Fraction(1, 2)
-    tiny = TinyParams(n=4, p1=half, p2=half, set_size=1, key_bits=1,
-                      phase1_size=1, sprime_size=2)
+    tiny = tiny_plan(n=4, p1=half, p2=half, set_size=1, key_bits=1,
+                     phase1_size=1, sprime_size=2)
     print("exact enumeration at n=4, p=1/2, rational mass arithmetic throughout")
     print("(a zero is the integer 0: the joint distribution factors exactly)")
     for name, spec in SPECS.items():

@@ -18,7 +18,7 @@ from otbec.protocol_noncolluding import run_protocol1
 
 def fresh_messages(params, rng):
     return tuple(
-        tuple(rng.integers(0, 2, params.key_len(i), dtype=np.uint8) for _ in (0, 1))
+        tuple(rng.integers(0, 2, params.plan().key[i - 1], dtype=np.uint8) for _ in (0, 1))
         for i in (1, 2)
     )
 
@@ -48,7 +48,7 @@ def main():
     show(run, (0, 1))
     erased, intact = erasure_count(run.record["y_phase1"][1])
     print(f"  receiver 1 saw {erased} erasures and {intact} intact of {params.n};"
-          f" each announced set holds {params.mask_size(1)} positions\n")
+          f" each announced set holds {params.plan().mask[0]} positions\n")
 
     print("two-phase variant (n=48, p=0.75 so a leftover erased set survives phase 1)")
     params2, _ = snap_params(48, 0.75, 0.75, Fraction(3, 32), Fraction(3, 32),

@@ -25,11 +25,11 @@ from .entropy import (
 from .exact_oracle import (
     BudgetError,
     ExactJoint,
-    TinyParams,
     enumerate_protocol,
     exact_mi,
     exact_mi_given_success,
     oracle_vs_montecarlo,
+    tiny_plan,
 )
 from .hashing import LinearHash, collision_probability, sample_linear_hash
 from .protocol_colluding import (
@@ -95,11 +95,11 @@ __all__ = [
     "statistical_distance",
     "BudgetError",
     "ExactJoint",
-    "TinyParams",
     "enumerate_protocol",
     "exact_mi",
     "exact_mi_given_success",
     "oracle_vs_montecarlo",
+    "tiny_plan",
     "LinearHash",
     "collision_probability",
     "sample_linear_hash",

@@ -21,7 +21,7 @@ import numpy as np
 from ._stats import chi2_ppf, clopper_pearson
 from .channel import ERASED, trial_rng
 from .entropy import mutual_information_of
-from .protocol_core import OtCode, ProtocolParams, ProtocolRun
+from .protocol_core import OtCode, ProtocolParams, ProtocolRun, draw_inputs
 from .protocol_colluding import VisibilityModel, DEFAULT_VISIBILITY, run_protocol2
 from .protocol_noncolluding import run_protocol1
 
@@ -191,22 +191,14 @@ def generate_runs(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    k1, k2 = params.key_len(1), params.key_len(2)
-    # where each of the four messages starts in the trial's one draw of bits
-    a, b, c, d = 2, 2 + k1, 2 + 2 * k1, 2 + 2 * k1 + k2
-    if params.variant == "noncolluding":
-        execute = run_protocol1
-    else:
-        execute = functools.partial(
-            run_protocol2, visibility=DEFAULT_VISIBILITY if visibility is None else visibility)
+    plan = params.plan()
+    execute = run_protocol1 if params.variant == "noncolluding" else functools.partial(
+        run_protocol2, visibility=visibility or DEFAULT_VISIBILITY)
     runs = []
     for t in range(start, start + trials):
         rng = trial_rng(master_seed, t)
-        # z and the messages in one call, the stream of one call per bit or message
-        # (see protocol_core on bounded int64 draws)
-        bits = rng.integers(0, 2, size=d + k2)
-        m = bits.astype(np.uint8)
-        runs.append(execute(params, ((m[a:b], m[b:c]), (m[c:d], m[d:])), bits[:2].tolist(), rng))
+        messages, z = draw_inputs(plan, rng)
+        runs.append(execute(params, messages, z, rng))
     return runs
 
 
@@ -294,7 +286,7 @@ def guess_unchosen_message(
     blocks are read in order, and so are the runs in each.
     """
     params = _attack_params(blocks, attacker, MESSAGE_ATTACKERS, link, rng, "the uniform-fill step")
-    k = params.key_len(link)
+    k = params.plan().key[link - 1]
     receivers = {"single-receiver": (link,), "pooled-receivers": (1, 2), "wiretapper": ()}[attacker]
     successes = 0
     used = 0

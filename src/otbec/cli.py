@@ -34,14 +34,14 @@ from .adversary_audit import (
 from .exact_oracle import (
     SPECS,
     BudgetError,
-    TinyParams,
     enumerate_protocol,
     exact_mi,
     exact_mi_given_success,
     oracle_vs_montecarlo,
+    tiny_plan,
 )
 from .protocol_colluding import VisibilityModel
-from .protocol_core import ParamError, snap_params
+from .protocol_core import ParamError, Plan, snap_params
 from .rates import REGIONS, ChannelSpec, containment_note, general_upper_bounds, vertices
 
 __all__ = ["DEFAULT_SEED", "SCHEMA_VERSION", "parse_prob", "main"]
@@ -213,8 +213,7 @@ def _campaign(args, params, seed: int, fold) -> list:
     """fold(runs) of each _CHUNK-trial chunk of the campaign, in chunk order, over fan_out.
 
     A chunk's runs are dropped once folded, so memory does not grow with the
-    trial count; generate_runs refuses a count below one, so a campaign of
-    none still runs its one chunk to say so.
+    trial count.
     """
     visibility = (VisibilityModel(args.visibility_phase1, args.visibility_phase2)
                   if _VARIANTS[args.variant] == "colluding" else None)
@@ -223,7 +222,7 @@ def _campaign(args, params, seed: int, fold) -> list:
         size = min(_CHUNK, args.trials - start)
         return fold(generate_runs(params, size, seed, visibility, start=start))
 
-    return fan_out(chunk, range(0, args.trials, _CHUNK) or [0])
+    return fan_out(chunk, range(0, args.trials, _CHUNK))
 
 
 def cmd_simulate(args) -> int:
@@ -242,11 +241,12 @@ def cmd_simulate(args) -> int:
 def cmd_audit(args) -> int:
     seed = _resolve_seed(args)
     params, adjustments = _build_params(args)
-    if params.variant == "colluding" and args.link != params.order and not params.sprime_size():
+    if params.variant == "colluding" and args.link != params.order and not params.plan().sprime:
         # every run would end the link no-second-phase, leaving nothing to attack
         raise ParamError("second phase", (
             f"link {args.link} never runs: receiver {params.order}'s phase-1 erasures leave "
-            f"no leftover set at p{params.order} = {params.p(params.order)} (no-second-phase)"))
+            f"no leftover set at p{params.order} = {params.plan().p(params.order)} "
+            "(no-second-phase)"))
     # each chunk comes back as the arrays the analyses read, without its runs
     blocks = _campaign(args, params, seed, RunBlock)
     message_attacker, choice_attacker = _ATTACKER_MAP[args.attacker]
@@ -277,10 +277,10 @@ def cmd_audit(args) -> int:
 # --- oracle -------------------------------------------------------------------
 
 
-def _oracle_row(name: str, tiny: TinyParams, compare_mc: int, seed: int) -> dict:
+def _oracle_row(name: str, plan: Plan, compare_mc: int, seed: int) -> dict:
     """One spec's row of the oracle report."""
     spec = SPECS[name]
-    joint = enumerate_protocol(name, tiny)
+    joint = enumerate_protocol(name, plan)
     mi = exact_mi(joint)
     # a joint that always aborts has nothing to condition on
     mi_success = None if joint.abort_mass == 1 else exact_mi_given_success(joint)
@@ -306,16 +306,14 @@ def _oracle_row(name: str, tiny: TinyParams, compare_mc: int, seed: int) -> dict
 
 def cmd_oracle(args) -> int:
     seed = _resolve_seed(args)
-    tiny = TinyParams(
-        n=args.n, p1=args.p1, p2=args.p2,
-        set_size=args.set_size, key_bits=args.key_bits,
-        phase1_size=args.phase1_size, sprime_size=args.sprime_size,
-    )
+    counts = {"n": args.n, "set_size": args.set_size, "key_bits": args.key_bits,
+              "phase1_size": args.phase1_size, "sprime_size": args.sprime_size}
+    plan = tiny_plan(p1=args.p1, p2=args.p2, **counts)
     names = args.spec or ["choice-vs-sets", "choice-pair-vs-sets"]
     # every spec's row is worked out on its own, its Monte Carlo check from the master seed
-    rows = fan_out(lambda name: _oracle_row(name, tiny, args.compare_mc, seed), names)
+    rows = fan_out(lambda name: _oracle_row(name, plan, args.compare_mc, seed), names)
     config = {
-        "tiny": dataclasses.asdict(tiny),
+        "tiny": {**counts, "p1": plan.p1, "p2": plan.p2},
         "specs": names,
         "compare_mc": args.compare_mc,
         "out": args.out,
@@ -557,6 +555,9 @@ def main(argv=None) -> int:
                 registry[subcommand].set_defaults(**_config_overrides(known.config, registry[subcommand]))
         args = parser.parse_args(argv)
         # refused before the run, not after it: the report is written last
+        for flag, dest, least in (("--trials", "trials", 1), ("--compare-mc", "compare_mc", 0)):
+            if getattr(args, dest, least) < least:
+                raise ValueError(f"{flag} must be at least {least}, got {getattr(args, dest)}")
         out_dir = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(f"report directory {out_dir} does not exist")

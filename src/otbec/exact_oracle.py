@@ -17,10 +17,10 @@ can list before it starts. So each enumerator fixes one integer denominator
 up front (powers of b1, b2 and 2 times the lcm of the pool sizes it can meet)
 and accumulates integer numerators, so no Fraction arithmetic runs per state.
 The mutual information comes from `entropy.mutual_information_of` on those
-numerators and their denominator. TinyParams holds each probability as a
-Fraction read by `protocol_core.as_fraction`, the rule the protocol
-parameters use: a float is the decimal its repr prints (0.5 is 1/2, 0.3 is
-3/10), so every joint is exact.
+numerators and their denominator. An instance is a `protocol_core.Plan` that
+`tiny_plan` builds from counts, reading a float probability as the decimal its
+repr prints (0.3 is 3/10), so every joint is exact. The Monte Carlo
+cross-check samples it through the executors' own step lists.
 """
 
 from __future__ import annotations
@@ -34,13 +34,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .channel import ERASED, restrict, transmit_bec, trial_rng
+from .channel import ERASED, trial_rng
 from .entropy import mutual_information_of
-from .protocol_core import AbortSignal, announce_sets, as_fraction, draw_sprime, send_link
+from .protocol_colluding import colluding_steps
+from .protocol_core import Plan, as_fraction, draw_inputs, interpret
+from .protocol_noncolluding import noncolluding_steps
 
 __all__ = [
     "BudgetError",
-    "TinyParams",
+    "tiny_plan",
     "ExactJoint",
     "Spec",
     "SPECS",
@@ -72,36 +74,26 @@ class BudgetError(Exception):
         return type(self), (self.message, self.estimate)
 
 
-@dataclass(frozen=True)
-class TinyParams:
-    """Direct sizes for oracle instances.
+def tiny_plan(n: int, p1, p2, set_size: int = 1, key_bits: int = 1, phase1_size: int = 1,
+              sprime_size: int = 2) -> Plan:
+    """The plan of an oracle instance from counts: receiver 1 first, both links alike.
 
-    Tiny instances are specified by counts rather than rates: the strict rate
-    constraints have no room at these block lengths (a one-bit key over a
-    one-position set would force the slack to zero). p1 and p2 are stored as
-    Fractions, a float read as the decimal its repr prints.
+    Counts, not rates: the strict rate constraints have no room at these block
+    lengths (a one-bit key over a one-position set would force the slack to
+    zero). p1 and p2 are read by `as_fraction`. No view holds a commitment, so
+    the verification hashes output one bit.
     """
-
-    n: int
-    p1: Fraction
-    p2: Fraction
-    set_size: int = 1
-    key_bits: int = 1
-    phase1_size: int = 1
-    sprime_size: int = 2
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError("n must be a positive integer")
-        for name in ("p1", "p2"):
-            p = getattr(self, name)
-            exact = as_fraction(p)
-            if not 0 <= exact <= 1:
-                raise ValueError(f"erasure probability {p} not in [0, 1]")
-            object.__setattr__(self, name, exact)
-        for name in ("set_size", "key_bits", "phase1_size", "sprime_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+    if not (isinstance(n, int) and n >= 1):
+        raise ValueError("n must be a positive integer")
+    for p in (p1, p2):
+        if not 0 <= as_fraction(p) <= 1:
+            raise ValueError(f"erasure probability {p} not in [0, 1]")
+    for name, count in (("set_size", set_size), ("key_bits", key_bits),
+                        ("phase1_size", phase1_size), ("sprime_size", sprime_size)):
+        if count < 1:
+            raise ValueError(f"{name} must be positive")
+    return Plan(n=n, p1=as_fraction(p1), p2=as_fraction(p2), order=1, mask=(set_size,) * 2,
+                key=(key_bits,) * 2, verify=(1, 1), phase1=(phase1_size,) * 2, sprime=sprime_size)
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,7 @@ class ExactJoint:
 
     weights maps each (secret, view) cell to its integer numerator over the
     common integer denominator; abort_mass turns the abort cells' share into
-    a Fraction on demand. spec (the SPECS name) and tiny name what was
+    a Fraction on demand. spec (the SPECS name) and plan name what was
     enumerated; both are None for a hand-built joint.
     """
 
@@ -119,7 +111,7 @@ class ExactJoint:
     states: int
     description: str
     spec: str | None
-    tiny: TinyParams | None
+    plan: Plan | None
 
     @cached_property
     def _split(self) -> tuple[dict, int]:
@@ -179,22 +171,22 @@ def _has_abort(view) -> bool:
     return view in _ABORT_PARTS
 
 
-def _check_budget(tiny: TinyParams, spec: Spec) -> None:
-    estimate = spec.states(tiny)
-    if tiny.n > MAX_N:
-        raise BudgetError(f"n = {tiny.n} exceeds budget n <= {MAX_N}", estimate)
-    sizes = [tiny.set_size]
+def _check_budget(plan: Plan, spec: Spec) -> None:
+    estimate = spec.states(plan)
+    if plan.n > MAX_N:
+        raise BudgetError(f"n = {plan.n} exceeds budget n <= {MAX_N}", estimate)
+    sizes = list(plan.mask)
     if spec.variant == "colluding":  # the two-phase specs also draw a phase-1 pair and S'
-        sizes.append(tiny.phase1_size)
-        if tiny.sprime_size > MAX_HASH_IN:
+        sizes.append(plan.phase1[0])
+        if plan.sprime > MAX_HASH_IN:
             raise BudgetError(
-                f"sprime_size = {tiny.sprime_size} exceeds budget {MAX_HASH_IN}", estimate)
+                f"sprime_size = {plan.sprime} exceeds budget {MAX_HASH_IN}", estimate)
     # a set size within MAX_SET_SIZE is within MAX_HASH_IN, so it needs no hash-input check
     for size in sizes:
         if size > MAX_SET_SIZE:
             raise BudgetError(f"set size {size} exceeds budget {MAX_SET_SIZE}", estimate)
-    if tiny.key_bits > MAX_HASH_OUT:
-        raise BudgetError(f"hash output {tiny.key_bits} exceeds budget {MAX_HASH_OUT}", estimate)
+    if max(plan.key) > MAX_HASH_OUT:
+        raise BudgetError(f"hash output {max(plan.key)} exceeds budget {MAX_HASH_OUT}", estimate)
     if estimate > MAX_STATES:
         raise BudgetError("state estimate exceeds budget", estimate)
 
@@ -236,15 +228,15 @@ def _accumulate(items) -> tuple[dict, int]:
     return agg, states
 
 
-def _enum_sets_link(tiny: TinyParams, p: Fraction):
-    denominator, structures = _link_structures(tiny.n, p, tiny.set_size)
+def _enum_sets_link(plan: Plan, i: int):
+    denominator, structures = _link_structures(plan.n, plan.p(i), plan.mask[i - 1])
     agg, states = _accumulate(((z, pair), w) for z, pair, w, _, _ in structures)
     return agg, states, denominator
 
 
-def _enum_sets_both(tiny: TinyParams):
-    agg1, st1, d1 = _enum_sets_link(tiny, tiny.p1)
-    agg2, st2, d2 = _enum_sets_link(tiny, tiny.p2)
+def _enum_sets_both(plan: Plan):
+    agg1, st1, d1 = _enum_sets_link(plan, 1)
+    agg2, st2, d2 = _enum_sets_link(plan, 2)
     agg: dict = {}
     for (z1, v1), w1 in agg1.items():
         for (z2, v2), w2 in agg2.items():
@@ -273,17 +265,17 @@ def _abort_cells(k: int, view: tuple, w: int):
         yield (m, view), w
 
 
-def _enum_message_link1(tiny: TinyParams, pooled: bool):
+def _enum_message_link1(plan: Plan, pooled: bool):
     """Joint of (unchosen message, view) for link 1.
 
     The view holds the receiver's choice bit, the announced pair, the unchosen
     key hash, and the unchosen ciphertext; pooling adds the other receiver's
     erasure-limited look at the unchosen key material ("e" marks an erasure).
     """
-    n, s, k = tiny.n, tiny.set_size, tiny.key_bits
-    link_den, structures = _link_structures(n, tiny.p1, s)
+    n, s, k = plan.n, plan.mask[0], plan.key[0]
+    link_den, structures = _link_structures(n, plan.p1, s)
     # the second receiver's look at the unchosen set: a p2 pattern over s positions
-    y_num, y_den = _pattern_law(tiny.p2, s) if pooled else ([1], 1)
+    y_num, y_den = _pattern_law(plan.p2, s) if pooled else ([1], 1)
     # input bits at the unchosen set, matrix entries and message are uniform;
     # an aborted link draws only the message
     uniform_bits = s + s * k + k
@@ -307,7 +299,7 @@ def _enum_message_link1(tiny: TinyParams, pooled: bool):
     return agg, states, (link_den * y_den) << uniform_bits
 
 
-def _enum_phase2_message(tiny: TinyParams):
+def _enum_phase2_message(plan: Plan):
     """Joint of (unchosen message, view) for the second link of the two-phase
     variant under point-to-point visibility.
 
@@ -316,11 +308,11 @@ def _enum_phase2_message(tiny: TinyParams):
     receiver's erasures, so its contribution to the pooled view is the constant
     all-erased symbol.
     """
-    n, m1, q = tiny.n, tiny.phase1_size, tiny.sprime_size
-    s, k = tiny.set_size, tiny.key_bits
-    pat1_num, pat1_den = _pattern_law(tiny.p1, n)
+    n, m1, q = plan.n, plan.phase1[0], plan.sprime
+    s, k = plan.mask[1], plan.key[1]
+    pat1_num, pat1_den = _pattern_law(plan.p1, n)
     # phase 2 is one link over the q retransmitted positions, walked once per S' and input
-    link2_den, link2 = _link_structures(q, tiny.p2, s)
+    link2_den, link2 = _link_structures(q, plan.p2, s)
     link2 = list(link2)
     # pool-size lcms: phase-1 unchosen set, S' inside the leftover
     unch_pool = math.lcm(*(math.comb(e, m1) for e in range(m1, n - m1 + 1)))
@@ -364,7 +356,7 @@ def _enum_phase2_message(tiny: TinyParams):
     return agg, states, (pat1_den * unch_pool * sp_pool * link2_den) << uniform_bits
 
 
-def _enum_phase1_cross(tiny: TinyParams):
+def _enum_phase1_cross(plan: Plan):
     """Joint of (input bits at the retransmitted set, phase-1 receiver view).
 
     The view is everything the phase-1 receiver holds after phase 1: choice
@@ -374,8 +366,8 @@ def _enum_phase1_cross(tiny: TinyParams):
     The retransmitted set is drawn inside that receiver's erasures, which the
     enumeration checks branch by branch; the joint therefore factors exactly.
     """
-    n, m1, q = tiny.n, tiny.phase1_size, tiny.sprime_size
-    link_den, structures = _link_structures(n, tiny.p1, m1)
+    n, m1, q = plan.n, plan.phase1[0], plan.sprime
+    link_den, structures = _link_structures(n, plan.p1, m1)
     # S' and the free input bits (non-erased plus S') are one uniform draw
     # from C(e - m1, q) * 2^(n - e + q) outcomes
     sp_pool = math.lcm(*(math.comb(e - m1, q) << (n - e + q)
@@ -406,15 +398,82 @@ def _enum_phase1_cross(tiny: TinyParams):
     return agg, states, link_den * sp_pool
 
 
+def _packed(bits) -> int:
+    """The 0/1 vector as one int, bit t = entry t: the enumerator's form of a bit string."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _obs_symbol(values) -> tuple:
+    return tuple("e" if int(v) == ERASED else int(v) for v in values)
+
+
+# Features: a record's (secret, view) cell as the enumerators write it. Receiver 1
+# goes first, so link 2 runs on S'; what the record lacks tells where the run stopped.
+def _pair_view(record: dict, i: int) -> tuple:
+    """Link i's announced pair as index tuples, or the abort marker view."""
+    pair = record["sets"].get(i)
+    return ("abort",) if pair is None else (tuple(pair[0].tolist()), tuple(pair[1].tolist()))
+
+
+def _unchosen(record: dict, i: int) -> tuple:
+    """Link i's unchosen message, packed, and the unchosen label u."""
+    u = 1 - record["z"][i - 1]
+    return _packed(record["messages"][i - 1][u]), u
+
+
+def _published(record: dict, i: int, u: int) -> tuple:
+    """Link i's label-u kappa rows and ciphertext, packed."""
+    rows = tuple(_packed(row) for row in record["hashes"][i]["kappa"][u].matrix)
+    return ("kappa", rows), _packed(record["ciphertexts"][i][u])
+
+
+def _message_link1_features(record: dict, pooled: bool) -> tuple:
+    secret, u = _unchosen(record, 1)
+    if 1 not in record["sets"]:
+        return secret, ("abort",)
+    view = (record["z"][0], _pair_view(record, 1), *_published(record, 1, u))
+    if pooled:  # the other receiver's look at the unchosen set
+        view += (_obs_symbol(record["y_phase1"][2][record["sets"][1][u]]),)
+    return secret, view
+
+
+def _phase2_message_features(record: dict) -> tuple:
+    secret, u = _unchosen(record, 2)
+    if 1 not in record["sets"]:
+        return secret, ("abort-phase-1",)
+    sprime = record["sprime"]
+    if sprime is None:
+        return secret, ("no-sprime",)
+    if 2 not in record["sets"]:
+        return secret, ("abort-phase-2",)
+    # the phase-1 receiver's look at the unchosen set, through its phase-1 observation
+    look = _obs_symbol(record["y_phase1"][1][sprime[record["sets"][2][u]]])
+    return secret, (record["z"][1], tuple(sprime.tolist()), _pair_view(record, 2),
+                    *_published(record, 2, u), look)
+
+
+def _phase1_cross_features(record: dict) -> tuple:
+    if 1 not in record["sets"]:
+        return (), ("abort-phase-1",)
+    z = record["z"][0]
+    if record["sprime"] is None:
+        return (), (z, _pair_view(record, 1), "no-sprime")
+    sprime, obs = tuple(record["sprime"].tolist()), _obs_symbol(record["y_phase1"][1])
+    return tuple(record["x_sprime"].tolist()), (z, _pair_view(record, 1), sprime, obs)
+
+
 class Spec(NamedTuple):
-    """One oracle spec: its variant, its (secret, view) pair, the enumerator of its joint's
-    (weights, states, denominator), and the state estimate the budget checks first."""
+    """One oracle spec: variant, (secret, view) names, the enumerator of its joint's (weights,
+    states, denominator), the state estimate the budget checks first, the (kind, link) of the
+    last step of the variant's step list its view reads, and (secret, view) = features(record)."""
 
     variant: str
     secret: str
     view: str
     enumerate: Callable
     states: Callable
+    last: tuple
+    features: Callable
 
 
 def _sets_states(n: int, size: int) -> int:
@@ -422,45 +481,50 @@ def _sets_states(n: int, size: int) -> int:
     return (1 << n) * 2 * math.comb(n, size) ** 2
 
 
-def _published_states(t: TinyParams, before: int, free_bits: int) -> int:
-    """before states, times a published link's free input and look bits, matrix and message."""
-    return before << (free_bits + t.set_size * t.key_bits + t.key_bits)
+def _published_states(t: Plan, i: int, before: int, free_bits: int) -> int:
+    """before states, times published link i's free input and look bits, matrix and message."""
+    return before << (free_bits + t.mask[i - 1] * t.key[i - 1] + t.key[i - 1])
 
 
-def _phase2_states(t: TinyParams) -> int:
+def _phase2_states(t: Plan) -> int:
     # phase-1 pattern, z1, unchosen set and S', then the link over S' with its input bits
-    before = (1 << t.n) * 2 * math.comb(t.n, t.phase1_size) * math.comb(t.n, t.sprime_size)
-    return _published_states(t, before * _sets_states(t.sprime_size, t.set_size), t.sprime_size)
+    before = (1 << t.n) * 2 * math.comb(t.n, t.phase1[0]) * math.comb(t.n, t.sprime)
+    return _published_states(t, 2, before * _sets_states(t.sprime, t.mask[1]), t.sprime)
 
 
-def _phase1_states(t: TinyParams) -> int:
+def _phase1_states(t: Plan) -> int:
     # the free input bits (non-erased plus S') never exceed n
-    return _sets_states(t.n, t.phase1_size) * math.comb(t.n, t.sprime_size) << t.n
+    return _sets_states(t.n, t.phase1[0]) * math.comb(t.n, t.sprime) << t.n
 
 
 # every declared spec by its CLI name
 SPECS = {
     "choice-vs-sets": Spec(
         "noncolluding", "z1", "announced-sets-1",
-        lambda t: _enum_sets_link(t, t.p1), lambda t: _sets_states(t.n, t.set_size)),
+        lambda t: _enum_sets_link(t, 1), lambda t: _sets_states(t.n, t.mask[0]),
+        ("announce", 1), lambda r: (r["z"][0], _pair_view(r, 1))),
     "choice-pair-vs-sets": Spec(
         "noncolluding", "z-pair", "announced-sets-both",
-        _enum_sets_both, lambda t: 2 * _sets_states(t.n, t.set_size)),
+        _enum_sets_both, lambda t: _sets_states(t.n, t.mask[0]) + _sets_states(t.n, t.mask[1]),
+        ("announce", 2), lambda r: (r["z"], (_pair_view(r, 1), _pair_view(r, 2)))),
     "unchosen-vs-own": Spec(
         "noncolluding", "m1-unchosen", "own-receiver-1", lambda t: _enum_message_link1(t, False),
-        lambda t: _published_states(t, _sets_states(t.n, t.set_size), t.set_size)),
+        lambda t: _published_states(t, 1, _sets_states(t.n, t.mask[0]), t.mask[0]),
+        ("send", 1), lambda r: _message_link1_features(r, False)),
     "unchosen-vs-pooled": Spec(
         "noncolluding", "m1-unchosen", "pooled-receivers-1", lambda t: _enum_message_link1(t, True),
-        lambda t: _published_states(t, _sets_states(t.n, t.set_size), 2 * t.set_size)),
+        lambda t: _published_states(t, 1, _sets_states(t.n, t.mask[0]), 2 * t.mask[0]),
+        ("send", 1), lambda r: _message_link1_features(r, True)),
     "phase2-unchosen-vs-pooled": Spec(
         "colluding", "m2-unchosen", "pooled-receivers-2-phase2",
-        _enum_phase2_message, _phase2_states),
+        _enum_phase2_message, _phase2_states, ("send", 2), _phase2_message_features),
     "phase1-cross-knowledge": Spec(
-        "colluding", "x-sprime", "first-receiver-phase1", _enum_phase1_cross, _phase1_states),
+        "colluding", "x-sprime", "first-receiver-phase1", _enum_phase1_cross, _phase1_states,
+        ("rekey", 1), _phase1_cross_features),
 }
 
 
-def enumerate_protocol(name: str, tiny: TinyParams) -> ExactJoint:
+def enumerate_protocol(name: str, plan: Plan) -> ExactJoint:
     """Build the exact (secret, view) joint of the SPECS entry `name`.
 
     Every realization is weighted by the product of its uniform input bits,
@@ -471,8 +535,8 @@ def enumerate_protocol(name: str, tiny: TinyParams) -> ExactJoint:
     if name not in SPECS:
         raise ValueError(f"unknown spec {name!r}; known: {', '.join(SPECS)}")
     spec = SPECS[name]
-    _check_budget(tiny, spec)
-    agg, states, denominator = spec.enumerate(tiny)
+    _check_budget(plan, spec)
+    agg, states, denominator = spec.enumerate(plan)
     if any(w < 0 for w in agg.values()):
         raise ValueError("enumerated weights must be nonnegative")
     total = sum(agg.values())
@@ -482,9 +546,9 @@ def enumerate_protocol(name: str, tiny: TinyParams) -> ExactJoint:
         weights=agg,
         denominator=denominator,
         states=states,
-        description=f"{spec.variant}: {spec.secret} vs {spec.view} at n={tiny.n}",
+        description=f"{spec.variant}: {spec.secret} vs {spec.view} at n={plan.n}",
         spec=name,
-        tiny=tiny,
+        plan=plan,
     )
 
 
@@ -508,114 +572,51 @@ def exact_mi_given_success(j: ExactJoint):
     return mutual_information_of(completed.items(), total)
 
 
-def _tuple_set(arr) -> tuple:
-    return tuple(int(v) for v in arr)
-
-
-def _packed(bits) -> int:
-    """The 0/1 vector as one int, bit t = entry t: the enumerator's form of a bit string."""
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _obs_symbol(values) -> tuple:
-    return tuple("e" if int(v) == ERASED else int(v) for v in values)
-
-
-def _message_pair(k: int, rng: np.random.Generator) -> tuple:
-    return tuple(rng.integers(0, 2, size=k, dtype=np.int64).astype(np.uint8) for _ in range(2))
-
-
-def _sample_once(tiny: TinyParams, view_spec: str, rng: np.random.Generator):
-    """Draw one (secret, view) sample by running the executors' link helpers."""
-    s = tiny.set_size
-    # the views never include commitments, so any positive verification length
-    # gives the same joint
-    verify_bits = 1
-    x = rng.integers(0, 2, size=tiny.n, dtype=np.int64).astype(np.uint8)
-
-    def announced(bits, p, size):
-        y = transmit_bec(bits, float(p), rng)
-        z = int(rng.integers(0, 2))
-        try:
-            pair, e = announce_sets(y, z, size, rng)
-        except AbortSignal:
-            return z, ("abort",), y, None, None
-        return z, (_tuple_set(pair[0]), _tuple_set(pair[1])), y, pair, e
-
-    def unchosen_view(bits, pair, z, messages):
-        hashes, _, cipher = send_link(bits, pair, messages, verify_bits, rng)
-        kappa = hashes["kappa"][1 - z].matrix
-        return ("kappa", tuple(_packed(row) for row in kappa)), _packed(cipher[1 - z])
-
-    if view_spec in ("announced-sets-1", "announced-sets-both"):
-        z1, v1, _, _, _ = announced(x, tiny.p1, s)
-        if view_spec == "announced-sets-1":
-            return z1, v1
-        z2, v2, _, _, _ = announced(x, tiny.p2, s)
-        return (z1, z2), (v1, v2)
-    if view_spec in ("own-receiver-1", "pooled-receivers-1"):
-        z, view, _, pair, _ = announced(x, tiny.p1, s)
-        y2 = transmit_bec(x, float(tiny.p2), rng) if view_spec == "pooled-receivers-1" else None
-        messages = _message_pair(tiny.key_bits, rng)
-        if pair is None:
-            return _packed(messages[1 - z]), view
-        view = (z, view, *unchosen_view(x, pair, z, messages))
-        if y2 is not None:
-            view += (_obs_symbol(restrict(y2, pair[1 - z])),)
-        return _packed(messages[1 - z]), view
-    # both two-phase specs share phase 1 and the S' draw
-    z1, pairview, y1, pair1, e1 = announced(x, tiny.p1, tiny.phase1_size)
-    phase2 = view_spec == "pooled-receivers-2-phase2"
-    messages = _message_pair(tiny.key_bits, rng) if phase2 else None
-    secret = _packed(messages[0]) if phase2 else ()
-    if pair1 is None:
-        return secret, ("abort-phase-1",)
-    try:
-        sp = draw_sprime(e1, pair1[1 - z1], tiny.sprime_size, rng)
-    except AbortSignal:
-        return secret, ("no-sprime",) if phase2 else (z1, pairview, "no-sprime")
-    if not phase2:
-        return _tuple_set(restrict(x, sp)), (z1, pairview, _tuple_set(sp), _obs_symbol(y1))
-    x_sp = restrict(x, sp)
-    z2, view2, _, pair2, _ = announced(x_sp, tiny.p2, s)
-    if pair2 is None:
-        return _packed(messages[1 - z2]), ("abort-phase-2",)
-    view = (z2, _tuple_set(sp), view2, *unchosen_view(x_sp, pair2, z2, messages), ("e",) * s)
-    return _packed(messages[1 - z2]), view
-
-
 def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -> dict:
-    """Compare an enumerated joint against sampling through the executors' link helpers.
+    """Compare an enumerated joint against runs of the executors' own step lists.
 
-    Returns the maximum absolute deviation between exact probabilities and
-    empirical frequencies over all (secret, view) cells, with the uniform
-    99% concentration band sqrt(ln(2/0.01) / (2 trials)). view_deviation is
-    the same comparison on the view marginal alone; it collapses to exactly 0
-    in deterministic sub-cases (p = 0) where the secret coin still fluctuates.
+    Trial t draws from trial_rng(master_seed, t) the inputs generate_runs draws
+    (`draw_inputs`), interprets its variant's step list through the spec's last
+    step and tallies the spec's features of the record. Returns the maximum
+    absolute deviation between exact probabilities and empirical frequencies
+    over all (secret, view) cells, with the uniform 99% concentration band
+    sqrt(ln(2/0.01) / (2 trials)). view_deviation is the same comparison on
+    the view marginal alone; it collapses to exactly 0 in deterministic
+    sub-cases (p = 0) where the secret coin still fluctuates. outside_support
+    counts the trials that landed in a cell the enumeration gives no mass,
+    which a correct sampler never does; within_band needs it to be 0.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     if exact.spec is None:
         raise ValueError("the joint has no enumerated spec to sample")
-    view_spec = SPECS[exact.spec].view
+    spec, plan = SPECS[exact.spec], exact.plan
+    # the step lists run_protocol1 and run_protocol2 run, the latter point-to-point
+    steps = (noncolluding_steps if spec.variant == "noncolluding" else colluding_steps)(plan)
+    steps = steps[:1 + [step[:2] for step in steps].index(spec.last)]
     counts: dict = {}
     for t in range(trials):
         rng = trial_rng(master_seed, t)
-        key = _sample_once(exact.tiny, view_spec, rng)
+        messages, z = draw_inputs(plan, rng)
+        key = spec.features(interpret(plan, steps, messages, z, rng))
         counts[key] = counts.get(key, 0) + 1
     # one pass over the enumerated cells, then over the sampled cells the
     # enumeration gave no weight; each view's probability sums its cells'
     # probabilities in the joint's cell order
     max_dev = 0.0
+    outside = 0
     view_probs: dict = {}
     view_counts: dict = {}
     for key, c in exact.weights.items():
         p = c / exact.denominator
         hits = counts.pop(key, 0)
+        if c == 0:
+            outside += hits
         max_dev = max(max_dev, abs(p - hits / trials))
         view_probs[key[1]] = view_probs.get(key[1], 0.0) + p
         view_counts[key[1]] = view_counts.get(key[1], 0) + hits
     for key, hits in counts.items():
+        outside += hits
         max_dev = max(max_dev, hits / trials)
         view_probs.setdefault(key[1], 0.0)
         view_counts[key[1]] = view_counts.get(key[1], 0) + hits
@@ -626,6 +627,7 @@ def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -
         "view_deviation": view_dev,
         "band": band,
         "trials": trials,
-        "within_band": bool(max_dev <= band),
+        "outside_support": outside,
+        "within_band": bool(max_dev <= band and outside == 0),
         "cells": len(exact.weights) + len(counts),
     }

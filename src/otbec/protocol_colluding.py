@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol_core import ProtocolParams, ProtocolRun, check_run_inputs, execute
+from .protocol_core import Plan, ProtocolParams, ProtocolRun, check_run_inputs, execute
 
 __all__ = [
     "VisibilityModel",
     "DEFAULT_VISIBILITY",
+    "colluding_steps",
     "run_protocol2",
 ]
 
@@ -44,6 +45,23 @@ class VisibilityModel:
 DEFAULT_VISIBILITY = VisibilityModel()
 
 
+def colluding_steps(plan: Plan, visibility: VisibilityModel = DEFAULT_VISIBILITY) -> tuple:
+    """The two-phase variant's step list: receiver plan.order's link on x, the other's on S'."""
+    first, second = plan.order, 3 - plan.order
+    return (
+        ("transmit", "x", first),
+        *((("transmit", "x", second),) if visibility.phase1 == "broadcast-both" else ()),
+        ("announce", first, "x", plan.phase1[first - 1]),
+        ("rekey", first),
+        ("send", first, "x"),
+        ("transmit", "sprime", second),
+        *((("transmit", "sprime", first),) if visibility.phase2 == "broadcast-both" else ()),
+        # indices local to S'
+        ("announce", second, "sprime", plan.mask[second - 1]),
+        ("send", second, "sprime"),
+    )
+
+
 def run_protocol2(
     params: ProtocolParams,
     messages,
@@ -61,17 +79,5 @@ def run_protocol2(
     reports no-second-phase.
     """
     messages, z = check_run_inputs(params, "colluding", messages, z)
-    first, second = params.order, 3 - params.order
-    steps = (
-        ("transmit", "x", first),
-        *((("transmit", "x", second),) if visibility.phase1 == "broadcast-both" else ()),
-        ("announce", first, "x", params.phase1_size(first)),
-        ("rekey", first),
-        ("send", first, "x"),
-        ("transmit", "sprime", second),
-        *((("transmit", "sprime", first),) if visibility.phase2 == "broadcast-both" else ()),
-        # indices local to S'
-        ("announce", second, "sprime", params.mask_size(second)),
-        ("send", second, "sprime"),
-    )
-    return execute(params, steps, messages, z, rng)
+    plan = params.plan()
+    return ProtocolRun(params, *execute(plan, colluding_steps(plan, visibility), messages, z, rng))

@@ -1,8 +1,7 @@
-"""Shared protocol substrate: parameters, outcome codes, the run record, the link step."""
+"""Shared protocol substrate: parameters, size plan, outcome codes, run record, link step, executor."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -19,6 +18,7 @@ __all__ = [
     "AbortSignal",
     "DecodeError",
     "as_fraction",
+    "Plan",
     "ProtocolParams",
     "validate_params",
     "snap_params",
@@ -29,10 +29,12 @@ __all__ = [
     "encrypt",
     "decode_chosen",
     "check_run_inputs",
+    "draw_inputs",
     "announce_sets",
     "draw_sprime",
     "send_link",
     "receive_link",
+    "interpret",
     "execute",
 ]
 
@@ -102,24 +104,28 @@ def as_fraction(v) -> Fraction:
     return Fraction(repr(float(v))) if isinstance(v, float) else Fraction(v)
 
 
-def _once(method):
-    """Cache a ProtocolParams method's value per (object, arguments).
+@dataclass(frozen=True)
+class Plan:
+    """The integer sizes of one run, all that `execute` and the step lists read.
 
-    The fields are frozen, so a cached value never goes stale; a call that
-    raises caches nothing and raises again on the next call. The cache lives
-    outside the fields, so asdict, equality and hashing do not see it.
+    p1 and p2 are Fractions; order is the phase-1 receiver i, j the other.
+    mask, key, verify and phase1 hold link 1's size, then link 2's: r*n (also
+    the abort threshold), n(r - lambda'), s*n and ceil(r / (p_other - lambda') * n).
+    sprime is |S'| = floor((p_i - lambda - r_i/(p_j - lambda')) * n), 0 when p_i <= 1/2.
     """
-    name = method.__name__
 
-    @functools.wraps(method)
-    def cached(self, *args):
-        memo = self.__dict__.setdefault("_memo", {})
-        key = (name, *args)
-        if key not in memo:
-            memo[key] = method(self, *args)
-        return memo[key]
+    n: int
+    p1: Fraction
+    p2: Fraction
+    order: int
+    mask: tuple[int, int]
+    key: tuple[int, int]
+    verify: tuple[int, int]
+    phase1: tuple[int, int]
+    sprime: int
 
-    return cached
+    def p(self, i: int) -> Fraction:
+        return self.p1 if i == 1 else self.p2
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ class ProtocolParams:
     them as given. Every derived size and every check computes on their exact
     values (`as_fraction`: a float is the decimal its repr prints), so
     integrality and the strict rate bounds hold or fail exactly. `order` names
-    the phase-1 receiver of the colluding variant.
+    the phase-1 receiver of the colluding variant; `plan()` holds the sizes.
     """
 
     n: int
@@ -145,56 +151,15 @@ class ProtocolParams:
     variant: str = "noncolluding"
     order: int = 1
 
-    def p(self, i: int) -> float:
-        return self.p1 if i == 1 else self.p2
+    def plan(self) -> Plan:
+        """The run's integer sizes; ParamError naming the first invariant the fields break.
 
-    def r(self, i: int):
-        return self.r1 if i == 1 else self.r2
-
-    def s(self, i: int):
-        return self.s1 if i == 1 else self.s2
-
-    @_once
-    def mask_size(self, i: int) -> int:
-        """Label-set size r_i * n of the plain protocol (and the abort threshold of both)."""
-        return _whole(as_fraction(self.r(i)) * self.n, "set size integrality", f"r{i}*n")
-
-    @_once
-    def key_len(self, i: int) -> int:
-        """Message length k_i = n(r_i - lambda')."""
-        return _whole((as_fraction(self.r(i)) - as_fraction(self.lam_prime)) * self.n,
-                      "integrality", f"n(r{i} - lambda')")
-
-    @_once
-    def verify_bits(self, i: int) -> int:
-        """Verification hash output length s_i * n."""
-        return _whole(as_fraction(self.s(i)) * self.n, "verification hash length", f"s{i}*n")
-
-    @_once
-    def phase1_size(self, i: int) -> int:
-        """Colluding phase-1 label-set size ceil(r_i / (p_other - lambda') * n)."""
-        denom = as_fraction(self.p(3 - i)) - as_fraction(self.lam_prime)
-        if denom <= 0:
-            raise ParamError("phase-one inflation", f"p{3 - i} - lambda' = {float(denom)} must be positive")
-        return math.ceil(as_fraction(self.r(i)) / denom * self.n)
-
-    @_once
-    def _leftover_rate(self) -> Fraction:
-        """p_i - lambda - r_i/(p_j - lambda') for the phase-1 receiver i.
-
-        The share of the block the phase-1 receiver expects to hold erased
-        beyond its unchosen set: the rate of S'.
+        Kept once worked out (the fields are frozen), outside the fields, so
+        asdict, equality and hashing do not see it; a failure is not kept.
         """
-        i = self.order
-        return (as_fraction(self.p(i)) - as_fraction(self.lam) - as_fraction(self.r(i))
-                / (as_fraction(self.p(3 - i)) - as_fraction(self.lam_prime)))
-
-    @_once
-    def sprime_size(self) -> int:
-        """Leftover-erasure set size for the phase-1 receiver; 0 when p_i <= 1/2."""
-        if as_fraction(self.p(self.order)) <= Fraction(1, 2):
-            return 0
-        return max(0, math.floor(self._leftover_rate() * self.n))
+        if "_plan" not in self.__dict__:
+            self.__dict__["_plan"] = _checked_plan(self)
+        return self.__dict__["_plan"]
 
 
 def _whole(v: Fraction, constraint: str, label: str) -> int:
@@ -204,21 +169,14 @@ def _whole(v: Fraction, constraint: str, label: str) -> int:
     return v.numerator
 
 
-def validate_params(params: ProtocolParams) -> ProtocolParams:
-    """Check every parameter invariant; raise ParamError naming the violated constraint.
-
-    The checks run once per params object: the fields are frozen, so a pass
-    stays valid, while a failure is not recorded and fails again.
-    """
-    if params.__dict__.get("_valid"):
-        return params
-    p = params
+def _checked_plan(p: ProtocolParams) -> Plan:
+    """Check every parameter invariant in order, then build the plan."""
     if not (isinstance(p.n, int) and p.n >= 1):
         raise ParamError("block length", f"n must be a positive integer, got {p.n}")
-    prob = {i: as_fraction(p.p(i)) for i in (1, 2)}
+    prob = {1: as_fraction(p.p1), 2: as_fraction(p.p2)}
     for i in (1, 2):
         if not 0 <= prob[i] <= 1:
-            raise ParamError("erasure probability", f"p{i} = {p.p(i)} not in [0, 1]")
+            raise ParamError("erasure probability", f"p{i} = {(p.p1, p.p2)[i - 1]} not in [0, 1]")
     lam, lam_prime = as_fraction(p.lam), as_fraction(p.lam_prime)
     if not 0 < lam < 1:
         raise ParamError("lambda range", f"lambda = {p.lam} not in (0, 1)")
@@ -226,32 +184,41 @@ def validate_params(params: ProtocolParams) -> ProtocolParams:
         raise ParamError("variant", f"unknown variant {p.variant!r}")
     if p.order not in (1, 2):
         raise ParamError("order", f"phase-1 receiver must be 1 or 2, got {p.order}")
+    rate = {1: as_fraction(p.r1), 2: as_fraction(p.r2)}
+    mask, key, verify = {}, {}, {}
     for i in (1, 2):
-        rate = as_fraction(p.r(i))
-        if not 0 < lam_prime < rate:
-            raise ParamError("lambda-prime range", f"need 0 < lambda' < r{i}, got lambda' = {p.lam_prime}, r{i} = {p.r(i)}")
-        if p.mask_size(i) < 1:
-            raise ParamError("set size integrality", f"r{i}*n must be a positive integer")
-        if p.key_len(i) < 1:
-            raise ParamError("integrality", f"n(r{i} - lambda') must be a positive integer")
-        if p.verify_bits(i) < 1:
+        if not 0 < lam_prime < rate[i]:
+            raise ParamError("lambda-prime range", f"need 0 < lambda' < r{i}, got lambda' = {p.lam_prime}, r{i} = {(p.r1, p.r2)[i - 1]}")
+        # both are positive once whole, since 0 < lambda' < r_i
+        mask[i] = _whole(rate[i] * p.n, "set size integrality", f"r{i}*n")
+        key[i] = _whole((rate[i] - lam_prime) * p.n, "integrality", f"n(r{i} - lambda')")
+        verify[i] = _whole(as_fraction((p.s1, p.s2)[i - 1]) * p.n, "verification hash length", f"s{i}*n")
+        if verify[i] < 1:
             raise ParamError("verification hash length", f"s{i}*n must be a positive integer")
         cap = min(prob[i], 1 - prob[i])
         if p.variant == "noncolluding":
-            if not rate < cap - lam:
-                raise ParamError("rate constraint", f"need r{i} < min(p{i}, 1-p{i}) - lambda = {float(cap - lam)}, got {float(rate)}")
+            if not rate[i] < cap - lam:
+                raise ParamError("rate constraint", f"need r{i} < min(p{i}, 1-p{i}) - lambda = {float(cap - lam)}, got {float(rate[i])}")
         else:
             bound = prob[3 - i] * cap - lam
-            if not rate < bound:
-                raise ParamError("rate constraint", f"need r{i} < p{3 - i}*min(p{i}, 1-p{i}) - lambda = {float(bound)}, got {float(rate)}")
-    if p.variant == "colluding":
-        for i in (1, 2):
-            p.phase1_size(i)  # raises on nonpositive inflation denominator
-        i = p.order
-        leftover = p._leftover_rate()
-        if prob[i] > Fraction(1, 2) and leftover <= 0:
-            raise ParamError("leftover set size", f"p{i} - lambda - r{i}/(p{3 - i} - lambda') = {float(leftover)} must be positive")
-    params.__dict__["_valid"] = True
+            if not rate[i] < bound:
+                raise ParamError("rate constraint", f"need r{i} < p{3 - i}*min(p{i}, 1-p{i}) - lambda = {float(bound)}, got {float(rate[i])}")
+    # p_j > lambda': the plain bound gives p_j > r_j + lambda, the colluding one p_j > r_i + lambda
+    phase1 = {i: math.ceil(rate[i] / (prob[3 - i] - lam_prime) * p.n) for i in (1, 2)}
+    i = p.order
+    leftover = prob[i] - lam - rate[i] / (prob[3 - i] - lam_prime)
+    if p.variant == "colluding" and prob[i] > Fraction(1, 2) and leftover <= 0:
+        raise ParamError("leftover set size", f"p{i} - lambda - r{i}/(p{3 - i} - lambda') = {float(leftover)} must be positive")
+    return Plan(
+        n=p.n, p1=prob[1], p2=prob[2], order=p.order, mask=(mask[1], mask[2]),
+        key=(key[1], key[2]), verify=(verify[1], verify[2]), phase1=(phase1[1], phase1[2]),
+        sprime=max(0, math.floor(leftover * p.n)) if prob[i] > Fraction(1, 2) else 0,
+    )
+
+
+def validate_params(params: ProtocolParams) -> ProtocolParams:
+    """Check every parameter invariant; raise ParamError naming the violated constraint."""
+    params.plan()
     return params
 
 
@@ -348,9 +315,9 @@ class ProtocolRun:
 
 
 # --- the run boundary --------------------------------------------------------
-# run_protocol1 and run_protocol2 call check_run_inputs first. execute and the
-# steps below trust their arrays: the boundary checked the parties' inputs, and
-# the run drew the rest.
+# run_protocol1 and run_protocol2 call check_run_inputs first. interpret,
+# execute and the steps below trust their arrays: the boundary checked the
+# parties' inputs (or draw_inputs drew them), and the run drew the rest.
 
 _EXECUTORS = {"noncolluding": "run_protocol1", "colluding": "run_protocol2"}
 
@@ -364,7 +331,7 @@ def check_run_inputs(params: ProtocolParams, variant: str, messages, z) -> tuple
     not truncated). Returns (messages as uint8 vectors, z as ints). Nothing
     after this point re-checks the run's arrays.
     """
-    validate_params(params)
+    plan = params.plan()
     if params.variant != variant:
         raise ParamError("variant", f"{_EXECUTORS[variant]} executes the {variant} variant only")
     if len(messages) != 2:
@@ -373,7 +340,7 @@ def check_run_inputs(params: ProtocolParams, variant: str, messages, z) -> tuple
     for i, pair in zip((1, 2), messages):
         if len(pair) != 2:
             raise ValueError(f"link {i} needs a message pair")
-        k = params.key_len(i)
+        k = plan.key[i - 1]
         coerced = tuple(as_bits(m) for m in pair)
         for m in coerced:
             if m.size != k:
@@ -384,6 +351,19 @@ def check_run_inputs(params: ProtocolParams, variant: str, messages, z) -> tuple
     if any(bit not in (0, 1) for bit in z):
         raise ValueError("choice bit must be 0 or 1")
     return tuple(out), (int(z[0]), int(z[1]))
+
+
+def draw_inputs(plan: Plan, rng: np.random.Generator) -> tuple[tuple, tuple]:
+    """A trial's uniform (messages, z) as check_run_inputs returns them, in one draw.
+
+    The draw is z1, z2, m10, m11, m20, m21: the stream of one call each (see
+    the note on bounded int64 draws below).
+    """
+    k1, k2 = plan.key
+    a, b, c, d = 2, 2 + k1, 2 + 2 * k1, 2 + 2 * k1 + k2
+    bits = rng.integers(0, 2, size=d + k2)
+    m = bits.astype(np.uint8)
+    return ((m[a:b], m[b:c]), (m[c:d], m[d:])), tuple(bits[:2].tolist())
 
 
 # --- core operations ----------------------------------------------------------
@@ -539,19 +519,20 @@ def receive_link(
 #   ("rekey", i)                  phase-1 receiver i draws S'; "sprime" becomes x[S']
 #   ("send", i, block)            the sender pads and commits link i on the block
 # One abort rule: a step is skipped when its block was never formed or its
-# link has no sets.
+# link has no sets. A prefix of a step list is the run stopped after its last
+# step, with the same draws up to there.
 
 
-def execute(params: ProtocolParams, steps: tuple, messages: tuple, z: tuple,
-            rng: np.random.Generator) -> ProtocolRun:
-    """Draw x, run the steps in order, then receive both links; returns the run.
+def interpret(plan: Plan, steps: tuple, messages: tuple, z: tuple,
+              rng: np.random.Generator) -> dict:
+    """Draw x and run the steps in order: the run's record as far as they reach.
 
-    messages and z are what check_run_inputs returned. The record's `order`
-    is the rekey step's receiver, None when the steps hold no rekey.
+    messages and z come from check_run_inputs or draw_inputs. `order` is the rekey
+    step's receiver (None without one); `aborted` maps stopped links to OtOutcomes.
     """
-    blocks = {"x": rng.integers(0, 2, size=params.n, dtype=np.int64).astype(np.uint8)}
+    blocks = {"x": rng.integers(0, 2, size=plan.n, dtype=np.int64).astype(np.uint8)}
     seen = {"x": {}, "sprime": {}}
-    sets, erased, link_block, hashes, commitments, ciphertexts = {}, {}, {}, {}, {}, {}
+    sets, erased, hashes, commitments, ciphertexts = {}, {}, {}, {}, {}
     # outcomes, not signals: a signal's traceback would keep the caller's frames alive
     aborts = {}
     sprime = order = None
@@ -560,13 +541,12 @@ def execute(params: ProtocolParams, steps: tuple, messages: tuple, z: tuple,
         if kind == "transmit":
             _, block, i = step
             if block in blocks:
-                seen[block][i] = transmit_bec(blocks[block], float(params.p(i)), rng)
+                seen[block][i] = transmit_bec(blocks[block], float(plan.p(i)), rng)
         elif kind == "announce":
             _, i, block, size = step
             if block in blocks:
                 try:
                     sets[i], erased[i] = announce_sets(seen[block][i], z[i - 1], size, rng)
-                    link_block[i] = block
                 except AbortSignal as sig:
                     aborts[i] = sig.outcome()
         elif kind == "rekey":
@@ -574,12 +554,12 @@ def execute(params: ProtocolParams, steps: tuple, messages: tuple, z: tuple,
             if i in aborts:
                 aborts[3 - i] = AbortSignal(OtCode.UPSTREAM_ABORT, "phase-1 abort upstream: "
                                             + aborts[i].diagnostics["reason"]).outcome()
-            elif params.sprime_size() == 0:
+            elif plan.sprime == 0:
                 aborts[3 - i] = AbortSignal(OtCode.NO_SECOND_PHASE,
                                             "no leftover erasure set, second link cannot run").outcome()
             else:
                 try:
-                    sprime = draw_sprime(erased[i], sets[i][1 - z[i - 1]], params.sprime_size(), rng)
+                    sprime = draw_sprime(erased[i], sets[i][1 - z[i - 1]], plan.sprime, rng)
                     blocks["sprime"] = restrict(blocks["x"], sprime)
                 except AbortSignal as sig:
                     aborts[3 - i] = sig.outcome()
@@ -587,22 +567,33 @@ def execute(params: ProtocolParams, steps: tuple, messages: tuple, z: tuple,
             _, i, block = step
             if i in sets:
                 hashes[i], commitments[i], ciphertexts[i] = send_link(
-                    blocks[block], sets[i], messages[i - 1], params.verify_bits(i), rng)
+                    blocks[block], sets[i], messages[i - 1], plan.verify[i - 1], rng)
 
-    outcomes = tuple(
-        aborts[i] if i in aborts else receive_link(
-            seen[link_block[i]][i], sets[i], z[i - 1], hashes[i], commitments[i], ciphertexts[i],
-            messages[i - 1])
-        for i in (1, 2)
-    )
     receivers = (1, 2) if order is None else (order, 3 - order)
-    record = {
+    return {
         "x": blocks["x"], "z": z, "messages": messages, "order": order,
         "y_phase1": {i: seen["x"].get(i) for i in receivers},
         "sprime": sprime, "x_sprime": blocks.get("sprime"),
         "y_phase2": {i: seen["sprime"].get(i) for i in receivers},
         "sets": sets, "hashes": hashes, "commitments": commitments,
-        "ciphertexts": ciphertexts,
-        "aborted": {i: out.diagnostics["reason"] for i, out in aborts.items()},
+        "ciphertexts": ciphertexts, "aborted": aborts,
     }
-    return ProtocolRun(params, outcomes, record)
+
+
+def execute(plan: Plan, steps: tuple, messages: tuple, z: tuple,
+            rng: np.random.Generator) -> tuple[tuple, dict]:
+    """Interpret the whole step list, then receive both links: (outcomes, record), the
+    record's `aborted` mapping each stopped link to its reason text."""
+    record = interpret(plan, steps, messages, z, rng)
+    aborts = record["aborted"]
+    # each link is received from the observation of the block it was announced on
+    views = {step[1]: record["y_phase1" if step[2] == "x" else "y_phase2"][step[1]]
+             for step in steps if step[0] == "announce"}
+    outcomes = tuple(
+        aborts[i] if i in aborts else receive_link(
+            views[i], record["sets"][i], z[i - 1], record["hashes"][i],
+            record["commitments"][i], record["ciphertexts"][i], messages[i - 1])
+        for i in (1, 2)
+    )
+    record["aborted"] = {i: out.diagnostics["reason"] for i, out in aborts.items()}
+    return outcomes, record

@@ -12,6 +12,7 @@ import numpy as np
 
 from .protocol_core import (
     ParamError,
+    Plan,
     ProtocolParams,
     ProtocolRun,
     as_fraction,
@@ -20,9 +21,19 @@ from .protocol_core import (
 )
 
 __all__ = [
+    "noncolluding_steps",
     "run_protocol1",
     "exact_abort_probability",
 ]
+
+
+def noncolluding_steps(plan: Plan) -> tuple:
+    """The plain variant's step list: both links on the one broadcast block."""
+    return (
+        ("transmit", "x", 1), ("transmit", "x", 2),
+        ("announce", 1, "x", plan.mask[0]), ("announce", 2, "x", plan.mask[1]),
+        ("send", 1, "x"), ("send", 2, "x"),
+    )
 
 
 def run_protocol1(
@@ -38,12 +49,8 @@ def run_protocol1(
     other link proceeds on the same broadcast block.
     """
     messages, z = check_run_inputs(params, "noncolluding", messages, z)
-    steps = (
-        ("transmit", "x", 1), ("transmit", "x", 2),
-        ("announce", 1, "x", params.mask_size(1)), ("announce", 2, "x", params.mask_size(2)),
-        ("send", 1, "x"), ("send", 2, "x"),
-    )
-    return execute(params, steps, messages, z, rng)
+    plan = params.plan()
+    return ProtocolRun(params, *execute(plan, noncolluding_steps(plan), messages, z, rng))
 
 
 def exact_abort_probability(n: int, p: float, r) -> float:

@@ -27,7 +27,7 @@ from otbec.entropy import (
     statistical_distance,
     zero_entropy,
 )
-from otbec.exact_oracle import TinyParams, enumerate_protocol, exact_mi_given_success
+from otbec.exact_oracle import enumerate_protocol, exact_mi_given_success, tiny_plan
 from otbec.hashing import collision_probability, joint_collision_probability
 from otbec.protocol_noncolluding import exact_abort_probability
 from otbec.rates import (
@@ -147,8 +147,8 @@ def test_criterion_05_two_phase_collusion_resistance(workdir, capsys):
     assert row["ci"][0] <= 0.0 <= row["ci"][1]
     assert abs(row["advantage"]) < 0.01
     half = Fraction(1, 2)
-    tiny = TinyParams(n=4, p1=half, p2=half, set_size=1, key_bits=1,
-                      phase1_size=1, sprime_size=2)
+    tiny = tiny_plan(n=4, p1=half, p2=half, set_size=1, key_bits=1,
+                     phase1_size=1, sprime_size=2)
     joint = enumerate_protocol("phase1-cross-knowledge", tiny)
     cross = exact_mi_given_success(joint)
     assert cross == 0

@@ -66,7 +66,7 @@ def test_pooled_knowledge_rate_tracks_other_channel(p1_blocks):
     report = guess_unchosen_message(p1_blocks, attacker="pooled-receivers", link=1,
                                     rng=np.random.default_rng(4))
     expected = 1 - float(params.p2)
-    mask = params.mask_size(1)
+    mask = params.plan().mask[0]
     sigma = (expected * (1 - expected) / (mask * report.trials)) ** 0.5
     assert abs(report.extras["knowledge_rate"] - expected) <= 3 * sigma
 
@@ -81,7 +81,7 @@ def test_blind_baseline_counts_both_hit_routes(p1_blocks):
     report = guess_unchosen_message(p1_blocks, attacker="wiretapper", link=1,
                                     rng=np.random.default_rng(6))
     params = p1_blocks[0].params
-    mask, k = params.mask_size(1), params.key_len(1)
+    mask, k = params.plan().mask[0], params.plan().key[0]
     expected = 2.0 ** -mask + (1 - 2.0 ** -mask) * 2.0 ** -k
     assert report.extras["baseline"] == pytest.approx(expected)
 

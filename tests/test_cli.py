@@ -378,6 +378,32 @@ def test_each_run_path_calls_its_work_function_through_the_cli_binding(
     assert os.getpid() in calls
 
 
+@pytest.mark.parametrize("argv, payload, work, message", [
+    (["simulate", *SIM_FLAGS, "--trials", "0"], None, "generate_runs",
+     "--trials must be at least 1, got 0"),
+    (["audit", *SIM_FLAGS], {"trials": -3}, "generate_runs", "--trials must be at least 1, got -3"),
+    (["oracle", "--n", "6", "--set-size", "2", "--spec", "choice-vs-sets",
+      "--spec", "choice-pair-vs-sets", "--compare-mc", "-1"], None, "enumerate_protocol",
+     "--compare-mc must be at least 0, got -1"),
+    (["oracle"], {"compare-mc": -1}, "enumerate_protocol", "--compare-mc must be at least 0, got -1"),
+])
+def test_a_count_below_its_floor_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, payload, work, message):
+    def never(*args, **kwargs):
+        raise AssertionError(f"cli.{work} ran")
+
+    monkeypatch.setattr(cli, work, never)
+    if payload is not None:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(payload))
+        argv = [*argv, "--config", str(conf)]
+    out = tmp_path / "r.json"
+    code, _, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert f"error: {message}" in stderr
+    assert not out.exists()
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OTBEC_SEED", "777")
     out = tmp_path / "o.json"

@@ -5,16 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from otbec import exact_oracle
+from otbec import exact_oracle, protocol_core
 from otbec.exact_oracle import (
     BudgetError,
     ExactJoint,
     SPECS,
-    TinyParams,
     enumerate_protocol,
     exact_mi,
     exact_mi_given_success,
     oracle_vs_montecarlo,
+    tiny_plan,
 )
 
 HALF = Fraction(1, 2)
@@ -23,7 +23,7 @@ HALF = Fraction(1, 2)
 def tiny(**overrides):
     base = dict(n=4, p1=HALF, p2=HALF, set_size=1, key_bits=1, phase1_size=1, sprime_size=2)
     base.update(overrides)
-    return TinyParams(**base)
+    return tiny_plan(**base)
 
 
 # regression goldens, frozen from the first computation of each instance
@@ -76,7 +76,7 @@ def test_mass_conservation_all_specs():
 def test_mass_conservation_float_arithmetic():
     # float probabilities no longer fork to float arithmetic: the mass is exact
     j = enumerate_protocol("choice-vs-sets", tiny(p1=0.3, p2=0.3))
-    assert j.tiny.p1 == Fraction(3, 10)
+    assert j.plan.p1 == Fraction(3, 10)
     assert all(type(w) is int for w in j.weights.values())
     assert Fraction(sum(j.weights.values()), j.denominator) == 1
 
@@ -101,7 +101,7 @@ def test_float_params_enumerate_as_their_decimal_fraction(spec):
     name, _ = spec
     fl = enumerate_protocol(name, tiny(p1=0.3, p2=0.7))
     ex = enumerate_protocol(name, tiny(p1=Fraction(3, 10), p2=Fraction(7, 10)))
-    assert fl.tiny == ex.tiny
+    assert fl.plan == ex.plan
     assert (fl.weights, fl.denominator, fl.states) == (ex.weights, ex.denominator, ex.states)
 
 
@@ -188,20 +188,50 @@ def test_montecarlo_rejects_zero_trials():
         oracle_vs_montecarlo(exact, trials=0)
 
 
+def _sample_through(monkeypatch, binding, spec, trials):
+    """The Monte Carlo check of spec at tiny(), counting calls of protocol_core's binding."""
+    calls = []
+    step = getattr(protocol_core, binding)
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(protocol_core, binding, counted)
+    res = oracle_vs_montecarlo(enumerate_protocol(spec, tiny()), trials=trials, master_seed=11)
+    return calls, res
+
+
 # every spec whose view holds a published link: its secret is an unchosen message
 @pytest.mark.parametrize(
     "spec", [item for item in SPECS.items() if item[1].secret.endswith("unchosen")])
 def test_montecarlo_samples_through_the_executors_send_step(spec, monkeypatch):
-    calls = []
-    send = exact_oracle.send_link
-
-    def counted(*args):
-        calls.append(args)
-        return send(*args)
-
-    monkeypatch.setattr(exact_oracle, "send_link", counted)
-    exact = enumerate_protocol(spec[0], tiny())
-    res = oracle_vs_montecarlo(exact, trials=3000, master_seed=11)
+    calls, res = _sample_through(monkeypatch, "send_link", spec[0], 3000)
     assert calls
     assert res["within_band"], res
 
+
+# every spec's view reads an announced pair; the two-phase specs' views also read S'
+@pytest.mark.parametrize("binding, spec", [
+    *(("announce_sets", name) for name in SPECS),
+    *(("draw_sprime", name) for name, row in SPECS.items() if row.variant == "colluding"),
+])
+def test_montecarlo_samples_through_the_executors_announce_and_rekey_steps(
+        binding, spec, monkeypatch):
+    calls, res = _sample_through(monkeypatch, binding, spec, 1000)
+    assert calls
+    assert res["within_band"], res
+
+
+def test_montecarlo_flags_samples_outside_the_enumerated_support(monkeypatch):
+    # a rekey step that draws S' from every phase-1 erasure, the unchosen set included
+    def from_every_erasure(e, unchosen, size, rng):
+        return protocol_core.sample_subset(e, size, rng)
+
+    monkeypatch.setattr(protocol_core, "draw_sprime", from_every_erasure)
+    exact = enumerate_protocol("phase1-cross-knowledge", tiny())
+    res = oracle_vs_montecarlo(exact, trials=2000, master_seed=11)
+    # the deviation alone stays inside the band; the cells with no mass give it away
+    assert res["max_deviation"] <= res["band"]
+    assert res["outside_support"] > 0
+    assert not res["within_band"]

@@ -32,7 +32,7 @@ def test_visibility_model_validation():
 
 def test_run_rejects_noncolluding_params(p1_params):
     messages = tuple(
-        tuple(np.zeros(p1_params.key_len(i), dtype=np.uint8) for _ in range(2)) for i in (1, 2)
+        tuple(np.zeros(p1_params.plan().key[i - 1], dtype=np.uint8) for _ in range(2)) for i in (1, 2)
     )
     with pytest.raises(ParamError):
         run_protocol2(p1_params, messages, (0, 0), trial_rng(0, 0))
@@ -40,7 +40,7 @@ def test_run_rejects_noncolluding_params(p1_params):
 
 def _zero_messages(params):
     return tuple(
-        tuple(np.zeros(params.key_len(i), dtype=np.uint8) for _ in range(2)) for i in (1, 2)
+        tuple(np.zeros(params.plan().key[i - 1], dtype=np.uint8) for _ in range(2)) for i in (1, 2)
     )
 
 
@@ -139,7 +139,7 @@ def test_no_second_phase_when_no_leftover_erasures():
         64, 0.5, 0.5, Fraction(1, 16), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64),
         variant="colluding",
     )
-    assert params.sprime_size() == 0
+    assert params.plan().sprime == 0
     runs = generate_runs(params, 50, master_seed=31)
     for run in runs:
         if run.outcomes[0].status == "aborted":
@@ -174,7 +174,7 @@ def test_choice_bits_are_checked_when_phase_two_never_runs():
         variant="colluding",
     )
     messages = tuple(
-        tuple(np.zeros(params.key_len(i), dtype=np.uint8) for _ in range(2)) for i in (1, 2)
+        tuple(np.zeros(params.plan().key[i - 1], dtype=np.uint8) for _ in range(2)) for i in (1, 2)
     )
     trial = next(
         t for t in range(100)
@@ -289,6 +289,6 @@ def test_no_second_phase_draws_nothing_after_the_first_send(vis):
     y = transmit_bec(x, params.p1, fresh)
     if vis.phase1 == "broadcast-both":
         transmit_bec(x, params.p2, fresh)
-    pair, _ = announce_sets(y, z[0], params.phase1_size(1), fresh)
-    send_link(x, pair, messages[0], params.verify_bits(1), fresh)
+    pair, _ = announce_sets(y, z[0], params.plan().phase1[0], fresh)
+    send_link(x, pair, messages[0], params.plan().verify[0], fresh)
     assert rng.bit_generator.state == fresh.bit_generator.state

@@ -13,8 +13,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from otbec import channel, hashing
 from otbec.channel import ERASED, trial_rng
 from otbec.hashing import apply, sample_linear_hash
-from otbec.protocol_colluding import VisibilityModel, run_protocol2
-from otbec.protocol_noncolluding import run_protocol1
+from otbec.adversary_audit import generate_runs
+from otbec.protocol_colluding import VisibilityModel, colluding_steps, run_protocol2
+from otbec.protocol_noncolluding import noncolluding_steps, run_protocol1
 from otbec.protocol_core import (
     AbortSignal,
     DecodeError,
@@ -22,8 +23,10 @@ from otbec.protocol_core import (
     ParamError,
     as_fraction,
     decode_chosen,
+    draw_inputs,
     draw_sprime,
     encrypt,
+    interpret,
     receive_link,
     sample_subset,
     select_subsets,
@@ -36,9 +39,9 @@ from otbec.protocol_core import (
 def test_snap_params_keeps_integrality_invariant():
     params, adjustments = snap_params(256, 0.5, 0.5, 0.15, 0.15, 0.05, 0.05)
     for i in (1, 2):
-        k = params.key_len(i)
+        k = params.plan().key[i - 1]
         assert isinstance(k, int) and k >= 1
-        assert params.mask_size(i) == round(0.15 * 256)
+        assert params.plan().mask[i - 1] == round(0.15 * 256)
     assert "r1" in adjustments  # 0.15 * 256 is not an integer, so it was snapped
     assert adjustments["r1"]["effective"] == pytest.approx(38 / 256)
 
@@ -48,8 +51,8 @@ def test_snap_params_exact_rationals_pass_through():
         64, 0.5, 0.5, Fraction(1, 8), Fraction(1, 8), 0.05, Fraction(1, 16)
     )
     assert adjustments == {}
-    assert params.key_len(1) == 4
-    assert params.mask_size(1) == 8
+    assert params.plan().key[0] == 4
+    assert params.plan().mask[0] == 8
 
 
 def test_rate_constraint_rejection_names_constraint():
@@ -95,7 +98,7 @@ def test_failed_validation_is_never_cached():
     nonintegral = dataclasses.replace(params, r1=Fraction(1, 7))
     for _ in range(2):
         with pytest.raises(ParamError):
-            nonintegral.mask_size(1)
+            nonintegral.plan().mask[0]
         with pytest.raises(ParamError):
             validate_params(nonintegral)
 
@@ -105,7 +108,7 @@ def test_validated_params_keep_fields_equality_and_hash():
     fresh = dataclasses.replace(params)
     assert validate_params(params) is params
     assert validate_params(params) is params
-    assert (params.mask_size(1), params.key_len(2), params.verify_bits(1)) == (8, 4, 4)
+    assert (params.plan().mask[0], params.plan().key[1], params.plan().verify[0]) == (8, 4, 4)
     assert dataclasses.asdict(params) == dataclasses.asdict(fresh)
     assert params == fresh and hash(params) == hash(fresh)
     assert repr(params) == repr(fresh)
@@ -116,13 +119,13 @@ def test_phase_sizes_for_colluding_variant():
         48, 0.75, 0.75, Fraction(3, 32), Fraction(3, 32), Fraction(1, 16), Fraction(1, 32),
         variant="colluding",
     )
-    assert params.phase1_size(1) == 6
-    assert params.sprime_size() == 27
+    assert params.plan().phase1[0] == 6
+    assert params.plan().sprime == 27
     low, _ = snap_params(
         64, 0.5, 0.5, Fraction(1, 16), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64),
         variant="colluding",
     )
-    assert low.sprime_size() == 0  # no leftover erasures to retransmit at p <= 1/2
+    assert low.plan().sprime == 0  # no leftover erasures to retransmit at p <= 1/2
 
 
 def test_as_fraction_reads_a_float_as_its_decimal():
@@ -137,7 +140,7 @@ def test_phase1_size_is_the_exact_ceiling():
     # r / (p - lambda') * n = (1/6) / (3/4 - 1/12) * 120 = 30 exactly
     params, _ = snap_params(120, 0.75, 0.75, 1 / 6, 1 / 6, 0.01, 1 / 12, variant="colluding")
     assert (params.r1, params.lam_prime) == (Fraction(1, 6), Fraction(1, 12))
-    assert params.phase1_size(1) == 30
+    assert params.plan().phase1[0] == 30
 
 
 def test_rate_exactly_on_the_bound_is_rejected():
@@ -200,9 +203,9 @@ def test_accepted_decimal_params_have_the_exact_sizes(case):
     mask = {i: max(1, round(Fraction(r) * n)) for i, r in ((1, r1), (2, r2))}
     lp = min(max(1, round(Fraction(lam_prime) * n)), mask[1] - 1, mask[2] - 1)
     for i in (1, 2):
-        assert params.mask_size(i) == mask[i]
-        assert params.key_len(i) == mask[i] - lp
-        assert params.verify_bits(i) == max(1, round(Fraction(lam_prime) * n))
+        assert params.plan().mask[i - 1] == mask[i]
+        assert params.plan().key[i - 1] == mask[i] - lp
+        assert params.plan().verify[i - 1] == max(1, round(Fraction(lam_prime) * n))
         cap = min(p[i], 1 - p[i])
         bound = cap - lam if variant == "noncolluding" else p[3 - i] * cap - lam
         assert Fraction(mask[i], n) < bound
@@ -210,11 +213,11 @@ def test_accepted_decimal_params_have_the_exact_sizes(case):
         for i in (1, 2):
             # ceil(mask_i / (p_j - lp/n)) in integers, with p_j = a/b
             a, b = p[3 - i].numerator, p[3 - i].denominator
-            assert params.phase1_size(i) == -(-mask[i] * b * n // (a * n - lp * b))
+            assert params.plan().phase1[i - 1] == -(-mask[i] * b * n // (a * n - lp * b))
         i = order
         leftover = p[i] - lam - Fraction(mask[i], n) / (p[3 - i] - Fraction(lp, n))
         expected = max(0, math.floor(leftover * n)) if p[i] > Fraction(1, 2) else 0
-        assert params.sprime_size() == expected
+        assert params.plan().sprime == expected
 
 
 def test_sample_subset_draws_within_pool(rng):
@@ -389,7 +392,7 @@ def test_a_run_validates_only_at_its_boundary_and_the_primitives(
     params = request.getfixturevalue(params)
     rng = trial_rng(3, 3)
     messages = tuple(
-        tuple(rng.integers(0, 2, size=params.key_len(i), dtype=np.int64).astype(np.uint8)
+        tuple(rng.integers(0, 2, size=params.plan().key[i - 1], dtype=np.int64).astype(np.uint8)
               for _ in range(2))
         for i in (1, 2)
     )
@@ -398,3 +401,36 @@ def test_a_run_validates_only_at_its_boundary_and_the_primitives(
     assert counts["transmit_bec"] > 0 and counts["apply"] == 0
     assert counts["as_bits"] == 4
     assert counts["_all_bits"] == 4 + counts["transmit_bec"]
+
+
+def _same(a, b) -> bool:
+    """Equal observations or sets: both absent, or equal arrays."""
+    return a is b is None or (a is not None and b is not None and np.array_equal(a, b))
+
+
+@pytest.mark.parametrize("params, steps, last", [
+    ("p1_params", noncolluding_steps, ("announce", 2)),
+    ("p2_params", colluding_steps, ("rekey", 1)),
+], ids=["p1", "p2"])
+def test_a_step_list_stopped_early_replays_the_full_runs_record(request, params, steps, last):
+    # the interpreter stopped after `last` drew what the whole run drew up to there
+    params = request.getfixturevalue(params)
+    plan = params.plan()
+    full = steps(plan)
+    prefix = full[:1 + [step[:2] for step in full].index(last)]
+    announced = {step[1] for step in prefix if step[0] == "announce"}
+    runs = generate_runs(params, 20, master_seed=5)
+    for t, run in enumerate(runs):
+        rng = trial_rng(5, t)
+        part, record = interpret(plan, prefix, *draw_inputs(plan, rng), rng), run.record
+        assert np.array_equal(part["x"], record["x"])
+        assert part["y_phase1"].keys() == record["y_phase1"].keys()
+        assert all(_same(part["y_phase1"][i], record["y_phase1"][i]) for i in record["y_phase1"])
+        assert part["sets"].keys() == record["sets"].keys() & announced
+        assert all(_same(part["sets"][i][label], record["sets"][i][label])
+                   for i in part["sets"] for label in (0, 1))
+        assert _same(part["sprime"], record["sprime"])
+    # some trial reached the step the prefix stops at
+    assert any(last[1] in run.record["sets"] for run in runs)
+    if params.variant == "colluding":
+        assert any(run.record["sprime"] is not None for run in runs)

@@ -26,7 +26,7 @@ def test_correctness_on_every_completed_trial(p1_runs):
 
 
 def test_abort_iff_partition_cannot_host_sets(p1_runs):
-    mask = p1_runs[0].params.mask_size(1)
+    mask = p1_runs[0].params.plan().mask[0]
     for run in p1_runs[:500]:
         for i in (1, 2):
             e_count, ebar_count = erasure_count(run.record["y_phase1"][i])
@@ -38,7 +38,7 @@ def test_abort_iff_partition_cannot_host_sets(p1_runs):
 
 def _zero_messages(params):
     return tuple(
-        tuple(np.zeros(params.key_len(i), dtype=np.uint8) for _ in range(2)) for i in (1, 2)
+        tuple(np.zeros(params.plan().key[i - 1], dtype=np.uint8) for _ in range(2)) for i in (1, 2)
     )
 
 
@@ -67,7 +67,7 @@ def test_run_rejects_wrong_variant():
         variant="colluding",
     )
     messages = tuple(
-        tuple(np.zeros(params.key_len(i), dtype=np.uint8) for _ in range(2)) for i in (1, 2)
+        tuple(np.zeros(params.plan().key[i - 1], dtype=np.uint8) for _ in range(2)) for i in (1, 2)
     )
     with pytest.raises(ParamError):
         run_protocol1(params, messages, (0, 0), trial_rng(0, 0))

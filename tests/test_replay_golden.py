@@ -83,7 +83,7 @@ GOLDEN = {
          "--key-bits", "2",
          *(arg for spec in ORACLE_SPECS for arg in ("--spec", spec)),
          "--compare-mc", "300", "--seed", "101"],
-        "80575712ef3b71ebb43491382faa36d20e3adc809da0ff49de98f9daf0e76ce3",
+        "5e22f0df0b53ef1fbf54386a57a3b25492e20cbeb0a2c048b72014f5cc404ac2",
     ),
 }
 
