@@ -56,7 +56,6 @@ from .adversary_audit import (
     AttackReport,
     ConditionRow,
     RunBlock,
-    collusion_mask_accounting,
     condition_suite,
     generate_runs,
     guess_choice_bit,
@@ -120,7 +119,6 @@ __all__ = [
     "AttackReport",
     "ConditionRow",
     "RunBlock",
-    "collusion_mask_accounting",
     "condition_suite",
     "generate_runs",
     "guess_choice_bit",

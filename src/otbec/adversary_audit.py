@@ -21,7 +21,8 @@ import numpy as np
 from ._stats import chi2_ppf, clopper_pearson
 from .channel import ERASED, trial_rng
 from .entropy import mutual_information_of
-from .protocol_core import OtCode, ProtocolParams, ProtocolRun, draw_inputs
+from .protocol_core import (OtCode, ProtocolParams, ProtocolRun, draw_inputs, key_positions,
+                            knowledge)
 from .protocol_colluding import VisibilityModel, DEFAULT_VISIBILITY, run_protocol2
 from .protocol_noncolluding import run_protocol1
 
@@ -32,7 +33,6 @@ __all__ = [
     "RunBlock",
     "public_messages",
     "outcome_counts",
-    "collusion_mask_accounting",
     "generate_runs",
     "guess_unchosen_message",
     "guess_choice_bit",
@@ -98,36 +98,23 @@ class RunBlock:
     in order, so a campaign can drop each chunk's runs once its block is
     built. Axis 0 is the run in the block, so a worker sends a block back
     cheaply. `params` holds the runs' shared parameters, `known[:, i - 1]`
-    receiver i's knowledge map, `messages[i - 1]` link i's (c, 2, k) message
-    pairs, `tally` the runs' `outcome_counts`, and `links[i - 1]` link i's
-    (rows, pairs, kappa, cipher): the (u,) rows that announced on it, their
-    (u, 2, size) index pairs in input-block coordinates, (u, 2, k, size) κ
-    matrices and (u, 2, k) ciphertexts, the label on axis 1 (None but rows
-    if u = 0).
+    receiver i's knowledge map (`protocol_core.knowledge`), `messages[i - 1]`
+    link i's (c, 2, k) message pairs, `tally` the runs' `outcome_counts`, and
+    `links[i - 1]` link i's (rows, pairs, kappa, cipher): the (u,) rows that
+    announced on it, their (u, 2, size) key positions
+    (`protocol_core.key_positions`), (u, 2, k, size) κ matrices and (u, 2, k)
+    ciphertexts, the label on axis 1 (None but rows if u = 0).
     """
 
     def __init__(self, runs):
-        self.params = params = _shared_params(runs)
+        self.params = _shared_params(runs)
         records = [run.record for run in runs]
         self.tally = outcome_counts(runs)
         self.z = np.array([rec["z"] for rec in records], dtype=np.int64)
         self.x = np.stack([rec["x"] for rec in records])
         self.messages = tuple(np.array([rec["messages"][i] for rec in records]) for i in (0, 1))
-        # (c, 2, n) int8, ERASED where the receiver holds nothing; a phase-2
-        # observation is mapped through S'
-        self.known = np.full((len(records), 2, params.n), ERASED, dtype=np.int8)
-        for r, rec in enumerate(records):
-            for i, y in rec["y_phase1"].items():
-                if y is not None:
-                    self.known[r, i - 1] = y
-        for i in (1, 2):
-            rows = [r for r, rec in enumerate(records) if rec["y_phase2"][i] is not None]
-            if rows:
-                seen = np.stack([records[r]["y_phase2"][i] for r in rows])
-                at = (np.array(rows)[:, None], i - 1,
-                      np.stack([records[r]["sprime"] for r in rows]))
-                self.known[at] = np.where(seen != ERASED, seen, self.known[at])
-        self.links = tuple(_announced(records, params, link) for link in (1, 2))
+        self.known = np.stack([knowledge(rec) for rec in records])
+        self.links = tuple(_announced(records, link) for link in (1, 2))
 
     def __len__(self) -> int:
         return len(self.z)
@@ -140,18 +127,13 @@ class RunBlock:
         return known
 
 
-def _announced(records, params: ProtocolParams, link: int) -> tuple:
+def _announced(records, link: int) -> tuple:
     """A block's links entry: what the link announced and published in the records' runs."""
     rows = [r for r, rec in enumerate(records) if link in rec["sets"]]
     if not rows:
         return np.empty(0, dtype=np.int64), None, None, None
     announced = [records[r] for r in rows]
-    pairs = np.array([rec["sets"][link] for rec in announced])
-    # only the second link of the two-phase variant announces inside S'
-    if params.variant == "colluding" and link != params.order:
-        sprime = np.stack([rec["sprime"] for rec in announced])
-        pairs = np.take_along_axis(sprime[:, None, :], pairs, axis=2)
-    return (np.array(rows), pairs,
+    return (np.array(rows), np.array([key_positions(rec, link) for rec in announced]),
             np.array([[h.matrix for h in rec["hashes"][link]["kappa"]] for rec in announced]),
             np.array([rec["ciphertexts"][link] for rec in announced]))
 
@@ -202,13 +184,13 @@ def generate_runs(
     return runs
 
 
-def _abort_key(params, link: int, code: OtCode) -> str:
-    """abort_reasons key of one link that never published: the phase that lost it."""
-    if params.variant == "noncolluding":
+def _abort_key(order: int | None, link: int, code: OtCode) -> str:
+    """abort_reasons key of a link that never published: the phase that lost it (order None: p1)."""
+    if order is None:
         return "single-phase"
     if code is OtCode.NO_SECOND_PHASE:
         return "no-second-phase"
-    if link == params.order or code is OtCode.UPSTREAM_ABORT:
+    if link == order or code is OtCode.UPSTREAM_ABORT:
         return "phase-1"
     return "phase-2"
 
@@ -230,7 +212,7 @@ def outcome_counts(runs) -> Counter:
             if out.status == "completed" and out.diagnostics["correct"]:
                 tally[link, "match"] += 1
             elif out.status in ("aborted", "no-second-phase"):
-                tally["reason", _abort_key(run.params, link, out.code)] += 1
+                tally["reason", _abort_key(run.record["order"], link, out.code)] += 1
     return tally
 
 
@@ -496,25 +478,3 @@ def condition_suite(blocks) -> list[ConditionRow]:
         ),
         *(_mi_row(condition, counts, outcomes["trials"]) for condition, counts in tallies.items()),
     ]
-
-
-def collusion_mask_accounting(run: ProtocolRun) -> dict:
-    """Count, per link and label, the mask positions the opposite receiver observed.
-
-    The owner of a link reads its chosen set directly; this measures what
-    pooling adds: the other receiver's knowledge of the link's index sets,
-    across both phases. Also checks that the retransmitted set lies inside the
-    phase-1 receiver's erasures.
-    """
-    rec = run.record
-    out: dict = {"per_link": {}, "sprime_inside_phase1_erasures": None}
-    if rec["sprime"] is not None:
-        y1 = rec["y_phase1"][rec["order"]]
-        out["sprime_inside_phase1_erasures"] = bool((y1[rec["sprime"]] == ERASED).all())
-    block = RunBlock([run])
-    for link in (1, 2):
-        rows, pairs = block.links[link - 1][:2]
-        if rows.size:
-            counts = _known_on_sets(block.known[rows, 2 - link], pairs)[0].tolist()
-            out["per_link"][link] = dict(enumerate(counts))
-    return out

@@ -102,10 +102,14 @@ def _canonical(obj) -> str:
 
 def _write_atomic(path: str, text: str) -> None:
     target = os.path.abspath(path)
+    # the mode open(path, "w") gives a new file, where mkstemp's is 0o600
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".otbec-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -561,6 +565,8 @@ def main(argv=None) -> int:
         out_dir = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(f"report directory {out_dir} does not exist")
+        if os.path.isdir(args.out):
+            raise IsADirectoryError(f"report path {args.out} is a directory")
         return args.func(args)
     except BudgetError as exc:
         print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ import numpy as np
 from .channel import ERASED, trial_rng
 from .entropy import mutual_information_of
 from .protocol_colluding import colluding_steps
-from .protocol_core import Plan, as_fraction, draw_inputs, interpret
+from .protocol_core import Plan, as_fraction, draw_inputs, interpret, key_positions, knowledge
 from .protocol_noncolluding import noncolluding_steps
 
 __all__ = [
@@ -62,10 +62,10 @@ MAX_STATES = 10**9
 
 
 class BudgetError(Exception):
-    """Enumeration rejected up front; .estimate carries the weighted-state count."""
+    """Enumeration rejected up front; .estimate is the weighted-state count (None for a size limit)."""
 
-    def __init__(self, message: str, estimate: int):
-        super().__init__(f"{message} (estimated states: {estimate})")
+    def __init__(self, message: str, estimate: int | None = None):
+        super().__init__(message if estimate is None else f"{message} (estimated states: {estimate})")
         self.message = message
         self.estimate = estimate
 
@@ -172,21 +172,22 @@ def _has_abort(view) -> bool:
 
 
 def _check_budget(plan: Plan, spec: Spec) -> None:
-    estimate = spec.states(plan)
+    """Refuse an instance over a size limit, then one over MAX_STATES: the estimate is
+    bounded only within the limits, and outside them may take too long to work out or print."""
     if plan.n > MAX_N:
-        raise BudgetError(f"n = {plan.n} exceeds budget n <= {MAX_N}", estimate)
+        raise BudgetError(f"n = {plan.n} exceeds budget n <= {MAX_N}")
     sizes = list(plan.mask)
     if spec.variant == "colluding":  # the two-phase specs also draw a phase-1 pair and S'
         sizes.append(plan.phase1[0])
         if plan.sprime > MAX_HASH_IN:
-            raise BudgetError(
-                f"sprime_size = {plan.sprime} exceeds budget {MAX_HASH_IN}", estimate)
+            raise BudgetError(f"sprime_size = {plan.sprime} exceeds budget {MAX_HASH_IN}")
     # a set size within MAX_SET_SIZE is within MAX_HASH_IN, so it needs no hash-input check
     for size in sizes:
         if size > MAX_SET_SIZE:
-            raise BudgetError(f"set size {size} exceeds budget {MAX_SET_SIZE}", estimate)
+            raise BudgetError(f"set size {size} exceeds budget {MAX_SET_SIZE}")
     if max(plan.key) > MAX_HASH_OUT:
-        raise BudgetError(f"hash output {max(plan.key)} exceeds budget {MAX_HASH_OUT}", estimate)
+        raise BudgetError(f"hash output {max(plan.key)} exceeds budget {MAX_HASH_OUT}")
+    estimate = spec.states(plan)
     if estimate > MAX_STATES:
         raise BudgetError("state estimate exceeds budget", estimate)
 
@@ -433,7 +434,7 @@ def _message_link1_features(record: dict, pooled: bool) -> tuple:
         return secret, ("abort",)
     view = (record["z"][0], _pair_view(record, 1), *_published(record, 1, u))
     if pooled:  # the other receiver's look at the unchosen set
-        view += (_obs_symbol(record["y_phase1"][2][record["sets"][1][u]]),)
+        view += (_obs_symbol(knowledge(record)[1][key_positions(record, 1)[u]]),)
     return secret, view
 
 
@@ -446,8 +447,8 @@ def _phase2_message_features(record: dict) -> tuple:
         return secret, ("no-sprime",)
     if 2 not in record["sets"]:
         return secret, ("abort-phase-2",)
-    # the phase-1 receiver's look at the unchosen set, through its phase-1 observation
-    look = _obs_symbol(record["y_phase1"][1][sprime[record["sets"][2][u]]])
+    # the phase-1 receiver's look at the unchosen set
+    look = _obs_symbol(knowledge(record)[0][key_positions(record, 2)[u]])
     return secret, (record["z"][1], tuple(sprime.tolist()), _pair_view(record, 2),
                     *_published(record, 2, u), look)
 
@@ -458,14 +459,15 @@ def _phase1_cross_features(record: dict) -> tuple:
     z = record["z"][0]
     if record["sprime"] is None:
         return (), (z, _pair_view(record, 1), "no-sprime")
-    sprime, obs = tuple(record["sprime"].tolist()), _obs_symbol(record["y_phase1"][1])
+    sprime, obs = tuple(record["sprime"].tolist()), _obs_symbol(knowledge(record)[0])
     return tuple(record["x_sprime"].tolist()), (z, _pair_view(record, 1), sprime, obs)
 
 
 class Spec(NamedTuple):
     """One oracle spec: variant, (secret, view) names, the enumerator of its joint's (weights,
-    states, denominator), the state estimate the budget checks first, the (kind, link) of the
-    last step of the variant's step list its view reads, and (secret, view) = features(record)."""
+    states, denominator), the state estimate the budget checks after the sizes, the (kind, link)
+    of the last step of the variant's step list its view reads, and (secret, view) =
+    features(record)."""
 
     variant: str
     secret: str

@@ -36,6 +36,8 @@ __all__ = [
     "receive_link",
     "interpret",
     "execute",
+    "knowledge",
+    "key_positions",
 ]
 
 
@@ -597,3 +599,28 @@ def execute(plan: Plan, steps: tuple, messages: tuple, z: tuple,
     )
     record["aborted"] = {i: out.diagnostics["reason"] for i, out in aborts.items()}
     return outcomes, record
+
+
+
+# --- party views of a record: the audit and the oracle read them through these --
+
+
+def knowledge(record: dict) -> np.ndarray:
+    """(2, n) int8: row i - 1 is what receiver i holds of the input block, ERASED elsewhere:
+    its phase-1 observation and its phase-2 one placed through S' (seen twice, known once)."""
+    known = np.full((2, record["x"].size), ERASED, dtype=np.int8)
+    for i in (1, 2):
+        first, second = record["y_phase1"][i], record["y_phase2"][i]
+        if first is not None:
+            known[i - 1] = first
+        if second is not None:
+            seen = second != ERASED
+            known[i - 1, record["sprime"][seen]] = second[seen]
+    return known
+
+
+def key_positions(record: dict, link: int) -> np.ndarray:
+    """(2, size) int64: the link's announced label pair in input-block coordinates. The link
+    of the receiver that did not rekey (record["order"]) announced inside S'."""
+    pair = np.array(record["sets"][link])
+    return pair if record["order"] in (None, link) else record["sprime"][pair]

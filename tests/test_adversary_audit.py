@@ -17,7 +17,7 @@ from otbec.adversary_audit import (
 )
 from otbec.channel import ERASED
 from otbec.protocol_colluding import VisibilityModel
-from otbec.protocol_core import snap_params
+from otbec.protocol_core import knowledge, snap_params
 
 P1_ROWS = {
     "chosen-message correctness",
@@ -227,11 +227,12 @@ def test_knowledge_map_is_what_the_receiver_observed(case, p1_runs, p2_params):
         runs = generate_runs(p2_params, 300, master_seed=43,
                              visibility=VisibilityModel(visibility, visibility))
     both_phases = 0
+    maps = [knowledge(run.record) for run in runs]
     # the analyses read the maps from a block of the runs, one (2, n) pair per run
-    maps = list(RunBlock(runs).known)
-    assert len(maps) == len(runs)
+    assert np.array_equal(RunBlock(runs).known, np.stack(maps))
     for run, pair in zip(runs, maps):
         x = run.record["x"]
+        assert pair.shape == (2, x.size) and pair.dtype == np.int8
         for i in (1, 2):
             known = pair[i - 1]
             assert known.shape == x.shape

@@ -124,31 +124,53 @@ def test_run_paths_build_no_distribution_objects(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_budget_exits_3(tmp_path, capsys):
-    code, _, stderr = run(capsys, "oracle", "--n", "9", "--set-size", "3",
-                          "--out", str(tmp_path / "o.json"))
-    assert code == 3
-    assert "enumeration budget exceeded" in stderr
-    # announced-sets-1 at n=9, set size 3: 2^9 * 2 * C(9,3)^2 weighted states
-    assert stderr.count("7225344") == 1
+    # the first size over its limit is refused, before any state estimate
+    for n in ("9", "20000"):
+        code, _, stderr = run(capsys, "oracle", "--n", n, "--set-size", "3",
+                              "--out", str(tmp_path / "o.json"))
+        assert code == 3
+        assert f"enumeration budget exceeded: n = {n} exceeds budget n <= 8\n" in stderr
+        assert "estimated states" not in stderr
+        assert not (tmp_path / "o.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["simulate", *SIM_FLAGS, "--trials", "5"],
-    ["audit"],
-    ["oracle"],
-    ["region", "--p1", "0.5", "--p2", "0.5"],
-], ids=lambda argv: argv[0])
-def test_unwritable_out_exits_4(tmp_path, capsys, monkeypatch, argv):
-    # the report directory is checked before the subcommand starts, not after its run
+@pytest.mark.parametrize("argv, target, reason", [
+    pytest.param(["simulate", *SIM_FLAGS, "--trials", "5"], "missing/dir/r.json",
+                 "does not exist", id="simulate"),
+    pytest.param(["audit"], "missing/dir/r.json", "does not exist", id="audit"),
+    pytest.param(["oracle"], "missing/dir/r.json", "does not exist", id="oracle"),
+    pytest.param(["region", "--p1", "0.5", "--p2", "0.5"], "missing/dir/r.json",
+                 "does not exist", id="region"),
+    pytest.param(["simulate", *SIM_FLAGS, "--trials", "5"], "existing-dir",
+                 "is a directory", id="out-is-a-directory"),
+])
+def test_unwritable_out_exits_4(tmp_path, capsys, monkeypatch, argv, target, reason):
+    # the report path is checked before the subcommand starts, not after its run
     def never(*args, **kwargs):
         raise AssertionError("the subcommand ran")
 
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", never)
-    target = tmp_path / "missing" / "dir" / "r.json"
-    code, stdout, stderr = run(capsys, *argv, "--out", str(target))
+    (tmp_path / "existing-dir").mkdir()
+    code, stdout, stderr = run(capsys, *argv, "--out", str(tmp_path / target))
     assert code == 4
-    assert "i/o failure" in stderr and "does not exist" in stderr
+    assert "i/o failure" in stderr and reason in stderr
     assert stdout == ""
+
+
+def test_reports_get_the_mode_a_plain_open_gives(tmp_path, capsys):
+    # under umask 022: 0o644 for a new report, the region CSV, and a 0o644
+    # report written again
+    old = os.umask(0o022)
+    try:
+        out = tmp_path / "regions.json"
+        assert run(capsys, "region", "--p1", "0.7", "--p2", "0.4", "--out", str(out))[0] == 0
+        report = tmp_path / "sim.json"
+        for _ in range(2):
+            assert run(capsys, "simulate", *SIM_FLAGS, "--trials", "5", "--out", str(report))[0] == 0
+            modes = [oct(p.stat().st_mode & 0o777) for p in (out, out.with_suffix(".csv"), report)]
+            assert modes == ["0o644"] * 3
+    finally:
+        os.umask(old)
 
 
 def test_a_decoder_that_always_fails_is_reported_as_decode_errors(tmp_path, capsys, monkeypatch):

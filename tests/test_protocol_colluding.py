@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from otbec.adversary_audit import collusion_mask_accounting, generate_runs
-from otbec.channel import erasure_partition, transmit_bec, trial_rng
+from otbec.adversary_audit import generate_runs
+from otbec.channel import ERASED, erasure_partition, transmit_bec, trial_rng
 from otbec.hashing import apply
 from otbec.protocol_colluding import (
     DEFAULT_VISIBILITY,
@@ -18,6 +18,8 @@ from otbec.protocol_core import (
     ParamError,
     announce_sets,
     encrypt,
+    key_positions,
+    knowledge,
     send_link,
     snap_params,
 )
@@ -93,6 +95,7 @@ def test_record_keys_are_the_single_phase_record_keys(p1_runs, p2_params):
 
 
 def test_set_geometry_invariants(p2_runs):
+    composed_links = 0
     for run in p2_runs[:600]:
         rec = run.record
         if 1 not in rec["sets"]:
@@ -102,15 +105,22 @@ def test_set_geometry_invariants(p2_runs):
         e, ebar = erasure_partition(rec["y_phase1"][1])
         assert set(chosen) <= set(ebar.tolist())
         assert set(unchosen) <= set(e.tolist())
+        # the phase-1 link announced on x: its key positions are its sets
+        assert np.array_equal(key_positions(rec, 1), np.array(rec["sets"][1]))
         if rec["sprime"] is None:
             continue
         sprime = set(rec["sprime"].tolist())
         assert sprime <= set(e.tolist())
         assert sprime.isdisjoint(set(unchosen.tolist()))
         if 2 in rec["sets"]:
-            for local in rec["sets"][2]:
+            positions = key_positions(rec, 2)
+            assert positions.shape == (2, len(rec["sets"][2][0]))
+            for label, local in enumerate(rec["sets"][2]):
                 composed = rec["sprime"][local]
+                assert np.array_equal(positions[label], composed)
                 assert set(composed.tolist()) <= sprime
+            composed_links += 1
+    assert composed_links > 0
 
 
 def test_phase2_depends_only_on_retransmitted_bits(p2_runs):
@@ -215,19 +225,23 @@ def test_broadcast_visibility_populates_other_receiver(p2_params):
     assert drun.record["y_phase2"][1] is None
 
 
+def _opposite_knows(rec, link):
+    """Per label, how many of the link's key positions the opposite receiver holds."""
+    other = knowledge(rec)[2 - link]
+    return (other[key_positions(rec, link)] != ERASED).sum(axis=1).tolist()
+
+
 def test_mask_accounting_counts_cross_visibility(p2_params, p2_runs):
-    run = next(r for r in p2_runs if 2 in r.record["sets"])
-    acct = collusion_mask_accounting(run)
-    assert acct["sprime_inside_phase1_erasures"] is True
-    # point-to-point: the other receiver never observes a link's mask positions
-    assert acct["per_link"][1] == {0: 0, 1: 0}
-    assert acct["per_link"][2] == {0: 0, 1: 0}
+    # point-to-point: the other receiver never holds a published link's key positions
+    rekeyed = 0  # runs whose second link published, keyed inside S'
+    for run in p2_runs[:400]:
+        for link in run.record["sets"]:
+            assert _opposite_knows(run.record, link) == [0, 0]
+            rekeyed += link == 2
+    assert rekeyed >= 200
     vis = VisibilityModel("broadcast-both", "broadcast-both")
     bruns = generate_runs(p2_params, 60, master_seed=41, visibility=vis)
-    counts = [
-        collusion_mask_accounting(r).get("per_link", {}).get(1, {0: 0, 1: 0})
-        for r in bruns if 1 in r.record["sets"]
-    ]
+    counts = [_opposite_knows(r.record, link) for r in bruns for link in r.record["sets"]]
     assert any(c[0] + c[1] > 0 for c in counts)
 
 
