@@ -84,7 +84,9 @@ def public_messages(run: ProtocolRun) -> dict:
     """The wiretapper's view of a run: every message sent over the public channel.
 
     Both variants give the same keys; `sprime` and `order` are None for the
-    single-phase variant.
+    single-phase variant. `aborted` maps each stopped link to its OtCode; the
+    reason text, which quotes the receiver's erasure counts, stays on the
+    private OtOutcome.
     """
     rec = run.record
     return {key: rec[key] for key in

@@ -334,9 +334,15 @@ def cmd_oracle(args) -> int:
 def _load_channel(path: str) -> ChannelSpec:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if not isinstance(payload, dict) or "rows" not in payload or "outputs" not in payload:
-        raise ValueError(f"channel file {path} must contain 'outputs' and 'rows'")
+    if not (isinstance(payload, dict) and isinstance(payload.get("outputs"), list)
+            and isinstance(payload.get("rows"), list) and all(isinstance(r, list) for r in payload["rows"])):
+        raise ValueError(f"channel file {path} must hold a list 'outputs' and a list of row lists 'rows'")
     return ChannelSpec.from_json(payload)
+
+
+def _region_csv_path(out: str) -> str:
+    """Where region writes its CSV: the report path with a .csv extension."""
+    return os.path.splitext(out)[0] + ".csv"
 
 
 def _region_csv(regions) -> str:
@@ -390,7 +396,7 @@ def cmd_region(args) -> int:
             })
         report["results"]["containment"] = checks
     _emit(args, report, seed)
-    csv_path = os.path.splitext(args.out)[0] + ".csv"
+    csv_path = _region_csv_path(args.out)
     _write_atomic(csv_path, _region_csv(regions))
     print(f"csv: {csv_path}")
     return 0
@@ -567,6 +573,12 @@ def main(argv=None) -> int:
             raise FileNotFoundError(f"report directory {out_dir} does not exist")
         if os.path.isdir(args.out):
             raise IsADirectoryError(f"report path {args.out} is a directory")
+        if args.subcommand == "region":
+            csv_path = _region_csv_path(args.out)
+            if csv_path == args.out:
+                raise ValueError(f"the region CSV {csv_path} would overwrite the report --out {args.out}")
+            if os.path.isdir(csv_path):
+                raise IsADirectoryError(f"region CSV path {csv_path} is a directory")
         return args.func(args)
     except BudgetError as exc:
         print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)

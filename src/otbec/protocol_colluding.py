@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol_core import Plan, ProtocolParams, ProtocolRun, check_run_inputs, execute
+from .protocol_core import Plan, ProtocolParams, ProtocolRun, check_run_inputs, interpret
 
 __all__ = [
     "VisibilityModel",
@@ -59,6 +59,7 @@ def colluding_steps(plan: Plan, visibility: VisibilityModel = DEFAULT_VISIBILITY
         # indices local to S'
         ("announce", second, "sprime", plan.mask[second - 1]),
         ("send", second, "sprime"),
+        ("receive", first), ("receive", second),
     )
 
 
@@ -80,4 +81,4 @@ def run_protocol2(
     """
     messages, z = check_run_inputs(params, "colluding", messages, z)
     plan = params.plan()
-    return ProtocolRun(params, *execute(plan, colluding_steps(plan, visibility), messages, z, rng))
+    return ProtocolRun(params, interpret(plan, colluding_steps(plan, visibility), messages, z, rng))

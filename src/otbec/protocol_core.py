@@ -1,4 +1,4 @@
-"""Shared protocol substrate: parameters, size plan, outcome codes, run record, link step, executor."""
+"""Shared protocol substrate: parameters, size plan, outcome codes, run record, link step, interpreter."""
 
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ __all__ = [
     "send_link",
     "receive_link",
     "interpret",
-    "execute",
     "knowledge",
     "key_positions",
 ]
@@ -108,7 +107,7 @@ def as_fraction(v) -> Fraction:
 
 @dataclass(frozen=True)
 class Plan:
-    """The integer sizes of one run, all that `execute` and the step lists read.
+    """The integer sizes of one run, all that `interpret` and the step lists read.
 
     p1 and p2 are Fractions; order is the phase-1 receiver i, j the other.
     mask, key, verify and phase1 hold link 1's size, then link 2's: r*n (also
@@ -303,8 +302,8 @@ class ProtocolRun:
     """Full result of one protocol execution over both links.
 
     `record` is the omniscient trace (inputs, observations, subset draws, hash
-    draws, ciphertexts) and the only copy of the run's data; `execute` builds
-    it for both variants. `y_phase1` and `y_phase2` map each receiver to what
+    draws, ciphertexts, outcomes) and the only copy of the run's data; `interpret`
+    builds it for both variants. `y_phase1` and `y_phase2` map each receiver to what
     it observed of the input block and of the retransmitted block S' (None
     where it received nothing), and the single-phase variant sets `order`,
     `sprime` and `x_sprime` to None. `adversary_audit.public_messages` gives
@@ -312,14 +311,18 @@ class ProtocolRun:
     """
 
     params: ProtocolParams
-    outcomes: tuple
     record: dict
+
+    @property
+    def outcomes(self) -> tuple:
+        """(link 1's OtOutcome, link 2's), as the record holds them."""
+        return self.record["outcomes"][1], self.record["outcomes"][2]
 
 
 # --- the run boundary --------------------------------------------------------
-# run_protocol1 and run_protocol2 call check_run_inputs first. interpret,
-# execute and the steps below trust their arrays: the boundary checked the
-# parties' inputs (or draw_inputs drew them), and the run drew the rest.
+# run_protocol1 and run_protocol2 call check_run_inputs first. interpret and the
+# steps below trust their arrays: the boundary checked the parties' inputs (or
+# draw_inputs drew them), and the run drew the rest.
 
 _EXECUTORS = {"noncolluding": "run_protocol1", "colluding": "run_protocol2"}
 
@@ -513,13 +516,14 @@ def receive_link(
     return OtOutcome(OtCode.COMPLETED, decoded, {"correct": not (decoded != messages[z]).any()})
 
 
-# --- the executor ---------------------------------------------------------------
+# --- the interpreter ------------------------------------------------------------
 # A run is a tuple of steps in draw order, over the blocks "x" (the broadcast
 # input) and "sprime" (x restricted to S'):
 #   ("transmit", block, i)        send the block through receiver i's link
 #   ("announce", i, block, size)  receiver i announces link i's label pair from its view
 #   ("rekey", i)                  phase-1 receiver i draws S'; "sprime" becomes x[S']
 #   ("send", i, block)            the sender pads and commits link i on the block
+#   ("receive", i)                receiver i decodes link i from the view it announced on
 # One abort rule: a step is skipped when its block was never formed or its
 # link has no sets. A prefix of a step list is the run stopped after its last
 # step, with the same draws up to there.
@@ -530,16 +534,19 @@ def interpret(plan: Plan, steps: tuple, messages: tuple, z: tuple,
     """Draw x and run the steps in order: the run's record as far as they reach.
 
     messages and z come from check_run_inputs or draw_inputs. `order` is the rekey
-    step's receiver (None without one); `aborted` maps stopped links to OtOutcomes.
+    step's receiver (None without one). `outcomes` maps each link that ended, by a
+    stop or a receive, to its OtOutcome; `aborted` maps each stopped link to its
+    OtCode, the public part of a stop.
     """
     blocks = {"x": rng.integers(0, 2, size=plan.n, dtype=np.int64).astype(np.uint8)}
     seen = {"x": {}, "sprime": {}}
-    sets, erased, hashes, commitments, ciphertexts = {}, {}, {}, {}, {}
+    views, sets, erased, hashes, commitments, ciphertexts = {}, {}, {}, {}, {}, {}
     # outcomes, not signals: a signal's traceback would keep the caller's frames alive
-    aborts = {}
+    outcomes, aborted = {}, {}
     sprime = order = None
     for step in steps:
         kind = step[0]
+        stop = None
         if kind == "transmit":
             _, block, i = step
             if block in blocks:
@@ -547,29 +554,38 @@ def interpret(plan: Plan, steps: tuple, messages: tuple, z: tuple,
         elif kind == "announce":
             _, i, block, size = step
             if block in blocks:
+                views[i] = seen[block][i]
                 try:
-                    sets[i], erased[i] = announce_sets(seen[block][i], z[i - 1], size, rng)
+                    sets[i], erased[i] = announce_sets(views[i], z[i - 1], size, rng)
                 except AbortSignal as sig:
-                    aborts[i] = sig.outcome()
+                    stop = sig.outcome()
         elif kind == "rekey":
-            order = i = step[1]
-            if i in aborts:
-                aborts[3 - i] = AbortSignal(OtCode.UPSTREAM_ABORT, "phase-1 abort upstream: "
-                                            + aborts[i].diagnostics["reason"]).outcome()
+            order = step[1]
+            i = 3 - order  # a rekey can stop only the other receiver's link
+            if order in aborted:
+                stop = OtOutcome(OtCode.UPSTREAM_ABORT, None, {
+                    "reason": "phase-1 abort upstream: " + outcomes[order].diagnostics["reason"]})
             elif plan.sprime == 0:
-                aborts[3 - i] = AbortSignal(OtCode.NO_SECOND_PHASE,
-                                            "no leftover erasure set, second link cannot run").outcome()
+                stop = OtOutcome(OtCode.NO_SECOND_PHASE, None, {
+                    "reason": "no leftover erasure set, second link cannot run"})
             else:
                 try:
-                    sprime = draw_sprime(erased[i], sets[i][1 - z[i - 1]], plan.sprime, rng)
+                    sprime = draw_sprime(erased[order], sets[order][1 - z[order - 1]], plan.sprime, rng)
                     blocks["sprime"] = restrict(blocks["x"], sprime)
                 except AbortSignal as sig:
-                    aborts[3 - i] = sig.outcome()
-        else:  # send
+                    stop = sig.outcome()
+        elif kind == "send":
             _, i, block = step
             if i in sets:
                 hashes[i], commitments[i], ciphertexts[i] = send_link(
                     blocks[block], sets[i], messages[i - 1], plan.verify[i - 1], rng)
+        else:  # receive
+            i = step[1]
+            if i in sets:
+                outcomes[i] = receive_link(views[i], sets[i], z[i - 1], hashes[i],
+                                           commitments[i], ciphertexts[i], messages[i - 1])
+        if stop is not None:
+            outcomes[i], aborted[i] = stop, stop.code
 
     receivers = (1, 2) if order is None else (order, 3 - order)
     return {
@@ -578,28 +594,8 @@ def interpret(plan: Plan, steps: tuple, messages: tuple, z: tuple,
         "sprime": sprime, "x_sprime": blocks.get("sprime"),
         "y_phase2": {i: seen["sprime"].get(i) for i in receivers},
         "sets": sets, "hashes": hashes, "commitments": commitments,
-        "ciphertexts": ciphertexts, "aborted": aborts,
+        "ciphertexts": ciphertexts, "aborted": aborted, "outcomes": outcomes,
     }
-
-
-def execute(plan: Plan, steps: tuple, messages: tuple, z: tuple,
-            rng: np.random.Generator) -> tuple[tuple, dict]:
-    """Interpret the whole step list, then receive both links: (outcomes, record), the
-    record's `aborted` mapping each stopped link to its reason text."""
-    record = interpret(plan, steps, messages, z, rng)
-    aborts = record["aborted"]
-    # each link is received from the observation of the block it was announced on
-    views = {step[1]: record["y_phase1" if step[2] == "x" else "y_phase2"][step[1]]
-             for step in steps if step[0] == "announce"}
-    outcomes = tuple(
-        aborts[i] if i in aborts else receive_link(
-            views[i], record["sets"][i], z[i - 1], record["hashes"][i],
-            record["commitments"][i], record["ciphertexts"][i], messages[i - 1])
-        for i in (1, 2)
-    )
-    record["aborted"] = {i: out.diagnostics["reason"] for i, out in aborts.items()}
-    return outcomes, record
-
 
 
 # --- party views of a record: the audit and the oracle read them through these --

@@ -17,7 +17,7 @@ from .protocol_core import (
     ProtocolRun,
     as_fraction,
     check_run_inputs,
-    execute,
+    interpret,
 )
 
 __all__ = [
@@ -33,6 +33,7 @@ def noncolluding_steps(plan: Plan) -> tuple:
         ("transmit", "x", 1), ("transmit", "x", 2),
         ("announce", 1, "x", plan.mask[0]), ("announce", 2, "x", plan.mask[1]),
         ("send", 1, "x"), ("send", 2, "x"),
+        ("receive", 1), ("receive", 2),
     )
 
 
@@ -50,7 +51,7 @@ def run_protocol1(
     """
     messages, z = check_run_inputs(params, "noncolluding", messages, z)
     plan = params.plan()
-    return ProtocolRun(params, *execute(plan, noncolluding_steps(plan), messages, z, rng))
+    return ProtocolRun(params, interpret(plan, noncolluding_steps(plan), messages, z, rng))
 
 
 def exact_abort_probability(n: int, p: float, r) -> float:

@@ -37,6 +37,7 @@ time-sharing bound between the two single-receiver corner boxes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,13 +254,20 @@ class ChannelSpec:
     rows: tuple
 
     def __post_init__(self) -> None:
+        for y in self.outputs:
+            if not (isinstance(y, tuple) and len(y) == 2 and all(isinstance(s, (str, int)) for s in y)):
+                raise ValueError(f"each output must be a (y1, y2) pair of symbols, got {y!r}")
+        if len(set(self.outputs)) != len(self.outputs):
+            raise ValueError("outputs must be distinct")
         if len(self.rows) != 2:
             raise ValueError("binary input needs exactly two rows")
         for row in self.rows:
             if len(row) != len(self.outputs):
                 raise ValueError("row length must match the output alphabet")
-            if any(v < -FEAS_TOL for v in row) or abs(sum(row) - 1.0) > 1e-9:
-                raise ValueError("rows must be probability vectors")
+            # finite, nonnegative, not booleans: checked before the sum reads them
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+                       and v >= 0 for v in row) or abs(sum(row) - 1.0) > 1e-9:
+                raise ValueError(f"rows must be probability vectors of finite numbers, got {row!r}")
 
     @classmethod
     def bec_pair(cls, p1: float, p2: float) -> "ChannelSpec":

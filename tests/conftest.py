@@ -59,3 +59,25 @@ def p1_blocks(p1_runs):
 @pytest.fixture(scope="session")
 def p2_blocks(p2_runs):
     return [RunBlock(p2_runs)]
+
+
+# one case per kind of stop: p1 and p2 at p = 0.75 (set shortfall; p2 also
+# upstream and leftover), p2 at p = 1/2 (no second phase)
+_ABORTING = {
+    "p1": (dict(variant="noncolluding", n=64, p1=0.75, p2=0.75, r1=Fraction(3, 16),
+                r2=Fraction(3, 16), lam=0.05, lam_prime=Fraction(1, 16)), {"set-shortfall"}),
+    "p2": (dict(variant="colluding", n=64, p1=0.75, p2=0.75, r1=Fraction(1, 8),
+                r2=Fraction(1, 8), lam=0.05, lam_prime=Fraction(1, 16)),
+           {"set-shortfall", "upstream-abort", "leftover-shortfall"}),
+    "p2-no-second-phase": (dict(variant="colluding", n=64, p1=0.5, p2=0.5, r1=Fraction(1, 16),
+                                r2=Fraction(1, 16), lam=Fraction(1, 32), lam_prime=Fraction(1, 64)),
+                           {"no-second-phase"}),
+}
+
+
+@pytest.fixture(scope="session", params=tuple(_ABORTING))
+def aborting_runs(request):
+    """(params, 100 runs at master seed 3, the stop codes they reach) of one aborting case."""
+    fields, codes = _ABORTING[request.param]
+    params, _ = snap_params(**fields)
+    return params, generate_runs(params, 100, master_seed=3), codes

@@ -199,13 +199,29 @@ def test_attacks_reject_mixed_parameters(p1_runs, p2_runs):
 
 
 def test_public_messages_are_the_same_fields_for_both_variants(p1_runs, p2_runs):
-    # what only a party holds: its inputs, its observations, the retransmitted bits
-    private = {"x", "z", "messages", "y_phase1", "y_phase2", "x_sprime"}
+    # what only a party holds: its inputs, its observations, the retransmitted bits,
+    # each link's outcome
+    private = {"x", "z", "messages", "y_phase1", "y_phase2", "x_sprime", "outcomes"}
     for run in (p1_runs[0], p2_runs[0]):
         public = public_messages(run)
         assert public.keys() == run.record.keys() - private
         assert all(public[key] is run.record[key] for key in public)
     assert public_messages(p1_runs[0]).keys() == public_messages(p2_runs[0]).keys()
+
+
+def test_public_aborts_carry_codes_not_the_receivers_counts(aborting_runs):
+    # an abort is public, its reason text (which quotes erasure counts) is not
+    _, runs, codes = aborting_runs
+    seen = set()
+    for run in runs:
+        aborted = public_messages(run)["aborted"]
+        stopped = {link for link, out in zip((1, 2), run.outcomes)
+                   if out.status in ("aborted", "no-second-phase")}
+        assert aborted.keys() == stopped
+        for link, code in aborted.items():
+            assert code is run.outcomes[link - 1].code
+        seen.update(code.value for code in aborted.values())
+    assert seen == codes
 
 
 def _observed_positions(run, i):

@@ -143,18 +143,31 @@ def test_oracle_budget_exits_3(tmp_path, capsys):
                  "does not exist", id="region"),
     pytest.param(["simulate", *SIM_FLAGS, "--trials", "5"], "existing-dir",
                  "is a directory", id="out-is-a-directory"),
+    pytest.param(["region", "--p1", "0.7", "--p2", "0.4"], "r.json",
+                 "is a directory", id="region-csv-is-a-directory"),
 ])
 def test_unwritable_out_exits_4(tmp_path, capsys, monkeypatch, argv, target, reason):
-    # the report path is checked before the subcommand starts, not after its run
+    # the report path (and region's CSV path beside it) is checked before the
+    # subcommand starts, not after its run
     def never(*args, **kwargs):
         raise AssertionError("the subcommand ran")
 
     monkeypatch.setattr(cli, f"cmd_{argv[0]}", never)
     (tmp_path / "existing-dir").mkdir()
+    (tmp_path / "r.csv").mkdir()
     code, stdout, stderr = run(capsys, *argv, "--out", str(tmp_path / target))
     assert code == 4
     assert "i/o failure" in stderr and reason in stderr
     assert stdout == ""
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_region_refuses_a_csv_path_that_is_the_report_path(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    code, stdout, stderr = run(capsys, "region", "--p1", "0.5", "--p2", "0.5", "--out", str(out))
+    assert code == 2
+    assert f"region CSV {out}" in stderr and f"report --out {out}" in stderr
+    assert stdout == "" and not out.exists()
 
 
 def test_reports_get_the_mode_a_plain_open_gives(tmp_path, capsys):
@@ -337,6 +350,32 @@ def test_region_general_bounds_from_channel_file(tmp_path, capsys):
     assert len(general) == 1
     by_axis = {(a1, a2): b for a1, a2, b in map(tuple, general[0]["constraints"])}
     assert by_axis[(1.0, 0.0)] == pytest.approx(0.12, abs=1e-6)
+
+
+_BEC = {"outputs": [[0, 0], [0, "e"], ["e", 1], [1, 1]],
+        "rows": [[0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5]]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("outputs", [0, 1, 2, 3]),
+    ("rows", [["a", 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5]]),
+    ("rows", [[float("nan"), 0.5, 0.5, 0.0], [0.0, 0.0, 0.5, 0.5]]),
+    ("rows", [[True, False, False, False], [0.0, 0.0, 0.5, 0.5]]),
+    ("outputs", [[0, 0], [0, "e"], ["e", 1], [0, 0]]),
+    ("outputs", [[0, 0, 0], [0, "e"], ["e", 1], [1, 1]]),
+    ("outputs", ["ab", [0, "e"], ["e", 1], [1, 1]]),
+    ("rows", [[0.5, 0.5 + 1e-12, -1e-12, 0.0], [0.0, 0.0, 0.5, 0.5]]),
+    ("rows", [1, 2]),
+], ids=["outputs-not-pairs", "string-entry", "nan-entry", "boolean-entries",
+        "duplicate-outputs", "three-element-output", "string-output", "negative-entry",
+        "rows-not-lists"])
+def test_region_refuses_a_malformed_channel_file(tmp_path, capsys, field, value):
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps({**_BEC, field: value}))
+    out = tmp_path / "reg.json"
+    code, stdout, stderr = run(capsys, "region", "--channel", str(chan), "--out", str(out))
+    assert code == 2 and "error:" in stderr
+    assert stdout == "" and not out.exists() and not out.with_suffix(".csv").exists()
 
 
 def test_region_requires_erasure_probs_without_channel(tmp_path, capsys):

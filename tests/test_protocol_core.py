@@ -434,3 +434,28 @@ def test_a_step_list_stopped_early_replays_the_full_runs_record(request, params,
     assert any(last[1] in run.record["sets"] for run in runs)
     if params.variant == "colluding":
         assert any(run.record["sprime"] is not None for run in runs)
+
+
+def test_a_prefix_records_each_stop_as_the_full_run_does(aborting_runs):
+    # a link's end is written once, at the step that stops it (its announce, or
+    # the rekey for the other link): the prefix cut just after that step agrees
+    # with the full run on every link stopped by then
+    params, runs, codes = aborting_runs
+    plan = params.plan()
+    full = (noncolluding_steps if params.variant == "noncolluding" else colluding_steps)(plan)
+    kinds = [step[:2] for step in full]
+    seen = set()
+    for t, run in enumerate(runs):
+        record = run.record
+        for link, code in record["aborted"].items():
+            stop = kinds.index(("announce", link) if code is OtCode.SET_SHORTFALL else ("rekey", 3 - link))
+            rng = trial_rng(3, t)
+            part = interpret(plan, full[:stop + 1], *draw_inputs(plan, rng), rng)
+            assert link in part["aborted"]
+            assert part["outcomes"].keys() == part["aborted"].keys()
+            for i, stopped in part["aborted"].items():
+                assert stopped is record["aborted"][i] is record["outcomes"][i].code
+                assert part["outcomes"][i].code is stopped
+                assert part["outcomes"][i].diagnostics == record["outcomes"][i].diagnostics
+            seen.add(code.value)
+    assert seen == codes
