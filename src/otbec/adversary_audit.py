@@ -31,6 +31,9 @@ __all__ = [
     "AttackReport",
     "ConditionRow",
     "RunBlock",
+    "MessageAttackFold",
+    "ChoiceAttackFold",
+    "ConditionSuiteFold",
     "public_messages",
     "outcome_counts",
     "generate_runs",
@@ -96,13 +99,14 @@ def public_messages(run: ProtocolRun) -> dict:
 class RunBlock:
     """Consecutive runs of one parameter set as the arrays the analyses read, without the runs.
 
-    The attacks and the condition suite take a list of blocks and read them
-    in order, so a campaign can drop each chunk's runs once its block is
-    built. Axis 0 is the run in the block, so a worker sends a block back
-    cheaply. `params` holds the runs' shared parameters, `known[:, i - 1]`
-    receiver i's knowledge map (`protocol_core.knowledge`), `messages[i - 1]`
-    link i's (c, 2, k) message pairs, `tally` the runs' `outcome_counts`, and
-    `links[i - 1]` link i's (rows, pairs, kappa, cipher): the (u,) rows that
+    The attacks and the condition suite read blocks in order, one at a time
+    (their folds), so a campaign drops each chunk's runs once its block is
+    built, and each block once every fold has read it. Axis 0 is the run in
+    the block, so a worker sends a block back cheaply. `params` holds the
+    runs' shared parameters, `known[:, i - 1]` receiver i's knowledge map
+    (`protocol_core.knowledge`), `messages[i - 1]` link i's (c, 2, k)
+    message pairs, `tally` the runs' `outcome_counts`, and `links[i - 1]`
+    link i's (rows, pairs, kappa, cipher): the (u,) rows that
     announced on it, their (u, 2, size) key positions
     (`protocol_core.key_positions`), (u, 2, k, size) κ matrices and (u, 2, k)
     ciphertexts, the label on axis 1 (None but rows if u = 0).
@@ -229,16 +233,23 @@ def _shared_params(runs) -> ProtocolParams:
     return params
 
 
-def _attack_params(blocks, attacker: str, attackers: tuple, link: int,
-                   rng: np.random.Generator | None, rng_use: str) -> ProtocolParams:
-    """The blocks' shared parameters, once the attacker, the link and the rng are checked."""
+def _check_attack(attacker: str, attackers: tuple, link: int,
+                  rng: np.random.Generator | None, rng_use: str) -> None:
+    """Refuse an unknown attacker, a link other than 1 or 2, or a missing rng."""
     if attacker not in attackers:
         raise ValueError(f"unknown attacker {attacker!r}")
     if link not in (1, 2):
         raise ValueError("link must be 1 or 2")
     if rng is None:
         raise ValueError(f"{rng_use} needs an rng")
-    return _shared_params(blocks)
+
+
+def _fold(fold, blocks):
+    """The fold's result over a list of blocks, once they are checked to share parameters."""
+    _shared_params(blocks)
+    for block in blocks:
+        fold.add(block)
+    return fold.result()
 
 
 def _attack_report(target: str, strategy: str, successes: int, used: int,
@@ -250,6 +261,59 @@ def _attack_report(target: str, strategy: str, successes: int, used: int,
     ci = (lo - baseline, hi - baseline)
     return AttackReport(target=target, strategy=strategy, advantage=advantage, ci=ci,
                         trials=used, extras=extras, verdict=_verdict(advantage, ci))
+
+
+class MessageAttackFold:
+    """guess_unchosen_message one block at a time: `add` each block in order, then `result` once.
+
+    The blocks must share their parameters; `guess_unchosen_message` checks
+    that of a list, and a campaign's blocks share them by construction.
+    Each block's uniform fills are drawn as it is added.
+    """
+
+    def __init__(self, attacker: str, link: int, rng: np.random.Generator | None):
+        _check_attack(attacker, MESSAGE_ATTACKERS, link, rng, "the uniform-fill step")
+        self.attacker, self.link, self.rng = attacker, link, rng
+        self.receivers = {"single-receiver": (link,), "pooled-receivers": (1, 2),
+                          "wiretapper": ()}[attacker]
+        self.successes = self.used = self.skipped = 0
+        self.known_fraction = 0.0
+        self.mask = self.key = None
+
+    def add(self, block: RunBlock) -> None:
+        rows, pairs, kappa, cipher = block.links[self.link - 1]
+        self.skipped += len(block) - rows.size
+        if not rows.size:
+            return
+        unchosen = 1 - block.z[rows, self.link - 1]
+        picked = (np.arange(rows.size), unchosen)
+        positions = pairs[picked]
+        self.mask = positions.shape[1]
+        self.key = block.params.plan().key[self.link - 1]
+        known = np.take_along_axis(block.coalition(self.receivers)[rows], positions, axis=1)
+        # every run's uniform fill in one draw, in run order (one call is the
+        # stream of one call per run; see protocol_core on bounded int64 draws)
+        fill = self.rng.integers(0, 2, size=known.size).reshape(known.shape)
+        x_hat = np.where(known != ERASED, known, fill).astype(np.uint8)
+        m_hat = cipher[picked] ^ (np.matmul(kappa[picked], x_hat[:, :, None])[:, :, 0] & 1)
+        self.successes += int((m_hat == block.messages[self.link - 1][rows, unchosen])
+                              .all(axis=1).sum())
+        # summed run by run, in run order
+        for share in ((known != ERASED).sum(axis=1) / self.mask).tolist():
+            self.known_fraction += share
+        self.used += rows.size
+
+    def result(self) -> AttackReport:
+        if self.used == 0:
+            raise ValueError("no completed runs to attack")
+        blind_hit = 2.0 ** (-self.mask)
+        baseline = blind_hit + (1.0 - blind_hit) * 2.0 ** (-self.key)
+        return _attack_report(
+            f"unchosen message, link {self.link}",
+            f"{self.attacker} read-off with uniform fill", self.successes, self.used, baseline,
+            {"knowledge_rate": self.known_fraction / self.used, "baseline": baseline,
+             "skipped_aborts": self.skipped},
+        )
 
 
 def guess_unchosen_message(
@@ -267,45 +331,54 @@ def guess_unchosen_message(
     2^-mask, and a wrong fill still collides under the published hash with
     probability 2^-k, so blind success is 2^-mask + (1 - 2^-mask) 2^-k, not
     plain 2^-k. Aborted links are skipped (nothing was published). The
-    blocks are read in order, and so are the runs in each.
+    blocks, a list, are read in order, and so are the runs in each
+    (`MessageAttackFold`).
     """
-    params = _attack_params(blocks, attacker, MESSAGE_ATTACKERS, link, rng, "the uniform-fill step")
-    k = params.plan().key[link - 1]
-    receivers = {"single-receiver": (link,), "pooled-receivers": (1, 2), "wiretapper": ()}[attacker]
-    successes = 0
-    used = 0
-    skipped = 0
-    known_fraction = 0.0
-    mask = None
-    for block in blocks:
-        rows, pairs, kappa, cipher = block.links[link - 1]
-        skipped += len(block) - rows.size
+    return _fold(MessageAttackFold(attacker, link, rng), blocks)
+
+
+class ChoiceAttackFold:
+    """guess_choice_bit one block at a time: `add` each block in order, then `result` once.
+
+    The blocks must share their parameters, as for `MessageAttackFold`. The
+    tie coins are drawn by `result`, block by block in run order, after the
+    last block: an audit's message attack draws its fills from the same
+    generator as the blocks arrive, and its coins come after every fill.
+    Until then the fold keeps the choice bit of each tied run, one byte each.
+    """
+
+    def __init__(self, attacker: str, link: int, rng: np.random.Generator | None):
+        _check_attack(attacker, CHOICE_ATTACKERS, link, rng, "tie-breaking")
+        self.attacker, self.link, self.rng = attacker, link, rng
+        self.successes = self.used = self.skipped = 0
+        self.tied = []  # per block with announced rows, the choice bits of its tied runs
+
+    def add(self, block: RunBlock) -> None:
+        rows, pairs = block.links[self.link - 1][:2]
+        self.skipped += len(block) - rows.size
         if not rows.size:
-            continue
-        unchosen = 1 - block.z[rows, link - 1]
-        picked = (np.arange(rows.size), unchosen)
-        positions = pairs[picked]
-        mask = positions.shape[1]
-        known = np.take_along_axis(block.coalition(receivers)[rows], positions, axis=1)
-        # every run's uniform fill in one draw, in run order (one call is the
-        # stream of one call per run; see protocol_core on bounded int64 draws)
-        fill = rng.integers(0, 2, size=known.size).reshape(known.shape)
-        x_hat = np.where(known != ERASED, known, fill).astype(np.uint8)
-        m_hat = cipher[picked] ^ (np.matmul(kappa[picked], x_hat[:, :, None])[:, :, 0] & 1)
-        successes += int((m_hat == block.messages[link - 1][rows, unchosen]).all(axis=1).sum())
-        # summed run by run, in run order
-        for share in ((known != ERASED).sum(axis=1) / mask).tolist():
-            known_fraction += share
-        used += rows.size
-    if used == 0:
-        raise ValueError("no completed runs to attack")
-    blind_hit = 2.0 ** (-mask)
-    baseline = blind_hit + (1.0 - blind_hit) * 2.0 ** (-k)
-    return _attack_report(
-        f"unchosen message, link {link}", f"{attacker} read-off with uniform fill",
-        successes, used, baseline,
-        {"knowledge_rate": known_fraction / used, "baseline": baseline, "skipped_aborts": skipped},
-    )
+            return
+        if self.attacker == "wiretapper":
+            scores = pairs.sum(axis=2) % 2
+        else:
+            scores = _on_sets(block.x[rows], pairs).sum(axis=2, dtype=np.int64)
+            if self.attacker == "alice-plus-other-receiver":
+                scores += _known_on_sets(block.known[rows, 2 - self.link], pairs)
+        z = block.z[rows, self.link - 1]
+        tied = scores[:, 0] == scores[:, 1]
+        self.successes += int(((scores[:, 1] > scores[:, 0]) == z)[~tied].sum())
+        self.tied.append(z[tied].astype(np.uint8))
+        self.used += rows.size
+
+    def result(self) -> AttackReport:
+        if self.used == 0:
+            raise ValueError("no completed runs to attack")
+        # the coins of a block's ties in one draw, in run order (one call is
+        # the stream of one call per tie; see protocol_core on bounded int64 draws)
+        successes = self.successes + sum(
+            int((self.rng.integers(0, 2, size=z.size) == z).sum()) for z in self.tied)
+        return _attack_report(f"choice bit, link {self.link}", f"{self.attacker} set scoring",
+                              successes, self.used, 0.5, {"skipped_aborts": self.skipped})
 
 
 def guess_choice_bit(
@@ -321,34 +394,10 @@ def guess_choice_bit(
     adds its erasure-pattern overlap; the wiretapper falls back to an index
     statistic) and guesses the higher-scoring label, flipping a coin on ties.
     The rule is label-equivariant, so it cannot exploit label names. The
-    blocks are read in order, and so are the runs in each.
+    blocks, a list, are read in order, and so are the runs in each; the tie
+    coins follow the last block (`ChoiceAttackFold`).
     """
-    _attack_params(blocks, attacker, CHOICE_ATTACKERS, link, rng, "tie-breaking")
-    successes = 0
-    used = 0
-    skipped = 0
-    for block in blocks:
-        rows, pairs = block.links[link - 1][:2]
-        skipped += len(block) - rows.size
-        if not rows.size:
-            continue
-        if attacker == "wiretapper":
-            scores = pairs.sum(axis=2) % 2
-        else:
-            scores = _on_sets(block.x[rows], pairs).sum(axis=2, dtype=np.int64)
-            if attacker == "alice-plus-other-receiver":
-                scores += _known_on_sets(block.known[rows, 2 - link], pairs)
-        guess = (scores[:, 1] > scores[:, 0]).astype(np.int64)
-        # the coins of the block's ties in one draw, in run order (one call is
-        # the stream of one call per tie; see protocol_core on bounded int64 draws)
-        ties = np.flatnonzero(scores[:, 0] == scores[:, 1])
-        guess[ties] = rng.integers(0, 2, size=ties.size)
-        successes += int((guess == block.z[rows, link - 1]).sum())
-        used += rows.size
-    if used == 0:
-        raise ValueError("no completed runs to attack")
-    return _attack_report(f"choice bit, link {link}", f"{attacker} set scoring",
-                          successes, used, 0.5, {"skipped_aborts": skipped})
+    return _fold(ChoiceAttackFold(attacker, link, rng), blocks)
 
 
 # --- condition table ------------------------------------------------------------
@@ -407,38 +456,33 @@ def _link_views(block: RunBlock, link: int, pooled: np.ndarray) -> list:
     return views
 
 
-def condition_suite(blocks) -> list[ConditionRow]:
-    """Estimate every security condition applicable to the blocks' variant.
+class ConditionSuiteFold:
+    """condition_suite one block at a time: `add` each block in order, then `result` once.
 
-    Correctness is an empirical error rate over published links. Each secrecy
-    condition becomes a plug-in MI estimate between a coarsened secret and the
-    declared feature map of exactly the view the condition names; the verdict
-    compares the estimate against the 99.9th percentile of its independence
-    null (Wilks: 2N ln2 times the estimate is chi-square with (dx-1)(dy-1)
-    degrees of freedom). Coarsening means estimates lower-bound the full-view
-    quantities: leakage verdicts are conclusive, absence verdicts cover the
-    declared features only.
+    The blocks must share their parameters, as for `MessageAttackFold`. The
+    outcome tallies add up, and every secrecy row tallies its (secret,
+    feature) samples run by run, in run order, from the block's arrays; rows
+    keep first-tally order.
     """
-    params = _shared_params(blocks)
-    # one pass over the blocks: the outcome tallies add up, and every secrecy
-    # row tallies its (secret, feature) samples run by run, in run order, from
-    # the block's arrays; rows keep first-tally order
-    outcomes = Counter()
-    tallies: dict = {}
 
-    def tally(condition, secret, feat):
-        counts = tallies.setdefault(condition, {})
+    def __init__(self):
+        self.outcomes = Counter()
+        self.tallies: dict = {}
+
+    def _tally(self, condition, secret, feat) -> None:
+        counts = self.tallies.setdefault(condition, {})
         counts[secret, feat] = counts.get((secret, feat), 0) + 1
 
-    for block in blocks:
-        outcomes.update(block.tally)
+    def add(self, block: RunBlock) -> None:
+        tally = self._tally
+        self.outcomes.update(block.tally)
         pooled = block.coalition((1, 2))
         link_views = [_link_views(block, i, pooled) for i in (1, 2)]
         link_heads = [messages[:, :, 0].tolist() for messages in block.messages]
         for z, views, heads in zip(block.z.tolist(), zip(*link_views), zip(*link_heads)):
             unchosen = tuple(h[1 - b] for h, b in zip(heads, z))
             sender = (tuple(z), tuple("abort" if v is None else v.half for v in views))
-            if params.variant == "noncolluding":
+            if block.params.variant == "noncolluding":
                 for i, v, b in zip((1, 2), views, z):
                     feat = ("abort",) if v is None else (v.own[1 - b], v.cipher[1 - b])
                     tally(f"own unchosen message vs receiver {i}", unchosen[i - 1], feat)
@@ -457,26 +501,45 @@ def condition_suite(blocks) -> list[ConditionRow]:
                 feat = ("abort",) if v is None else (*v.other, *v.cipher)
                 tally(f"link {i} secrets vs receiver {3 - i} alone", (b, h[0]), feat)
 
-    # correctness over published links; the abort rate over links the
-    # parameters run, so no-second-phase links count in neither
-    counted = sum(outcomes[i, "completed"] + outcomes[i, "decode-error"] for i in (1, 2))
-    errors = counted - outcomes[1, "match"] - outcomes[2, "match"]
-    aborted_links = outcomes[1, "aborted"] + outcomes[2, "aborted"]
-    total_links = counted + aborted_links
-    return [
-        ConditionRow(
-            "chosen-message correctness",
-            "empirical decode error rate over published links",
-            errors / counted if counted else 0.0,
-            clopper_pearson(errors, counted) if counted else None,
-            counted, "holds" if errors == 0 else "violated", 0.0,
-        ),
-        ConditionRow(
-            "abort rate",
-            "empirical abort rate over the links the parameters run",
-            aborted_links / total_links if total_links else 0.0,
-            clopper_pearson(aborted_links, total_links) if total_links else None,
-            total_links, "informational", 0.0,
-        ),
-        *(_mi_row(condition, counts, outcomes["trials"]) for condition, counts in tallies.items()),
-    ]
+    def result(self) -> list[ConditionRow]:
+        outcomes = self.outcomes
+        # correctness over published links; the abort rate over links the
+        # parameters run, so no-second-phase links count in neither
+        counted = sum(outcomes[i, "completed"] + outcomes[i, "decode-error"] for i in (1, 2))
+        errors = counted - outcomes[1, "match"] - outcomes[2, "match"]
+        aborted_links = outcomes[1, "aborted"] + outcomes[2, "aborted"]
+        total_links = counted + aborted_links
+        return [
+            ConditionRow(
+                "chosen-message correctness",
+                "empirical decode error rate over published links",
+                errors / counted if counted else 0.0,
+                clopper_pearson(errors, counted) if counted else None,
+                counted, "holds" if errors == 0 else "violated", 0.0,
+            ),
+            ConditionRow(
+                "abort rate",
+                "empirical abort rate over the links the parameters run",
+                aborted_links / total_links if total_links else 0.0,
+                clopper_pearson(aborted_links, total_links) if total_links else None,
+                total_links, "informational", 0.0,
+            ),
+            *(_mi_row(condition, counts, outcomes["trials"])
+              for condition, counts in self.tallies.items()),
+        ]
+
+
+def condition_suite(blocks) -> list[ConditionRow]:
+    """Estimate every security condition applicable to the blocks' variant.
+
+    Correctness is an empirical error rate over published links. Each secrecy
+    condition becomes a plug-in MI estimate between a coarsened secret and the
+    declared feature map of exactly the view the condition names; the verdict
+    compares the estimate against the 99.9th percentile of its independence
+    null (Wilks: 2N ln2 times the estimate is chi-square with (dx-1)(dy-1)
+    degrees of freedom). Coarsening means estimates lower-bound the full-view
+    quantities: leakage verdicts are conclusive, absence verdicts cover the
+    declared features only. The blocks, a list, are read in one pass, in
+    order (`ConditionSuiteFold`).
+    """
+    return _fold(ConditionSuiteFold(), blocks)

@@ -16,6 +16,7 @@ import os
 import sys
 import tempfile
 from collections import Counter
+from contextlib import closing
 from fractions import Fraction
 
 import numpy as np
@@ -24,11 +25,11 @@ from . import __version__
 from ._fanout import fan_out
 from ._stats import clopper_pearson
 from .adversary_audit import (
+    ChoiceAttackFold,
+    ConditionSuiteFold,
+    MessageAttackFold,
     RunBlock,
-    condition_suite,
     generate_runs,
-    guess_choice_bit,
-    guess_unchosen_message,
     outcome_counts,
 )
 from .exact_oracle import (
@@ -213,11 +214,13 @@ def _simulate_stats(tally: Counter) -> dict:
     }
 
 
-def _campaign(args, params, seed: int, fold) -> list:
-    """fold(runs) of each _CHUNK-trial chunk of the campaign, in chunk order, over fan_out.
+def _campaign(args, params, seed: int, fold):
+    """Stream fold(runs) of each _CHUNK-trial chunk of the campaign, in chunk order, from fan_out.
 
-    A chunk's runs are dropped once folded, so memory does not grow with the
-    trial count.
+    A chunk's runs are dropped once folded, and a folded chunk once the
+    consumer moves on, so memory does not grow with the trial count. The
+    consumer closes the stream (contextlib.closing), which reaps the
+    workers even when it stops early.
     """
     visibility = (VisibilityModel(args.visibility_phase1, args.visibility_phase2)
                   if _VARIANTS[args.variant] == "colluding" else None)
@@ -232,7 +235,8 @@ def _campaign(args, params, seed: int, fold) -> list:
 def cmd_simulate(args) -> int:
     seed = _resolve_seed(args)
     params, adjustments = _build_params(args)
-    tally = sum(_campaign(args, params, seed, outcome_counts), Counter())
+    with closing(_campaign(args, params, seed, outcome_counts)) as tallies:
+        tally = sum(tallies, Counter())
     report = _report_shell("simulate", _config_payload(args, params, adjustments), seed)
     report["results"] = _simulate_stats(tally)
     _emit(args, report, seed)
@@ -251,17 +255,23 @@ def cmd_audit(args) -> int:
             f"link {args.link} never runs: receiver {params.order}'s phase-1 erasures leave "
             f"no leftover set at p{params.order} = {params.plan().p(params.order)} "
             "(no-second-phase)"))
-    # each chunk comes back as the arrays the analyses read, without its runs
-    blocks = _campaign(args, params, seed, RunBlock)
     message_attacker, choice_attacker = _ATTACKER_MAP[args.attacker]
-    # one generator: the message attack's fills over every block, then the
-    # choice attack's tie coins
+    # one generator: the message attack's fills block by block as the blocks
+    # arrive, then the choice attack's tie coins after the last block
     attack_rng = np.random.default_rng(seed)
-    attacks = [
-        guess_unchosen_message(blocks, message_attacker, args.link, attack_rng),
-        guess_choice_bit(blocks, choice_attacker, args.link, attack_rng),
-    ]
-    rows = condition_suite(blocks)
+    message = MessageAttackFold(message_attacker, args.link, attack_rng)
+    choice = ChoiceAttackFold(choice_attacker, args.link, attack_rng)
+    conditions = ConditionSuiteFold()
+    # each chunk comes back as the arrays the analyses read, without its
+    # runs, and is dropped once every fold has read it, before the next
+    # chunk is made
+    with closing(_campaign(args, params, seed, RunBlock)) as blocks:
+        for block in blocks:
+            for fold in (message, choice, conditions):
+                fold.add(block)
+            del block
+    attacks = [message.result(), choice.result()]
+    rows = conditions.result()
     extra = {"attacker": args.attacker, "link": args.link}
     report = _report_shell("audit", _config_payload(args, params, adjustments, extra), seed)
     report["results"] = {
@@ -315,7 +325,7 @@ def cmd_oracle(args) -> int:
     plan = tiny_plan(p1=args.p1, p2=args.p2, **counts)
     names = args.spec or ["choice-vs-sets", "choice-pair-vs-sets"]
     # every spec's row is worked out on its own, its Monte Carlo check from the master seed
-    rows = fan_out(lambda name: _oracle_row(name, plan, args.compare_mc, seed), names)
+    rows = list(fan_out(lambda name: _oracle_row(name, plan, args.compare_mc, seed), names))
     config = {
         "tiny": {**counts, "p1": plan.p1, "p2": plan.p2},
         "specs": names,
@@ -334,10 +344,10 @@ def cmd_oracle(args) -> int:
 def _load_channel(path: str) -> ChannelSpec:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    if not (isinstance(payload, dict) and isinstance(payload.get("outputs"), list)
-            and isinstance(payload.get("rows"), list) and all(isinstance(r, list) for r in payload["rows"])):
-        raise ValueError(f"channel file {path} must hold a list 'outputs' and a list of row lists 'rows'")
-    return ChannelSpec.from_json(payload)
+    try:
+        return ChannelSpec.from_json(payload)
+    except ValueError as exc:
+        raise ValueError(f"channel file {path}: {exc}") from None
 
 
 def _region_csv_path(out: str) -> str:
@@ -565,7 +575,8 @@ def main(argv=None) -> int:
                 registry[subcommand].set_defaults(**_config_overrides(known.config, registry[subcommand]))
         args = parser.parse_args(argv)
         # refused before the run, not after it: the report is written last
-        for flag, dest, least in (("--trials", "trials", 1), ("--compare-mc", "compare_mc", 0)):
+        for flag, dest, least in (("--trials", "trials", 1), ("--compare-mc", "compare_mc", 0),
+                                  ("--grid", "grid", 101)):
             if getattr(args, dest, least) < least:
                 raise ValueError(f"{flag} must be at least {least}, got {getattr(args, dest)}")
         out_dir = os.path.dirname(os.path.abspath(args.out))

@@ -285,6 +285,11 @@ class ChannelSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ChannelSpec":
+        """The spec of a JSON object {"outputs": [[y1, y2], ...], "rows": [[...], [...]]}."""
+        if not (isinstance(obj, dict) and isinstance(obj.get("outputs"), list)
+                and isinstance(obj.get("rows"), list) and all(isinstance(r, list) for r in obj["rows"])):
+            raise ValueError("a channel must be a JSON object with a list 'outputs' "
+                             "and a list of row lists 'rows'")
         outs = tuple(tuple(o) if isinstance(o, list) else o for o in obj["outputs"])
         return cls(outs, tuple(tuple(row) for row in obj["rows"]))
 

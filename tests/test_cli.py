@@ -447,6 +447,10 @@ def test_each_run_path_calls_its_work_function_through_the_cli_binding(
       "--spec", "choice-pair-vs-sets", "--compare-mc", "-1"], None, "enumerate_protocol",
      "--compare-mc must be at least 0, got -1"),
     (["oracle"], {"compare-mc": -1}, "enumerate_protocol", "--compare-mc must be at least 0, got -1"),
+    (["region", "--p1", "0.7", "--p2", "0.4", "--grid", "0"], None, "_write_atomic",
+     "--grid must be at least 101, got 0"),
+    (["region", "--p1", "0.7", "--p2", "0.4"], {"grid": 100}, "_write_atomic",
+     "--grid must be at least 101, got 100"),
 ])
 def test_a_count_below_its_floor_exits_2_before_any_work(
         tmp_path, capsys, monkeypatch, argv, payload, work, message):

@@ -170,6 +170,17 @@ def test_channel_spec_validation():
     assert np.allclose(again.rows, spec.rows)
 
 
+@pytest.mark.parametrize("payload", [
+    {"outputs": 5, "rows": [[1]]},
+    {"outputs": [[0, 0]], "rows": [1, 2]},
+    {"outputs": [[0, 0]]},
+    [[0, 0], [1.0]],
+], ids=["outputs-not-a-list", "rows-not-lists", "rows-missing", "not-an-object"])
+def test_channel_spec_from_json_refuses_a_malformed_shape(payload):
+    with pytest.raises(ValueError, match="list 'outputs' and a list of row lists 'rows'"):
+        ChannelSpec.from_json(payload)
+
+
 def test_pt2pt_bounds_forms():
     assert pt2pt_bounds(0.3) == (pytest.approx(0.3), pytest.approx(0.3))
     table = [[0.7, 0.0, 0.3], [0.0, 0.7, 0.3]]
