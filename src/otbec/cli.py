@@ -35,10 +35,11 @@ from .adversary_audit import (
 from .exact_oracle import (
     SPECS,
     BudgetError,
+    compare_cells,
     enumerate_protocol,
     exact_mi,
     exact_mi_given_success,
-    oracle_vs_montecarlo,
+    sample_cells,
     tiny_plan,
 )
 from .protocol_colluding import VisibilityModel
@@ -291,15 +292,14 @@ def cmd_audit(args) -> int:
 # --- oracle -------------------------------------------------------------------
 
 
-def _oracle_row(name: str, plan: Plan, compare_mc: int, seed: int) -> dict:
-    """One spec's row of the oracle report."""
-    spec = SPECS[name]
-    joint = enumerate_protocol(name, plan)
+def _oracle_row(joint) -> dict:
+    """One spec's row of the oracle report, without its mc block."""
+    spec = SPECS[joint.spec]
     mi = exact_mi(joint)
     # a joint that always aborts has nothing to condition on
     mi_success = None if joint.abort_mass == 1 else exact_mi_given_success(joint)
-    row = {
-        "spec": name,
+    return {
+        "spec": joint.spec,
         "variant": spec.variant,
         "secret": spec.secret,
         "view": spec.view,
@@ -313,19 +313,50 @@ def _oracle_row(name: str, plan: Plan, compare_mc: int, seed: int) -> dict:
         "states": joint.states,
         "description": joint.description,
     }
-    if compare_mc:
-        row["mc"] = oracle_vs_montecarlo(joint, trials=compare_mc, master_seed=seed)
-    return row
+
+
+def _oracle_rows(group: list, plan: Plan, compare_mc: int, seed: int) -> list:
+    """The rows of a group of specs that share one Monte Carlo pass, one spec at a time.
+
+    Each spec is enumerated, its row worked out and its joint dropped before
+    the next one is enumerated. The group is sampled once (`sample_cells`),
+    after its first spec is enumerated, so a task's first work is still an
+    enumeration and an over-budget first spec is refused before any sampling.
+    """
+    rows, tallies = [], None
+    for name in group:
+        joint = enumerate_protocol(name, plan)
+        row = _oracle_row(joint)
+        if compare_mc:
+            if tallies is None:
+                tallies = sample_cells(group, plan, compare_mc, seed)
+            row["mc"] = compare_cells(joint, tallies.pop(name))
+        rows.append(row)
+        del joint
+    return rows
 
 
 def cmd_oracle(args) -> int:
+    """Enumerate each requested spec once, cross-check it when asked, and report in spec order.
+
+    With --compare-mc, the specs of one variant form one task and share one
+    Monte Carlo pass, through the deepest step any of them reads; without it
+    each spec is a task of its own. Tasks fan out over the workers, each
+    sending back its rows, never a joint, and every trial draws from the
+    master seed, so the report is the same for any worker count.
+    """
     seed = _resolve_seed(args)
     counts = {"n": args.n, "set_size": args.set_size, "key_bits": args.key_bits,
               "phase1_size": args.phase1_size, "sprime_size": args.sprime_size}
     plan = tiny_plan(p1=args.p1, p2=args.p2, **counts)
     names = args.spec or ["choice-vs-sets", "choice-pair-vs-sets"]
-    # every spec's row is worked out on its own, its Monte Carlo check from the master seed
-    rows = list(fan_out(lambda name: _oracle_row(name, plan, args.compare_mc, seed), names))
+    groups: dict = {}
+    for name in names:
+        groups.setdefault(SPECS[name].variant if args.compare_mc else name, []).append(name)
+    rows = {row["spec"]: row
+            for group_rows in fan_out(
+                lambda group: _oracle_rows(group, plan, args.compare_mc, seed), groups.values())
+            for row in group_rows}
     config = {
         "tiny": {**counts, "p1": plan.p1, "p2": plan.p2},
         "specs": names,
@@ -333,7 +364,7 @@ def cmd_oracle(args) -> int:
         "out": args.out,
     }
     report = _report_shell("oracle", config, seed)
-    report["results"] = rows
+    report["results"] = [rows[name] for name in names]
     _emit(args, report, seed)
     return 0
 
@@ -579,6 +610,11 @@ def main(argv=None) -> int:
                                   ("--grid", "grid", 101)):
             if getattr(args, dest, least) < least:
                 raise ValueError(f"{flag} must be at least {least}, got {getattr(args, dest)}")
+        # a spec's row is enumerated, sampled and reported once
+        specs = getattr(args, "spec", None) or []
+        for index, name in enumerate(specs):
+            if name in specs[:index]:
+                raise ValueError(f"--spec {name} is given more than once")
         out_dir = os.path.dirname(os.path.abspath(args.out))
         if not os.path.isdir(out_dir):
             raise FileNotFoundError(f"report directory {out_dir} does not exist")

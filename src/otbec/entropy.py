@@ -199,24 +199,27 @@ def mutual_information(j: JointDistribution):
     1e-12 is clamped to zero so the plug-in estimate stays nonnegative.
     """
     if j.built_as_product:
-        return _zero(j.items())
+        return _zero(c for _, c in j.items())
     return mutual_information_of(j.items(), 1)
 
 
-def _zero(cells):
+def _zero(weights):
     """Exact 0 when every weight is exact (int or Fraction), else 0.0."""
-    return 0 if all(isinstance(c, (Fraction, int)) for _, c in cells) else 0.0
+    return 0 if all(isinstance(c, (Fraction, int)) for c in weights) else 0.0
 
 
 def mutual_information_of(cells, total):
     """Mutual information in bits of the joint whose ((x, y), c) cells have probability c / total.
 
-    cells is iterated several times. With integer weights and total, the
-    product test c * total == a * b is exact integer arithmetic, and each
-    float(c / total) is the correctly rounded value of the rational, so the
-    result equals the one on the normalised Fraction joint bit for bit. The
-    result is the int 0 when the joint factors and every weight is exact (an
-    int or a Fraction), else a float.
+    cells is iterated several times, so it must be re-iterable: a list, a
+    dict's items, or an object whose __iter__ walks its cells afresh, not a
+    generator. With integer weights and total, the product test
+    c * total == a * b is exact integer arithmetic, and each float(c / total)
+    is the correctly rounded value of the rational, so the result equals the
+    one on the normalised Fraction joint bit for bit. The result is the int 0
+    when the joint factors and every weight is exact (an int or a Fraction),
+    else a float. Exactness is read off the row marginals: a row's sum of
+    exact weights is exact, and a float weight makes it a float.
     """
     px: dict = {}
     py: dict = {}
@@ -224,7 +227,7 @@ def mutual_information_of(cells, total):
         px[x] = px.get(x, 0) + c
         py[y] = py.get(y, 0) + c
     if all(c * total == px[x] * py[y] for (x, y), c in cells):
-        return _zero(cells)
+        return _zero(px.values())
     mi = 0.0
     for (x, y), c in cells:
         if c > 0:

@@ -49,6 +49,8 @@ __all__ = [
     "enumerate_protocol",
     "exact_mi",
     "exact_mi_given_success",
+    "sample_cells",
+    "compare_cells",
     "oracle_vs_montecarlo",
 ]
 
@@ -101,9 +103,12 @@ class ExactJoint:
     """Exact joint law of (secret, view features) plus enumeration metadata.
 
     weights maps each (secret, view) cell to its integer numerator over the
-    common integer denominator; abort_mass turns the abort cells' share into
-    a Fraction on demand. spec (the SPECS name) and plan name what was
-    enumerated; both are None for a hand-built joint.
+    common integer denominator, in the enumerator's first-insertion order,
+    which every float sum over the cells follows. Readers walk weights in
+    place and keep no copy of it, so a joint costs its own cells only;
+    abort_mass sums the abort cells' numerators once, as a Fraction. spec
+    (the SPECS name) and plan name what was enumerated; both are None for a
+    hand-built joint.
     """
 
     weights: dict
@@ -114,21 +119,20 @@ class ExactJoint:
     plan: Plan | None
 
     @cached_property
-    def _split(self) -> tuple[dict, int]:
-        """(completed cells with their numerators, summed numerator of the abort cells)."""
-        completed: dict = {}
-        aborted = 0
-        for key, w in self.weights.items():
-            if _has_abort(key[1]):
-                aborted += w
-            else:
-                completed[key] = w
-        return completed, aborted
-
-    @property
     def abort_mass(self) -> Fraction:
         """Probability that the protocol aborts (any view carrying an abort marker)."""
-        return Fraction(self._split[1], self.denominator)
+        aborted = sum(w for key, w in self.weights.items() if _has_abort(key[1]))
+        return Fraction(aborted, self.denominator)
+
+
+class _Completed:
+    """A joint's cells without its abort cells, walked in place on every iteration."""
+
+    def __init__(self, weights: dict):
+        self.weights = weights
+
+    def __iter__(self):
+        return ((key, w) for key, w in self.weights.items() if not _has_abort(key[1]))
 
 
 _ABORT_MARKERS = ("abort", "abort-phase-1", "abort-phase-2", "no-sprime")
@@ -235,14 +239,16 @@ def _enum_sets_link(plan: Plan, i: int):
     return agg, states, denominator
 
 
+# the four choice-bit pairs, one tuple each for every cell that holds one
+_Z_PAIRS = (((0, 0), (0, 1)), ((1, 0), (1, 1)))
+
+
 def _enum_sets_both(plan: Plan):
     agg1, st1, d1 = _enum_sets_link(plan, 1)
     agg2, st2, d2 = _enum_sets_link(plan, 2)
-    agg: dict = {}
-    for (z1, v1), w1 in agg1.items():
-        for (z2, v2), w2 in agg2.items():
-            key = ((z1, z2), (v1, v2))
-            agg[key] = agg.get(key, 0) + w1 * w2
+    # each (link-1 cell, link-2 cell) product is a cell of its own
+    agg = {(_Z_PAIRS[z1][z2], (v1, v2)): w1 * w2
+           for (z1, v1), w1 in agg1.items() for (z2, v2), w2 in agg2.items()}
     return agg, st1 + st2 + len(agg1) * len(agg2), d1 * d2
 
 
@@ -272,6 +278,12 @@ def _enum_message_link1(plan: Plan, pooled: bool):
     The view holds the receiver's choice bit, the announced pair, the unchosen
     key hash, and the unchosen ciphertext; pooling adds the other receiver's
     erasure-limited look at the unchosen key material ("e" marks an erasure).
+
+    What follows the announced pair does not depend on it, so those cells are
+    tallied once, as (message, view suffix) numerators, and each announced
+    (choice bit, pair) scales them by its summed weight over the erasure
+    patterns that announce it. Cells keep the order in which a walk over every
+    realization first meets them, and the states count every realization.
     """
     n, s, k = plan.n, plan.mask[0], plan.key[0]
     link_den, structures = _link_structures(n, plan.p1, s)
@@ -280,23 +292,39 @@ def _enum_message_link1(plan: Plan, pooled: bool):
     # input bits at the unchosen set, matrix entries and message are uniform;
     # an aborted link draws only the message
     uniform_bits = s + s * k + k
-    abort_scale = y_den << (s + s * k)
 
-    def items():
-        for z, pair, w, _, _ in structures:
-            if pair == ("abort",):
-                yield from _abort_cells(k, pair, w * abort_scale)
-                continue
-            for x in range(1 << s):  # input bits at the unchosen set, in set order
-                looks = [
-                    ((tuple("e" if (ypat >> t) & 1 else (x >> t) & 1 for t in range(s)),),
-                     w * y_num[bin(ypat).count("1")])
-                    for ypat in range(1 << s)
-                ] if pooled else [((), w)]
-                for tail, w_y in looks:
-                    yield from _message_cells(s, k, x, (z, pair), tail, w_y)
+    def realizations():
+        for x in range(1 << s):  # input bits at the unchosen set, in set order
+            looks = [
+                ((tuple("e" if (ypat >> t) & 1 else (x >> t) & 1 for t in range(s)),),
+                 y_num[bin(ypat).count("1")])
+                for ypat in range(1 << s)
+            ] if pooled else [((), 1)]
+            for tail, w_y in looks:
+                yield from _message_cells(s, k, x, (), tail, w_y)
 
-    agg, states = _accumulate(items())
+    # (message, index of what its view holds after the pair) numerators under one pair
+    suffixes: dict = {}
+    cells, per_pair = _accumulate(((m, suffixes.setdefault(suffix, len(suffixes))), w)
+                                  for (m, suffix), w in realizations())
+    suffixes = list(suffixes)
+    numerators = set(cells.values())
+    # the summed weight of each announced (choice bit, pair), or of the abort
+    # marker, in the order the patterns first announce it
+    announced: dict = {}
+    states = 0
+    for z, pair, w, _, _ in structures:
+        key = pair if pair == ("abort",) else (z, pair)
+        announced[key] = announced.get(key, 0) + w
+        states += (1 << k) if pair == ("abort",) else per_pair
+    agg: dict = {}
+    for key, w in announced.items():
+        if key == ("abort",):
+            agg.update(_abort_cells(k, key, (w * y_den) << (s + s * k)))
+            continue
+        views = [(*key, *suffix) for suffix in suffixes]
+        scaled = {c: w * c for c in numerators}  # one int per distinct numerator
+        agg.update(((m, views[t]), scaled[c]) for (m, t), c in cells.items())
     return agg, states, (link_den * y_den) << uniform_bits
 
 
@@ -565,64 +593,86 @@ def exact_mi_given_success(j: ExactJoint):
     Abort branches are removed and the remaining mass renormalized. This is
     the right functional when the secret only exists on completed runs (the
     retransmitted-set bits, say); unconditioned MI would mostly measure the
-    abort indicator itself.
+    abort indicator itself. The completed cells are walked in place in the
+    joint, not copied.
     """
-    completed = j._split[0]
-    total = sum(completed.values())
+    completed = _Completed(j.weights)
+    total = sum(w for _, w in completed)
     if total == 0:
         raise ValueError("no completed branches to condition on")
-    return mutual_information_of(completed.items(), total)
+    return mutual_information_of(completed, total)
 
 
-def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -> dict:
-    """Compare an enumerated joint against runs of the executors' own step lists.
+def sample_cells(names, plan: Plan, trials: int, master_seed: int = 0) -> dict:
+    """{name: {(secret, view) cell: trials that landed in it}} for specs of one variant.
 
     Trial t draws from trial_rng(master_seed, t) the inputs generate_runs draws
-    (`draw_inputs`), interprets its variant's step list through the spec's last
-    step and tallies the spec's features of the record. Returns the maximum
-    absolute deviation between exact probabilities and empirical frequencies
-    over all (secret, view) cells, with the uniform 99% concentration band
-    sqrt(ln(2/0.01) / (2 trials)). view_deviation is the same comparison on
-    the view marginal alone; it collapses to exactly 0 in deterministic
-    sub-cases (p = 0) where the secret coin still fluctuates. outside_support
-    counts the trials that landed in a cell the enumeration gives no mass,
-    which a correct sampler never does; within_band needs it to be 0.
+    (`draw_inputs`) and interprets the variant's step list, the one
+    run_protocol1 or run_protocol2 runs (the latter point-to-point), through
+    the deepest `last` step among the named specs. Every named spec's features
+    are read off that one record. A view reads only what its last step formed,
+    and a step's draws come after those of the steps before it, so each spec
+    gets the cells it would get from a pass through its own last step alone.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if exact.spec is None:
-        raise ValueError("the joint has no enumerated spec to sample")
-    spec, plan = SPECS[exact.spec], exact.plan
-    # the step lists run_protocol1 and run_protocol2 run, the latter point-to-point
-    steps = (noncolluding_steps if spec.variant == "noncolluding" else colluding_steps)(plan)
-    steps = steps[:1 + [step[:2] for step in steps].index(spec.last)]
-    counts: dict = {}
+    specs = {name: SPECS[name] for name in names}
+    variants = {spec.variant for spec in specs.values()}
+    if len(variants) != 1:
+        raise ValueError(f"one pass samples specs of one variant, got {sorted(variants)}")
+    (variant,) = variants
+    steps = (noncolluding_steps if variant == "noncolluding" else colluding_steps)(plan)
+    kinds = [step[:2] for step in steps]
+    steps = steps[:1 + max(kinds.index(spec.last) for spec in specs.values())]
+    tallies = {name: {} for name in specs}
     for t in range(trials):
         rng = trial_rng(master_seed, t)
         messages, z = draw_inputs(plan, rng)
-        key = spec.features(interpret(plan, steps, messages, z, rng))
-        counts[key] = counts.get(key, 0) + 1
+        record = interpret(plan, steps, messages, z, rng)
+        for name, spec in specs.items():
+            key = spec.features(record)
+            tallies[name][key] = tallies[name].get(key, 0) + 1
+    return tallies
+
+
+def compare_cells(exact: ExactJoint, counts: dict) -> dict:
+    """Compare an enumerated joint against the sampled cells of its spec (`sample_cells`).
+
+    Returns the maximum absolute deviation between exact probabilities and
+    empirical frequencies over all (secret, view) cells, with the uniform 99%
+    concentration band sqrt(ln(2/0.01) / (2 trials)), trials being the sum of
+    counts. view_deviation is the same comparison on the view marginal alone;
+    it collapses to exactly 0 in deterministic sub-cases (p = 0) where the
+    secret coin still fluctuates. outside_support counts the trials that
+    landed in a cell the enumeration gives no mass, which a correct sampler
+    never does; within_band needs it to be 0. counts is read, not changed.
+    """
+    trials = sum(counts.values())
+    # hits by view, over the sampled cells only: a view never sampled has none
+    view_counts: dict = {}
+    for key, hits in counts.items():
+        view_counts[key[1]] = view_counts.get(key[1], 0) + hits
     # one pass over the enumerated cells, then over the sampled cells the
     # enumeration gave no weight; each view's probability sums its cells'
     # probabilities in the joint's cell order
     max_dev = 0.0
     outside = 0
     view_probs: dict = {}
-    view_counts: dict = {}
     for key, c in exact.weights.items():
         p = c / exact.denominator
-        hits = counts.pop(key, 0)
+        hits = counts.get(key, 0)
         if c == 0:
             outside += hits
         max_dev = max(max_dev, abs(p - hits / trials))
         view_probs[key[1]] = view_probs.get(key[1], 0.0) + p
-        view_counts[key[1]] = view_counts.get(key[1], 0) + hits
+    unseen = 0
     for key, hits in counts.items():
-        outside += hits
-        max_dev = max(max_dev, hits / trials)
-        view_probs.setdefault(key[1], 0.0)
-        view_counts[key[1]] = view_counts.get(key[1], 0) + hits
-    view_dev = max(abs(view_probs[v] - view_counts[v] / trials) for v in view_probs)
+        if key not in exact.weights:
+            unseen += 1
+            outside += hits
+            max_dev = max(max_dev, hits / trials)
+            view_probs.setdefault(key[1], 0.0)
+    view_dev = max(abs(p - view_counts.get(v, 0) / trials) for v, p in view_probs.items())
     band = math.sqrt(math.log(2 / 0.01) / (2 * trials))
     return {
         "max_deviation": max_dev,
@@ -631,5 +681,19 @@ def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -
         "trials": trials,
         "outside_support": outside,
         "within_band": bool(max_dev <= band and outside == 0),
-        "cells": len(exact.weights) + len(counts),
+        "cells": len(exact.weights) + unseen,
     }
+
+
+def oracle_vs_montecarlo(exact: ExactJoint, trials: int, master_seed: int = 0) -> dict:
+    """Compare an enumerated joint against trials of the executors' own step lists.
+
+    The two halves for one spec: `sample_cells` over the joint's spec alone,
+    through its own last step, then `compare_cells`, which says what the
+    returned fields mean. A caller with several specs of one variant samples
+    them in one pass and compares each.
+    """
+    if exact.spec is None:
+        raise ValueError("the joint has no enumerated spec to sample")
+    counts = sample_cells([exact.spec], exact.plan, trials, master_seed)[exact.spec]
+    return compare_cells(exact, counts)

@@ -469,6 +469,28 @@ def test_a_count_below_its_floor_exits_2_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, payload", [
+    (["--spec", "choice-vs-sets", "--spec", "choice-vs-sets", "--compare-mc", "50"], None),
+    (["--compare-mc", "50"],
+     {"spec": ["unchosen-vs-own", "phase1-cross-knowledge", "unchosen-vs-own"]}),
+])
+def test_a_repeated_spec_exits_2_before_any_work(tmp_path, capsys, monkeypatch, flags, payload):
+    def never(*args, **kwargs):
+        raise AssertionError("cli.enumerate_protocol ran")
+
+    monkeypatch.setattr(cli, "enumerate_protocol", never)
+    if payload is not None:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(payload))
+        flags = [*flags, "--config", str(conf)]
+    out = tmp_path / "r.json"
+    code, _, stderr = run(capsys, "oracle", *flags, "--out", str(out))
+    repeated = flags[1] if payload is None else payload["spec"][0]
+    assert code == 2
+    assert f"error: --spec {repeated} is given more than once" in stderr
+    assert not out.exists()
+
+
 def test_seed_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("OTBEC_SEED", "777")
     out = tmp_path / "o.json"

@@ -1,11 +1,13 @@
 """Exhaustive enumeration oracle: budgets, exact values, Monte Carlo agreement."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from otbec import protocol_core
+from otbec import _fanout, cli, exact_oracle, protocol_core
+from otbec.channel import trial_rng
 from otbec.exact_oracle import (
     BudgetError,
     ExactJoint,
@@ -16,6 +18,8 @@ from otbec.exact_oracle import (
     oracle_vs_montecarlo,
     tiny_plan,
 )
+from otbec.protocol_colluding import colluding_steps
+from otbec.protocol_noncolluding import noncolluding_steps
 
 HALF = Fraction(1, 2)
 
@@ -242,3 +246,70 @@ def test_montecarlo_flags_samples_outside_the_enumerated_support(monkeypatch):
     assert res["max_deviation"] <= res["band"]
     assert res["outside_support"] > 0
     assert not res["within_band"]
+
+
+# tiny plans the Monte Carlo leg samples: the benchmark's oracle instance, and two
+# with unequal erasure probabilities and 2-bit keys
+SAMPLED_PLANS = {
+    "n6-sets2": tiny(n=6, set_size=2),
+    "n4-keys2": tiny(p1=Fraction(1, 3), p2=Fraction(3, 4), key_bits=2),
+    "n5-keys2-sprime2": tiny(n=5, p1=Fraction(3, 4), p2=Fraction(1, 4), key_bits=2,
+                             sprime_size=2),
+}
+
+
+@pytest.mark.parametrize("plan", SAMPLED_PLANS)
+@pytest.mark.parametrize("name", SPECS)
+def test_a_view_reads_only_what_its_last_step_formed(name, plan):
+    # so one pass through a deeper step serves every spec of the variant
+    spec, plan = SPECS[name], SAMPLED_PLANS[plan]
+    steps = (noncolluding_steps if spec.variant == "noncolluding" else colluding_steps)(plan)
+    own = steps[:1 + [step[:2] for step in steps].index(spec.last)]
+    for t in range(200):
+        cells = []
+        for prefix in (steps, own):
+            rng = trial_rng(23, t)
+            messages, z = protocol_core.draw_inputs(plan, rng)
+            cells.append(spec.features(protocol_core.interpret(plan, prefix, messages, z, rng)))
+        assert cells[0] == cells[1], (t, cells)
+
+
+def test_one_pass_per_variant_gives_each_spec_its_own_cells():
+    # the golden oracle instance, every spec: the shared pass's comparison is
+    # the one a pass through the spec's own last step gives
+    plan = SAMPLED_PLANS["n4-keys2"]
+    for variant in ("noncolluding", "colluding"):
+        group = [name for name, spec in SPECS.items() if spec.variant == variant]
+        tallies = exact_oracle.sample_cells(group, plan, 300, 101)
+        assert list(tallies) == group
+        for name in group:
+            joint = enumerate_protocol(name, plan)
+            shared = exact_oracle.compare_cells(joint, tallies[name])
+            assert shared == oracle_vs_montecarlo(joint, trials=300, master_seed=101), name
+
+
+def test_the_oracle_interprets_each_trial_once_per_variant(monkeypatch, tmp_path, capsys):
+    # three specs of one variant and one of the other, 50 trials each: one
+    # pass per variant, where a pass per spec would interpret 200 trials
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 1)
+    calls = []
+    interpret = exact_oracle.interpret
+
+    def counted(*args):
+        calls.append(args[1][-1])
+        return interpret(*args)
+
+    monkeypatch.setattr(exact_oracle, "interpret", counted)
+    specs = ("choice-vs-sets", "choice-pair-vs-sets", "unchosen-vs-pooled",
+             "phase1-cross-knowledge")
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "--n", "6", "--set-size", "2", "--key-bits", "1",
+                     *(arg for spec in specs for arg in ("--spec", spec)),
+                     "--compare-mc", "50", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 100
+    # each pass runs through the deepest step its specs read
+    assert calls == [("send", 1, "x")] * 50 + [("rekey", 1)] * 50
+    rows = json.loads(out.read_text())["results"]
+    assert [row["spec"] for row in rows] == list(specs)
+    assert all(row["mc"]["trials"] == 50 for row in rows)
