@@ -35,6 +35,7 @@ from .adversary_audit import (
 from .exact_oracle import (
     SPECS,
     BudgetError,
+    check_budget,
     compare_cells,
     enumerate_protocol,
     exact_mi,
@@ -43,7 +44,7 @@ from .exact_oracle import (
     tiny_plan,
 )
 from .protocol_colluding import VisibilityModel
-from .protocol_core import ParamError, Plan, snap_params
+from .protocol_core import OtCode, ParamError, Plan, snap_params
 from .rates import REGIONS, ChannelSpec, containment_note, general_upper_bounds, vertices
 
 __all__ = ["DEFAULT_SEED", "SCHEMA_VERSION", "parse_prob", "main"]
@@ -193,7 +194,7 @@ def _rate_ci(successes: int, trials: int) -> dict:
 def _simulate_stats(tally: Counter) -> dict:
     """The results block of a campaign from its summed tallies."""
     trials = tally["trials"]
-    statuses = ("completed", "aborted", "decode-error", "no-second-phase")
+    statuses = dict.fromkeys(code.status for code in OtCode)
     counts = {i: {status: tally[i, status] for status in statuses} for i in (1, 2)}
     matches = {i: tally[i, "match"] for i in (1, 2)}
     decided = {i: counts[i]["completed"] + counts[i]["decode-error"] for i in (1, 2)}
@@ -321,7 +322,7 @@ def _oracle_rows(group: list, plan: Plan, compare_mc: int, seed: int) -> list:
     Each spec is enumerated, its row worked out and its joint dropped before
     the next one is enumerated. The group is sampled once (`sample_cells`),
     after its first spec is enumerated, so a task's first work is still an
-    enumeration and an over-budget first spec is refused before any sampling.
+    enumeration.
     """
     rows, tallies = [], None
     for name in group:
@@ -343,7 +344,8 @@ def cmd_oracle(args) -> int:
     Monte Carlo pass, through the deepest step any of them reads; without it
     each spec is a task of its own. Tasks fan out over the workers, each
     sending back its rows, never a joint, and every trial draws from the
-    master seed, so the report is the same for any worker count.
+    master seed, so the report is the same for any worker count. Every spec's
+    budget is checked, in the requested order, before any task starts.
     """
     seed = _resolve_seed(args)
     counts = {"n": args.n, "set_size": args.set_size, "key_bits": args.key_bits,
@@ -352,6 +354,7 @@ def cmd_oracle(args) -> int:
     names = args.spec or ["choice-vs-sets", "choice-pair-vs-sets"]
     groups: dict = {}
     for name in names:
+        check_budget(plan, SPECS[name])
         groups.setdefault(SPECS[name].variant if args.compare_mc else name, []).append(name)
     rows = {row["spec"]: row
             for group_rows in fan_out(
@@ -408,9 +411,7 @@ def cmd_region(args) -> int:
         spec = _load_channel(args.channel)
         channel_payload = spec.to_json()
         regions.append(general_upper_bounds(spec, theorem=args.theorem, grid=args.grid))
-    if args.p1 is not None or args.p2 is not None or not args.channel:
-        if args.p1 is None or args.p2 is None:
-            raise ValueError("region needs both --p1 and --p2 (or a --channel file)")
+    if args.p1 is not None:  # main refuses one of --p1 and --p2 without the other
         regions.extend(REGIONS[name](float(args.p1), float(args.p2))
                        for name in args.region or REGIONS)
     report = _report_shell("region", config, seed)
@@ -418,8 +419,6 @@ def cmd_region(args) -> int:
     if channel_payload is not None:
         report["results"]["channel"] = channel_payload
     if args.check_containment:
-        if args.p1 is None or args.p2 is None:
-            raise ValueError("--check-containment needs --p1 and --p2")
         p1f, p2f = float(args.p1), float(args.p2)
         checks = []
         for outer_name, inner_name in (
@@ -626,6 +625,11 @@ def main(argv=None) -> int:
                 raise ValueError(f"the region CSV {csv_path} would overwrite the report --out {args.out}")
             if os.path.isdir(csv_path):
                 raise IsADirectoryError(f"region CSV path {csv_path} is a directory")
+            if args.p1 is None or args.p2 is None:
+                if args.p1 is not None or args.p2 is not None or not args.channel:
+                    raise ValueError("region needs both --p1 and --p2 (or a --channel file)")
+                if args.check_containment:
+                    raise ValueError("--check-containment needs --p1 and --p2")
         return args.func(args)
     except BudgetError as exc:
         print(f"error: enumeration budget exceeded: {exc}", file=sys.stderr)

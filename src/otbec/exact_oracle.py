@@ -37,11 +37,13 @@ import numpy as np
 from .channel import ERASED, trial_rng
 from .entropy import mutual_information_of
 from .protocol_colluding import colluding_steps
-from .protocol_core import Plan, as_fraction, draw_inputs, interpret, key_positions, knowledge
+from .protocol_core import (
+    OtCode, Plan, as_fraction, draw_inputs, interpret, key_positions, knowledge)
 from .protocol_noncolluding import noncolluding_steps
 
 __all__ = [
     "BudgetError",
+    "check_budget",
     "tiny_plan",
     "ExactJoint",
     "Spec",
@@ -120,7 +122,7 @@ class ExactJoint:
 
     @cached_property
     def abort_mass(self) -> Fraction:
-        """Probability that the protocol aborts (any view carrying an abort marker)."""
+        """Probability that the protocol aborts (any view that holds a stop code)."""
         aborted = sum(w for key, w in self.weights.items() if _has_abort(key[1]))
         return Fraction(aborted, self.denominator)
 
@@ -135,9 +137,8 @@ class _Completed:
         return ((key, w) for key, w in self.weights.items() if not _has_abort(key[1]))
 
 
-_ABORT_MARKERS = ("abort", "abort-phase-1", "abort-phase-2", "no-sprime")
-# a marker, or a marker view, as one top-level part of a view
-_ABORT_PARTS = frozenset(_ABORT_MARKERS) | frozenset((m,) for m in _ABORT_MARKERS)
+# the codes a stopped link ends with, as a run's `aborted` map holds them
+_STOPS = frozenset(code for code in OtCode if code.status == "aborted")
 
 
 def _pattern_law(p: Fraction, m: int) -> tuple[list, int]:
@@ -166,16 +167,16 @@ def _kappa_image(rows: tuple, x: int) -> int:
 def _has_abort(view) -> bool:
     """Whether a view records an abort.
 
-    The enumerators put a marker only at the view's top level: a marker view
-    ("abort",), a trailing "no-sprime", or, for a pair of per-link views, a
-    marker view as one of the pair. So only the top-level parts are looked up.
+    The enumerators put a stop code only at the view's top level: the code as
+    the whole view, a trailing LEFTOVER_SHORTFALL, or, for a pair of per-link
+    views, a code as one of the pair. So only the top-level parts are looked up.
     """
     if isinstance(view, tuple):
-        return not _ABORT_PARTS.isdisjoint(view)
-    return view in _ABORT_PARTS
+        return not _STOPS.isdisjoint(view)
+    return view in _STOPS
 
 
-def _check_budget(plan: Plan, spec: Spec) -> None:
+def check_budget(plan: Plan, spec: Spec) -> None:
     """Refuse an instance over a size limit, then one over MAX_STATES: the estimate is
     bounded only within the limits, and outside them may take too long to work out or print."""
     if plan.n > MAX_N:
@@ -197,7 +198,7 @@ def _check_budget(plan: Plan, spec: Spec) -> None:
 
 
 def _link_structures(n: int, p: Fraction, size: int):
-    """(denominator, iterator of (z, announced pair or abort marker, numerator, e, ebar)) for one link.
+    """(denominator, iterator of (z, announced pair or SET_SHORTFALL, numerator, e, ebar)) for one link.
 
     e and ebar list the erasure pattern's erased and kept positions. The
     denominator is b^n for the pattern, 2 for z and the pair-pool lcm.
@@ -211,7 +212,7 @@ def _link_structures(n: int, p: Fraction, size: int):
             w_pat = pattern_num[len(e)]
             for z in (0, 1):
                 if len(ebar) < size or len(e) < size:
-                    yield z, ("abort",), w_pat * pool, e, ebar
+                    yield z, OtCode.SET_SHORTFALL, w_pat * pool, e, ebar
                     continue
                 chosen_pool = list(itertools.combinations(ebar, size))
                 other_pool = list(itertools.combinations(e, size))
@@ -267,7 +268,7 @@ def _message_cells(s: int, k: int, x: int, head: tuple, tail: tuple, w: int):
 
 
 def _abort_cells(k: int, view: tuple, w: int):
-    """Every message under an abort view, each of weight w: nothing was published."""
+    """Every message under a stop code's view, each of weight w: nothing was published."""
     for m in range(1 << k):
         yield (m, view), w
 
@@ -277,7 +278,7 @@ def _enum_message_link1(plan: Plan, pooled: bool):
 
     The view holds the receiver's choice bit, the announced pair, the unchosen
     key hash, and the unchosen ciphertext; pooling adds the other receiver's
-    erasure-limited look at the unchosen key material ("e" marks an erasure).
+    erasure-limited look at the unchosen key material (ERASED marks an erasure).
 
     What follows the announced pair does not depend on it, so those cells are
     tallied once, as (message, view suffix) numerators, and each announced
@@ -296,7 +297,7 @@ def _enum_message_link1(plan: Plan, pooled: bool):
     def realizations():
         for x in range(1 << s):  # input bits at the unchosen set, in set order
             looks = [
-                ((tuple("e" if (ypat >> t) & 1 else (x >> t) & 1 for t in range(s)),),
+                ((tuple(ERASED if (ypat >> t) & 1 else (x >> t) & 1 for t in range(s)),),
                  y_num[bin(ypat).count("1")])
                 for ypat in range(1 << s)
             ] if pooled else [((), 1)]
@@ -309,17 +310,17 @@ def _enum_message_link1(plan: Plan, pooled: bool):
                                   for (m, suffix), w in realizations())
     suffixes = list(suffixes)
     numerators = set(cells.values())
-    # the summed weight of each announced (choice bit, pair), or of the abort
-    # marker, in the order the patterns first announce it
+    # the summed weight of each announced (choice bit, pair), or of the stop,
+    # in the order the patterns first announce it
     announced: dict = {}
     states = 0
     for z, pair, w, _, _ in structures:
-        key = pair if pair == ("abort",) else (z, pair)
+        key = pair if pair is OtCode.SET_SHORTFALL else (z, pair)
         announced[key] = announced.get(key, 0) + w
-        states += (1 << k) if pair == ("abort",) else per_pair
+        states += (1 << k) if key is pair else per_pair
     agg: dict = {}
     for key, w in announced.items():
-        if key == ("abort",):
+        if key is OtCode.SET_SHORTFALL:
             agg.update(_abort_cells(k, key, (w * y_den) << (s + s * k)))
             continue
         views = [(*key, *suffix) for suffix in suffixes]
@@ -335,7 +336,7 @@ def _enum_phase2_message(plan: Plan):
     The phase-1 receiver's chosen-set draw is marginalized out (the view never
     references it); the retransmitted positions are checked to lie inside that
     receiver's erasures, so its contribution to the pooled view is the constant
-    all-erased symbol.
+    all-ERASED look. A stopped link's view is its OtCode, as record["aborted"] has it.
     """
     n, m1, q = plan.n, plan.phase1[0], plan.sprime
     s, k = plan.mask[1], plan.key[1]
@@ -357,14 +358,15 @@ def _enum_phase2_message(plan: Plan):
             w_pat = pat1_num[len(e)]
             for z1 in (0, 1):
                 if len(ebar) < m1 or len(e) < m1:
-                    yield from _abort_cells(k, ("abort-phase-1",), w_pat * unch_pool * sprime_scale)
+                    yield from _abort_cells(
+                        k, OtCode.UPSTREAM_ABORT, w_pat * unch_pool * sprime_scale)
                     continue
                 other_pool = list(itertools.combinations(e, m1))
                 w_unch = w_pat * (unch_pool // len(other_pool))
                 for so in other_pool:  # the phase-1 unchosen set, from the erased side
                     leftover = [i for i in e if i not in so]
                     if len(leftover) < q:
-                        yield from _abort_cells(k, ("no-sprime",), w_unch * sprime_scale)
+                        yield from _abort_cells(k, OtCode.LEFTOVER_SHORTFALL, w_unch * sprime_scale)
                         continue
                     sprime_pool = list(itertools.combinations(leftover, q))
                     w_sp = w_unch * (sp_pool // len(sprime_pool))
@@ -372,14 +374,13 @@ def _enum_phase2_message(plan: Plan):
                         assert all(i in e for i in sp)
                         for x in range(1 << q):  # input bits at the retransmitted set
                             for z2, pair2, w2, _, _ in link2:
-                                if pair2 == ("abort",):
-                                    yield from _abort_cells(
-                                        k, ("abort-phase-2",), (w_sp * w2) << (s * k))
+                                if pair2 is OtCode.SET_SHORTFALL:
+                                    yield from _abort_cells(k, pair2, (w_sp * w2) << (s * k))
                                     continue
                                 x_unch = sum(((x >> pos) & 1) << t
                                              for t, pos in enumerate(pair2[1 - z2]))
                                 yield from _message_cells(
-                                    s, k, x_unch, (z2, sp, pair2), (("e",) * s,), w_sp * w2)
+                                    s, k, x_unch, (z2, sp, pair2), ((ERASED,) * s,), w_sp * w2)
 
     agg, states = _accumulate(items())
     return agg, states, (pat1_den * unch_pool * sp_pool * link2_den) << uniform_bits
@@ -404,12 +405,12 @@ def _enum_phase1_cross(plan: Plan):
 
     def items():
         for z1, pair, w_pair, e, ebar in structures:
-            if pair == ("abort",):
-                yield ((), ("abort-phase-1",)), w_pair * sp_pool
+            if pair is OtCode.SET_SHORTFALL:
+                yield ((), pair), w_pair * sp_pool
                 continue
             leftover = [i for i in e if i not in pair[1 - z1]]
             if len(leftover) < q:
-                yield ((), (z1, pair, "no-sprime")), w_pair * sp_pool
+                yield ((), (z1, pair, OtCode.LEFTOVER_SHORTFALL)), w_pair * sp_pool
                 continue
             sprime_pool = list(itertools.combinations(leftover, q))
             w_x = w_pair * (sp_pool // (len(sprime_pool) << (len(ebar) + q)))
@@ -419,7 +420,7 @@ def _enum_phase1_cross(plan: Plan):
                 free = ebar + list(sp)
                 for bits in range(1 << len(free)):
                     assign = {pos: (bits >> t) & 1 for t, pos in enumerate(free)}
-                    obs = tuple(assign[i] if i in ebar_set else "e" for i in range(n))
+                    obs = tuple(assign[i] if i in ebar_set else ERASED for i in range(n))
                     secret = tuple(assign[i] for i in sp)
                     yield (secret, (z1, pair, sp, obs)), w_x
 
@@ -432,16 +433,14 @@ def _packed(bits) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _obs_symbol(values) -> tuple:
-    return tuple("e" if int(v) == ERASED else int(v) for v in values)
-
-
 # Features: a record's (secret, view) cell as the enumerators write it. Receiver 1
-# goes first, so link 2 runs on S'; what the record lacks tells where the run stopped.
-def _pair_view(record: dict, i: int) -> tuple:
-    """Link i's announced pair as index tuples, or the abort marker view."""
-    pair = record["sets"].get(i)
-    return ("abort",) if pair is None else (tuple(pair[0].tolist()), tuple(pair[1].tolist()))
+# goes first, so link 2 runs on S'; record["aborted"] tells which link stopped, and how.
+def _pair_view(record: dict, i: int):
+    """Link i's announced pair as index tuples, or the code it stopped with."""
+    if i in record["aborted"]:
+        return record["aborted"][i]
+    pair = record["sets"][i]
+    return tuple(pair[0].tolist()), tuple(pair[1].tolist())
 
 
 def _unchosen(record: dict, i: int) -> tuple:
@@ -458,36 +457,33 @@ def _published(record: dict, i: int, u: int) -> tuple:
 
 def _message_link1_features(record: dict, pooled: bool) -> tuple:
     secret, u = _unchosen(record, 1)
-    if 1 not in record["sets"]:
-        return secret, ("abort",)
+    if 1 in record["aborted"]:
+        return secret, record["aborted"][1]
     view = (record["z"][0], _pair_view(record, 1), *_published(record, 1, u))
     if pooled:  # the other receiver's look at the unchosen set
-        view += (_obs_symbol(knowledge(record)[1][key_positions(record, 1)[u]]),)
+        view += (tuple(knowledge(record)[1][key_positions(record, 1)[u]].tolist()),)
     return secret, view
 
 
 def _phase2_message_features(record: dict) -> tuple:
     secret, u = _unchosen(record, 2)
-    if 1 not in record["sets"]:
-        return secret, ("abort-phase-1",)
-    sprime = record["sprime"]
-    if sprime is None:
-        return secret, ("no-sprime",)
-    if 2 not in record["sets"]:
-        return secret, ("abort-phase-2",)
+    if 2 in record["aborted"]:
+        return secret, record["aborted"][2]
     # the phase-1 receiver's look at the unchosen set
-    look = _obs_symbol(knowledge(record)[0][key_positions(record, 2)[u]])
-    return secret, (record["z"][1], tuple(sprime.tolist()), _pair_view(record, 2),
+    look = tuple(knowledge(record)[0][key_positions(record, 2)[u]].tolist())
+    return secret, (record["z"][1], tuple(record["sprime"].tolist()), _pair_view(record, 2),
                     *_published(record, 2, u), look)
 
 
 def _phase1_cross_features(record: dict) -> tuple:
-    if 1 not in record["sets"]:
-        return (), ("abort-phase-1",)
+    stopped = record["aborted"]
+    if 1 in stopped:
+        return (), stopped[1]
     z = record["z"][0]
+    # only the rekey's stop of link 2 is read: past the rekey, link 2 can stop at its announce
     if record["sprime"] is None:
-        return (), (z, _pair_view(record, 1), "no-sprime")
-    sprime, obs = tuple(record["sprime"].tolist()), _obs_symbol(knowledge(record)[0])
+        return (), (z, _pair_view(record, 1), stopped[2])
+    sprime, obs = tuple(record["sprime"].tolist()), tuple(knowledge(record)[0].tolist())
     return tuple(record["x_sprime"].tolist()), (z, _pair_view(record, 1), sprime, obs)
 
 
@@ -559,13 +555,13 @@ def enumerate_protocol(name: str, plan: Plan) -> ExactJoint:
 
     Every realization is weighted by the product of its uniform input bits,
     erasure probabilities, uniform subset draws, uniform matrix entries, and
-    uniform messages; abort realizations keep their mass under marker views, so
+    uniform messages; abort realizations keep their mass under stop-code views, so
     the joint always sums to one: the numerators sum to the denominator exactly.
     """
     if name not in SPECS:
         raise ValueError(f"unknown spec {name!r}; known: {', '.join(SPECS)}")
     spec = SPECS[name]
-    _check_budget(plan, spec)
+    check_budget(plan, spec)
     agg, states, denominator = spec.enumerate(plan)
     if any(w < 0 for w in agg.values()):
         raise ValueError("enumerated weights must be nonnegative")

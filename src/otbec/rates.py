@@ -389,12 +389,10 @@ def general_upper_bounds(spec: ChannelSpec, theorem: str = "1", grid: int = 101)
     i1 = float(_max_term(mi(proj1), grid))
     i2 = float(_max_term(mi(proj2), grid))
     i12 = float(_max_term(mi(proj12), grid))
-    h1 = float(_max_term(hcond(proj1), grid))
-    h2 = float(_max_term(hcond(proj2), grid))
     h12 = float(_max_term(hcond(proj12), grid))
     if theorem == "1":
-        b1 = min(i1, h1)
-        b2 = min(i2, h2)
+        b1 = min(i1, float(_max_term(hcond(proj1), grid)))
+        b2 = min(i2, float(_max_term(hcond(proj2), grid)))
     else:
         i1c = float(_max_term(lambda t: mi_cond(proj2, t), grid))
         i2c = float(_max_term(lambda t: mi_cond(proj1, t), grid))

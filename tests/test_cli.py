@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from otbec import cli, exact_oracle, protocol_core
+from otbec import _fanout, cli, exact_oracle, protocol_core
 from otbec.cli import DEFAULT_SEED, build_parser, main, parse_prob
 
 SIM_FLAGS = [
@@ -132,6 +132,27 @@ def test_oracle_budget_exits_3(tmp_path, capsys):
         assert f"enumeration budget exceeded: n = {n} exceeds budget n <= 8\n" in stderr
         assert "estimated states" not in stderr
         assert not (tmp_path / "o.json").exists()
+
+
+def test_an_over_budget_spec_is_refused_before_any_enumeration(tmp_path, capsys, monkeypatch):
+    # only the second spec's phase-1 set size is over budget; the first is never enumerated
+    monkeypatch.setattr(_fanout, "_cpu_count", lambda: 1)
+    calls = []
+    enumerate_protocol = cli.enumerate_protocol
+
+    def counted(*args):
+        calls.append(args[0])
+        return enumerate_protocol(*args)
+
+    monkeypatch.setattr(cli, "enumerate_protocol", counted)
+    out = tmp_path / "o.json"
+    code, stdout, stderr = run(capsys, "oracle", "--spec", "choice-vs-sets",
+                               "--spec", "phase1-cross-knowledge", "--phase1-size", "3",
+                               "--out", str(out))
+    assert code == 3
+    assert "enumeration budget exceeded: set size 3 exceeds budget 2" in stderr
+    assert calls == []
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("argv, target, reason", [
@@ -384,6 +405,27 @@ def test_region_requires_erasure_probs_without_channel(tmp_path, capsys):
     assert "p1" in stderr
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--check-containment"], "--check-containment needs --p1 and --p2"),
+    (["--p1", "0.5"], "region needs both --p1 and --p2 (or a --channel file)"),
+], ids=["check-containment", "p1-only"])
+def test_region_refuses_missing_erasure_probs_before_the_grid_search(
+        tmp_path, capsys, monkeypatch, flags, message):
+    from otbec.rates import ChannelSpec
+
+    def never(*args, **kwargs):
+        raise AssertionError("cli.general_upper_bounds ran")
+
+    monkeypatch.setattr(cli, "general_upper_bounds", never)
+    chan = tmp_path / "chan.json"
+    chan.write_text(json.dumps(ChannelSpec.bec_pair(0.5, 0.5).to_json()))
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(capsys, "region", "--channel", str(chan), *flags, "--out", str(out))
+    assert code == 2
+    assert f"error: {message}\n" in stderr
+    assert stdout == "" and not out.exists() and not out.with_suffix(".csv").exists()
+
+
 def test_audit_wiretapper_reads_nothing(tmp_path, capsys):
     out = tmp_path / "aud.json"
     code, _, _ = run(capsys, "audit", *SIM_FLAGS, "--trials", "600",
@@ -523,6 +565,20 @@ def test_negative_seed_exits_2(subcommand, extra, tmp_path, capsys, monkeypatch)
     assert code == 2
     assert "OTBEC_SEED must be a non-negative integer, got -5" in stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value, message", [
+    ("seven", "OTBEC_SEED must be an integer, got 'seven'"),
+    ("-5", "OTBEC_SEED must be a non-negative integer, got -5"),
+])
+def test_a_refused_otbec_seed_exits_2_and_writes_no_report(
+        tmp_path, capsys, monkeypatch, value, message):
+    monkeypatch.setenv("OTBEC_SEED", value)
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(capsys, "simulate", *SIM_FLAGS, "--trials", "5", "--out", str(out))
+    assert code == 2
+    assert stderr == f"error: {message}\n"
+    assert stdout == "" and not out.exists()
 
 
 def test_config_file_mirrors_flags(tmp_path, capsys):

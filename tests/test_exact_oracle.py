@@ -132,7 +132,7 @@ def test_exchange_symmetry_of_choice_joint():
     j = enumerate_protocol("choice-vs-sets", tiny())
     mass = j.weights
     for (z, view), w in mass.items():
-        if view == ("abort",):
+        if view is protocol_core.OtCode.SET_SHORTFALL:
             partner = (1 - z, view)
         else:
             s0, s1 = view

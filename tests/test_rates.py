@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from otbec import rates
 from otbec.rates import (
     REGIONS,
     ChannelSpec,
@@ -146,6 +147,22 @@ def test_general_bounds_match_closed_forms_theorem2():
     # R1 <= min{I(X;Y1), I(X;Y1|Y2), H(X|Y1 Y2)} = min{0.3, 0.12, 0.28}
     assert by_axis[(1.0, 0.0)] == pytest.approx(0.4 * 0.3, abs=1e-6)
     assert by_axis[(0.0, 1.0)] == pytest.approx(min(0.6, 0.7 * 0.6, 0.28), abs=1e-6)
+
+
+@pytest.mark.parametrize("theorem", ["1", "2"])
+def test_general_bounds_search_only_the_terms_their_theorem_reads(theorem, monkeypatch):
+    # three informations and the pooled equivocation, then theorem 1's two
+    # single-receiver equivocations or theorem 2's two cross-conditioned informations
+    searched = []
+    max_term = rates._max_term
+
+    def counted(fn, grid):
+        searched.append(fn)
+        return max_term(fn, grid)
+
+    monkeypatch.setattr(rates, "_max_term", counted)
+    general_upper_bounds(ChannelSpec.bec_pair(0.7, 0.4), theorem=theorem, grid=101)
+    assert len(searched) == 6
 
 
 def test_general_bounds_monotone_under_grid_doubling():
