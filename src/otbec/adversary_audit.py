@@ -14,7 +14,7 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -109,10 +109,13 @@ class RunBlock:
     link i's (rows, pairs, kappa, cipher): the (u,) rows that
     announced on it, their (u, 2, size) key positions
     (`protocol_core.key_positions`), (u, 2, k, size) κ matrices and (u, 2, k)
-    ciphertexts, the label on axis 1 (None but rows if u = 0).
+    ciphertexts, the label on axis 1 (None but rows if u = 0). runs may be
+    any iterable; the block reads it into a list, since each array takes one
+    pass over the runs.
     """
 
     def __init__(self, runs):
+        runs = list(runs)
         self.params = _shared_params(runs)
         records = [run.record for run in runs]
         self.tally = outcome_counts(runs)
@@ -168,26 +171,32 @@ def generate_runs(
     master_seed: int,
     visibility: VisibilityModel | None = None,
     start: int = 0,
-) -> list[ProtocolRun]:
-    """Execute independent protocol runs with uniform messages and choice bits.
+) -> Iterator[ProtocolRun]:
+    """Independent protocol runs with uniform messages and choice bits, made one at a time.
 
     The runs are trials start, ..., start + trials - 1 of the campaign: trial
     t uses the generator derived from (master_seed, t) and draws, in order:
     z1, z2, the four messages, then the protocol's own randomness, so any run
     can be reproduced in isolation and a campaign split into consecutive
-    ranges yields the same runs.
+    ranges yields the same runs. The arguments are checked at the call; the
+    returned iterator then makes each run as it is asked for, in trial order,
+    so a consumer that folds them (`outcome_counts`) holds one at a time.
+    Wrap it in list() to index the runs or read them twice.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
     plan = params.plan()
     execute = run_protocol1 if params.variant == "noncolluding" else functools.partial(
         run_protocol2, visibility=visibility or DEFAULT_VISIBILITY)
-    runs = []
-    for t in range(start, start + trials):
+    return _runs(params, plan, execute, range(start, start + trials), master_seed)
+
+
+def _runs(params: ProtocolParams, plan, execute, trials: range,
+          master_seed: int) -> Iterator[ProtocolRun]:
+    for t in trials:
         rng = trial_rng(master_seed, t)
         messages, z = draw_inputs(plan, rng)
-        runs.append(execute(params, messages, z, rng))
-    return runs
+        yield execute(params, messages, z, rng)
 
 
 def _abort_key(order: int | None, link: int, code: OtCode) -> str:
@@ -206,9 +215,11 @@ def outcome_counts(runs) -> Counter:
 
     Keys: "trials", "any-abort", (link, status), (link, "match") for a
     completed link that decoded its chosen message, and ("reason", abort key).
+    runs is read once, in order, so it may be an iterator that makes them.
     """
-    tally = Counter(trials=len(runs))
+    tally = Counter(trials=0)
     for run in runs:
+        tally["trials"] += 1
         # a link the parameters never run (no-second-phase) did not abort
         if any(out.status == "aborted" for out in run.outcomes):
             tally["any-abort"] += 1

@@ -55,7 +55,7 @@ SCHEMA_VERSION = "1"
 _VARIANTS = {"p1": "noncolluding", "p2": "colluding"}
 
 # A campaign runs, and folds, its trials in chunks of this many: numpy then
-# works on whole blocks, while a chunk's runs stay a small share of memory.
+# works on whole blocks, while a block's runs stay a small share of memory.
 _CHUNK = 256
 
 _ATTACKER_MAP = {
@@ -219,7 +219,9 @@ def _simulate_stats(tally: Counter) -> dict:
 def _campaign(args, params, seed: int, fold):
     """Stream fold(runs) of each _CHUNK-trial chunk of the campaign, in chunk order, from fan_out.
 
-    A chunk's runs are dropped once folded, and a folded chunk once the
+    runs is `generate_runs`' iterator, so a fold that reads each run once
+    (`outcome_counts`) holds one run at a time, and one that needs them all
+    (`RunBlock`) holds one chunk's. A folded chunk is dropped once the
     consumer moves on, so memory does not grow with the trial count. The
     consumer closes the stream (contextlib.closing), which reaps the
     workers even when it stops early.

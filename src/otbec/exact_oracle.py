@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -106,14 +107,16 @@ class ExactJoint:
 
     weights maps each (secret, view) cell to its integer numerator over the
     common integer denominator, in the enumerator's first-insertion order,
-    which every float sum over the cells follows. Readers walk weights in
-    place and keep no copy of it, so a joint costs its own cells only;
-    abort_mass sums the abort cells' numerators once, as a Fraction. spec
-    (the SPECS name) and plan name what was enumerated; both are None for a
-    hand-built joint.
+    which every float sum over the cells follows. It is a dict, or for
+    choice-pair-vs-sets a read-only view that multiplies the two links'
+    joints as it is walked, so that joint costs the two links' cells, not
+    their product. Readers walk weights in place and keep no copy of it, so
+    a joint costs its own cells only; abort_mass sums the abort cells'
+    numerators once, as a Fraction. spec (the SPECS name) and plan name what
+    was enumerated; both are None for a hand-built joint.
     """
 
-    weights: dict
+    weights: Mapping
     denominator: int
     states: int
     description: str
@@ -244,13 +247,68 @@ def _enum_sets_link(plan: Plan, i: int):
 _Z_PAIRS = (((0, 0), (0, 1)), ((1, 0), (1, 1)))
 
 
+class _ProductItems(ItemsView):
+    """The product joint's cells, multiplied as they are walked."""
+
+    def __iter__(self):
+        agg2 = self._mapping.agg2
+        for (z1, v1), w1 in self._mapping.agg1.items():
+            pairs = _Z_PAIRS[z1]
+            for (z2, v2), w2 in agg2.items():
+                yield (pairs[z2], (v1, v2)), w1 * w2
+
+
+class _ProductValues(ValuesView):
+    """The product joint's weights, multiplied as they are walked."""
+
+    def __iter__(self):
+        weights2 = self._mapping.agg2.values()
+        for w1 in self._mapping.agg1.values():
+            for w2 in weights2:
+                yield w1 * w2
+
+
+class _ProductJoint(Mapping):
+    """The (z-pair, view-pair) joint of two independent links, read off their own joints.
+
+    Cell ((z1, z2), (v1, v2)) weighs agg1[z1, v1] * agg2[z2, v2]. No cell is
+    stored: the walks (iteration, `items`, `values`) run link 1's cells
+    outer and link 2's inner, the order in which every float sum over the
+    cells was always taken, and multiply as they go; a lookup (`[]`, `in`)
+    splits its key into the two links' keys.
+    """
+
+    def __init__(self, agg1: dict, agg2: dict):
+        self.agg1, self.agg2 = agg1, agg2
+
+    def __getitem__(self, key):
+        try:
+            (z1, z2), (v1, v2) = key
+            return self.agg1[z1, v1] * self.agg2[z2, v2]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+
+    def __len__(self) -> int:
+        return len(self.agg1) * len(self.agg2)
+
+    def __iter__(self):
+        for z1, v1 in self.agg1:
+            pairs = _Z_PAIRS[z1]
+            for z2, v2 in self.agg2:
+                yield pairs[z2], (v1, v2)
+
+    def items(self):
+        return _ProductItems(self)
+
+    def values(self):
+        return _ProductValues(self)
+
+
 def _enum_sets_both(plan: Plan):
     agg1, st1, d1 = _enum_sets_link(plan, 1)
     agg2, st2, d2 = _enum_sets_link(plan, 2)
     # each (link-1 cell, link-2 cell) product is a cell of its own
-    agg = {(_Z_PAIRS[z1][z2], (v1, v2)): w1 * w2
-           for (z1, v1), w1 in agg1.items() for (z2, v2), w2 in agg2.items()}
-    return agg, st1 + st2 + len(agg1) * len(agg2), d1 * d2
+    return _ProductJoint(agg1, agg2), st1 + st2 + len(agg1) * len(agg2), d1 * d2
 
 
 def _message_cells(s: int, k: int, x: int, head: tuple, tail: tuple, w: int):

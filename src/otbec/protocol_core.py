@@ -246,6 +246,15 @@ def snap_params(
     """
     if not (isinstance(n, int) and n >= 1):
         raise ParamError("block length", f"n must be a positive integer, got {n}")
+    # snapping lifts a zero to 1/n, so the bounds it would hide are checked
+    # first, in validate_params' order and words
+    s1, s2 = (lam_prime if s is None else s for s in (s1, s2))
+    for i, r, s in ((1, r1, s1), (2, r2, s2)):
+        if not (as_fraction(lam_prime) > 0 and as_fraction(r) > 0):
+            raise ParamError("lambda-prime range",
+                             f"need 0 < lambda' < r{i}, got lambda' = {lam_prime}, r{i} = {r}")
+        if not as_fraction(s) > 0:
+            raise ParamError("verification hash length", f"s{i} must be positive, got {s}")
     adjustments: dict = {}
 
     def snap(label, value, bits=None):
@@ -264,8 +273,8 @@ def snap_params(
     if lp_bits < 1:
         raise ParamError("integrality", f"block length {n} too small to separate r*n from n(r - lambda')")
     _, lp_eff = snap("lambda_prime", lam_prime, lp_bits)
-    _, s1_eff = snap("s1", lam_prime if s1 is None else s1)
-    _, s2_eff = snap("s2", lam_prime if s2 is None else s2)
+    _, s1_eff = snap("s1", s1)
+    _, s2_eff = snap("s2", s2)
     params = ProtocolParams(
         n=n, p1=p1, p2=p2, r1=r1_eff, r2=r2_eff, lam=lam,
         lam_prime=lp_eff, s1=s1_eff, s2=s2_eff, variant=variant, order=order,

@@ -43,12 +43,12 @@ def p2_params():
 
 @pytest.fixture(scope="session")
 def p1_runs(p1_params):
-    return generate_runs(p1_params, 3000, master_seed=77)
+    return list(generate_runs(p1_params, 3000, master_seed=77))
 
 
 @pytest.fixture(scope="session")
 def p2_runs(p2_params):
-    return generate_runs(p2_params, 3000, master_seed=78)
+    return list(generate_runs(p2_params, 3000, master_seed=78))
 
 
 @pytest.fixture(scope="session")
@@ -80,4 +80,4 @@ def aborting_runs(request):
     """(params, 100 runs at master seed 3, the stop codes they reach) of one aborting case."""
     fields, codes = _ABORTING[request.param]
     params, _ = snap_params(**fields)
-    return params, generate_runs(params, 100, master_seed=3), codes
+    return params, list(generate_runs(params, 100, master_seed=3)), codes

@@ -165,7 +165,7 @@ def test_a_block_that_published_nothing_adds_only_to_the_skipped_count():
     # at n=16 and p=1/4, 56 of 300 runs abort link 1, so their block publishes nothing there
     params, _ = snap_params(16, 0.25, 0.25, Fraction(3, 16), Fraction(3, 16), 0.05,
                             Fraction(1, 16), variant="noncolluding")
-    runs = generate_runs(params, 300, master_seed=101)
+    runs = list(generate_runs(params, 300, master_seed=101))
     aborted = [run for run in runs if run.outcomes[0].status == "aborted"]
     rest = [run for run in runs if run.outcomes[0].status != "aborted"]
     assert len(aborted) == 56
@@ -240,8 +240,8 @@ def test_knowledge_map_is_what_the_receiver_observed(case, p1_runs, p2_params):
         runs = p1_runs[:300]
     else:
         visibility = case.split()[1]
-        runs = generate_runs(p2_params, 300, master_seed=43,
-                             visibility=VisibilityModel(visibility, visibility))
+        runs = list(generate_runs(p2_params, 300, master_seed=43,
+                                  visibility=VisibilityModel(visibility, visibility)))
     both_phases = 0
     maps = [knowledge(run.record) for run in runs]
     # the analyses read the maps from a block of the runs, one (2, n) pair per run
@@ -289,7 +289,7 @@ def test_condition_suite_abort_rate_skips_links_never_run():
         64, 0.5, 0.5, Fraction(1, 16), Fraction(1, 16), Fraction(1, 32), Fraction(1, 64),
         variant="colluding",
     )
-    runs = generate_runs(params, 40, master_seed=5)
+    runs = list(generate_runs(params, 40, master_seed=5))
     assert all(run.outcomes[1].status == "no-second-phase" for run in runs)
     first_aborts = sum(run.outcomes[0].status == "aborted" for run in runs)
     row = {r.condition: r for r in condition_suite([RunBlock(runs)])}["abort rate"]

@@ -459,6 +459,27 @@ def test_audit_of_a_link_the_parameters_never_run_exits_2_before_any_trial(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, constraint", [
+    ("simulate", ["--lambda-prime", "0"], "lambda-prime range"),
+    ("simulate", ["--r1", "0"], "lambda-prime range"),
+    ("simulate", ["--r2", "0"], "lambda-prime range"),
+    ("simulate", ["--s1", "0"], "verification hash length"),
+    ("audit", ["--s2", "0"], "verification hash length"),
+])
+def test_a_zero_rate_exits_2_with_its_constraint_before_any_trial(
+        tmp_path, capsys, monkeypatch, command, flags, constraint):
+    # snapping to multiples of 1/n would lift the zero to 1/n and run with it
+    def never(*args, **kwargs):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "generate_runs", never)
+    out = tmp_path / "r.json"
+    code, _, stderr = run(capsys, command, *SIM_FLAGS, *flags, "--trials", "5", "--out", str(out))
+    assert code == 2
+    assert f"error: {constraint} violated" in stderr
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, work", [
     (["simulate", *SIM_FLAGS, "--trials", "5"], "generate_runs"),
     (["audit", *SIM_FLAGS, "--trials", "60"], "generate_runs"),

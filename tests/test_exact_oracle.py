@@ -8,6 +8,7 @@ import pytest
 
 from otbec import _fanout, cli, exact_oracle, protocol_core
 from otbec.channel import trial_rng
+from otbec.entropy import mutual_information_of
 from otbec.exact_oracle import (
     BudgetError,
     ExactJoint,
@@ -125,6 +126,39 @@ def test_choice_bit_mi_is_exactly_zero():
 def test_choice_pair_mi_is_exactly_zero():
     j = enumerate_protocol("choice-pair-vs-sets", tiny())
     assert exact_mi(j) == 0
+
+
+@pytest.mark.parametrize("overrides", [dict(n=6, set_size=2), dict(n=5),
+                                       dict(p1=Fraction(1, 3), p2=Fraction(3, 4))],
+                         ids=["oracle-n6", "n5", "unequal-p"])
+def test_the_pair_joint_is_the_product_of_the_link_joints_walked_in_place(overrides):
+    # the joint of both links is never stored: it walks the cells the product
+    # comprehension would hold, in its order (link 1 outer), so every float
+    # sum over it is the comprehension's, bit for bit
+    plan = tiny(**overrides)
+    j = enumerate_protocol("choice-pair-vs-sets", plan)
+    agg1 = exact_oracle._enum_sets_link(plan, 1)[0]
+    agg2 = exact_oracle._enum_sets_link(plan, 2)[0]
+    reference = {((z1, z2), (v1, v2)): w1 * w2
+                 for (z1, v1), w1 in agg1.items() for (z2, v2), w2 in agg2.items()}
+    assert not isinstance(j.weights, dict)
+    assert list(j.weights.items()) == list(reference.items())
+    assert list(j.weights) == list(reference)
+    assert list(j.weights.values()) == list(reference.values())
+    assert len(j.weights) == len(reference) == len(agg1) * len(agg2)
+    assert all(key in j.weights and j.weights[key] == w for key, w in reference.items())
+    assert j.weights == reference
+    for missing in (((0, 1), ("no-pair", "no-pair")), ((0, 2), next(iter(reference))[1]),
+                    ((0, 1),), "cell", 5):
+        assert missing not in j.weights
+        with pytest.raises(KeyError):
+            j.weights[missing]
+    stored = ExactJoint(reference, j.denominator, j.states, j.description, None, None)
+    assert exact_mi(j) == mutual_information_of(reference.items(), j.denominator)
+    assert exact_mi_given_success(j) == exact_mi_given_success(stored)
+    assert j.abort_mass == stored.abort_mass
+    counts = exact_oracle.sample_cells([j.spec], plan, 300, 7)[j.spec]
+    assert exact_oracle.compare_cells(j, counts) == exact_oracle.compare_cells(stored, counts)
 
 
 def test_exchange_symmetry_of_choice_joint():

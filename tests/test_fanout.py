@@ -308,13 +308,16 @@ def test_campaign_memory_stays_bounded_as_trials_grow(name, count, monkeypatch, 
     # back through a worker's pipe (tracemalloc sees this process only). The
     # condition suite's tallies fill most of their feature alphabet over the
     # first thousand trials, growth bounded by the alphabet and not by the
-    # trial count, so the peaks compare 4 and 16 chunks; the later --trials wins
+    # trial count, so the peaks compare 4 and 16 chunks; the later --trials wins.
+    # Each peak starts from collected garbage: a simulate chunk holds one run,
+    # so the cyclic parser left by the previous main() would weigh on its own
     workers(monkeypatch, count)
     argv = [*CAMPAIGNS[name], "--out", str(tmp_path / "r.json")]
     peaks = []
     tracemalloc.start()
     try:
         for chunks in (4, 16):
+            gc.collect()
             tracemalloc.reset_peak()
             assert main([*argv, "--trials", str(256 * chunks)]) == 0
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -325,6 +328,29 @@ def test_campaign_memory_stays_bounded_as_trials_grow(name, count, monkeypatch, 
     assert_no_child_left()
 
 
+def test_a_simulate_chunk_holds_one_run_at_a_time(monkeypatch, tmp_path, capsys):
+    # outcome_counts folds each run as generate_runs makes it, so a 4-chunk
+    # campaign at simulate's defaults peaks far below one chunk's runs as a list
+    workers(monkeypatch, 1)
+    params, _ = snap_params(256, 0.5, 0.5, 0.15, 0.15, 0.05, 0.05)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        runs = list(generate_runs(params, cli._CHUNK, master_seed=101))
+        chunk = tracemalloc.get_traced_memory()[0] - start
+        del runs
+        gc.collect()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(["simulate", "--trials", str(4 * cli._CHUNK), "--seed", "101",
+                     "--out", str(tmp_path / "r.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert peak < chunk / 4, (peak, chunk)
+
+
 @pytest.mark.parametrize("variant, rate", [("noncolluding", Fraction(3, 16)),
                                            ("colluding", Fraction(1, 8))], ids=["p1", "p2"])
 def test_runs_die_with_their_list_even_when_links_abort(variant, rate):
@@ -333,7 +359,7 @@ def test_runs_die_with_their_list_even_when_links_abort(variant, rate):
     params, _ = snap_params(64, 0.75, 0.75, rate, rate, 0.05, Fraction(1, 16), variant=variant)
     gc.disable()
     try:
-        runs = generate_runs(params, 300, master_seed=3)
+        runs = list(generate_runs(params, 300, master_seed=3))
         assert sum(run.record["aborted"] != {} for run in runs) > 20
         blocks = [weakref.ref(run.record["x"]) for run in runs]
         del runs

@@ -419,7 +419,7 @@ def test_a_step_list_stopped_early_replays_the_full_runs_record(request, params,
     full = steps(plan)
     prefix = full[:1 + [step[:2] for step in full].index(last)]
     announced = {step[1] for step in prefix if step[0] == "announce"}
-    runs = generate_runs(params, 20, master_seed=5)
+    runs = list(generate_runs(params, 20, master_seed=5))
     for t, run in enumerate(runs):
         rng = trial_rng(5, t)
         part, record = interpret(plan, prefix, *draw_inputs(plan, rng), rng), run.record
